@@ -39,13 +39,12 @@ from .hessenberg import (
     t_set,
 )
 from .linalg import RankDeficientError
-from .roots import LieType, positive_roots
+from .roots import LieType, label_matrix, positive_roots
 from .splines import (
     BasisBundle,
     Spline,
     bundle_pivot_data,
     is_spline,
-    label_matrix,
     labels_pairwise_independent,
     left_basis,
     permutohedral_basis,
@@ -341,6 +340,11 @@ class _TraceData:
 
 @lru_cache(maxsize=None)
 def _trace_data(tset: frozenset, n: int) -> _TraceData:
+    """Per-class traces on one bundle, shared by every ideal with this t-set.
+
+    Computes only; `_space_bundle_check` certifies the bundle for the space
+    a caller asks about.
+    """
     space = realize_tset(tset, n, LieType.B)
     fallback = False
     if not tset:
@@ -351,13 +355,6 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
         except RankDeficientError:
             bundle = spline_space_basis(space)
             fallback = True
-    if not labels_pairwise_independent(space.lie_type, n):
-        raise AssertionError("edge labels are not pairwise independent")
-    for s in bundle.splines:
-        if not is_spline(s, space):
-            raise AssertionError("bundle element fails the spline predicate")
-    if len(bundle) != dim_degree_one(space):
-        raise RankDeficientError("bundle size does not match the space dimension")
     mat, cols, inv = bundle_pivot_data(bundle)
     m = len(bundle)
     tensor = np.stack([s.num for s in bundle.splines])  # (m, N, n)
@@ -367,8 +364,6 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
     traces = []
     for cl in conjugacy_classes(n):
         g = cl.rep
-        if not _label_equivariant(g.window, n, space.lie_type):
-            raise AssertionError("dot action does not preserve the edge ideals")
         src = table.left_mult_indices(g.inverse())
         smat = poly_action_matrix(g).T
         imgs = tensor[:, src, :] @ smat  # (m, N, n)
@@ -383,14 +378,25 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
 
 @lru_cache(maxsize=None)
 def _space_bundle_check(space: HessenbergSpace) -> bool:
-    data = _trace_data(t_set(space), space.n)
-    if len(data.bundle) != dim_degree_one(space):
+    """Certify the trace bundle of the space's t-set for this space.
+
+    The bundle must be a basis of the space's splines (each passes
+    `is_spline`, the count equals the scan dimension, the labels are
+    pairwise independent) on which the dot action is defined (the labels
+    are equivariant in the space's type).
+    """
+    n = space.n
+    bundle = _trace_data(t_set(space), n).bundle
+    if len(bundle) != dim_degree_one(space):
         raise RankDeficientError("bundle does not span for this space")
-    for s in data.bundle.splines:
+    for s in bundle.splines:
         if not is_spline(s, space):
             raise AssertionError("bundle element violates an edge condition")
-    if not labels_pairwise_independent(space.lie_type, space.n):
+    if not labels_pairwise_independent(space.lie_type, n):
         raise AssertionError("edge labels are not pairwise independent")
+    for cl in conjugacy_classes(n):
+        if not _label_equivariant(cl.rep.window, n, space.lie_type):
+            raise AssertionError("dot action does not preserve the edge ideals")
     return True
 
 
@@ -404,8 +410,8 @@ def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     n = space.n
-    data = _trace_data(t_set(space), n)
     _space_bundle_check(space)
+    data = _trace_data(t_set(space), n)
     values = []
     for cl, tr in zip(conjugacy_classes(n), data.traces):
         if side == "left":

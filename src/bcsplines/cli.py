@@ -22,8 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from .group import SignedPerm, group_table
+
+from .group import MAX_ENUM_RANK, SignedPerm, group_table
 from .hessenberg import (
     HessenbergSpace,
     enumerate_hessenberg,
@@ -56,13 +56,20 @@ def _lie(s: str) -> LieType:
         raise argparse.ArgumentTypeError(f"unknown type {s!r}; expected B or C")
 
 
-def _pmap(fn, items, jobs: int):
-    """Map with a bounded worker pool; results keep the input order."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _rank(top: int | None = None):
+    """argparse type for --n: an integer of at least 2 (and at most top)."""
+
+    def rank(s: str) -> int:
+        try:
+            n = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"rank must be an integer, got {s!r}") from None
+        if n < 2 or (top is not None and n > top):
+            bound = f"between 2 and {top}" if top else "at least 2"
+            raise argparse.ArgumentTypeError(f"rank must be {bound}, got {n}")
+        return n
+
+    return rank
 
 
 def _all_tsets(n: int) -> list[frozenset[int]]:
@@ -111,11 +118,7 @@ def cmd_table(args) -> int:
             rows.append(row)
         cols = ["ideal", "tset", "left_char", "right_char", "dim", "verified"]
     else:
-        rows = _pmap(
-            lambda ts: _table_row(ts, n, args.type, args.level),
-            _all_tsets(n),
-            args.jobs,
-        )
+        rows = [_table_row(ts, n, args.type, args.level) for ts in _all_tsets(n)]
         cols = ["tset", "left_char", "right_char", "dim", "verified"]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -213,7 +216,7 @@ def cmd_char(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_group_laws(n: int, lie_type: LieType, jobs: int):
+def _suite_group_laws(n: int, lie_type: LieType):
     import random
 
     table = group_table(n)
@@ -234,7 +237,7 @@ def _suite_group_laws(n: int, lie_type: LieType, jobs: int):
     return True, f"{len(triples)} triples, {len(els)} inverses"
 
 
-def _suite_length_bfs(n: int, lie_type: LieType, jobs: int):
+def _suite_length_bfs(n: int, lie_type: LieType):
     from collections import deque
 
     from .group import length
@@ -256,7 +259,7 @@ def _suite_length_bfs(n: int, lie_type: LieType, jobs: int):
     return True, f"{len(dist)} elements"
 
 
-def _suite_root_bijection(n: int, lie_type: LieType, jobs: int):
+def _suite_root_bijection(n: int, lie_type: LieType):
     from .roots import positive_roots, root_to_reflection
 
     for lt in (LieType.B, LieType.C):
@@ -267,7 +270,7 @@ def _suite_root_bijection(n: int, lie_type: LieType, jobs: int):
     return True, f"{n * n} roots per type"
 
 
-def _suite_descents(n: int, lie_type: LieType, level: str, jobs: int):
+def _suite_descents(n: int, lie_type: LieType, level: str):
     if level == "full":
         spaces = enumerate_hessenberg(lie_type, n)
     else:
@@ -289,7 +292,7 @@ def _suite_descents(n: int, lie_type: LieType, level: str, jobs: int):
     return True, f"{len(spaces)} spaces checked"
 
 
-def _suite_families(n: int, lie_type: LieType, jobs: int):
+def _suite_families(n: int, lie_type: LieType):
     from .hessenberg import classify
     from .splines import unbalanced_sets
 
@@ -327,7 +330,7 @@ def _suite_families(n: int, lie_type: LieType, jobs: int):
     return True, f"converse: {converse_holds} hold / {converse_fails} fail (reported only)"
 
 
-def _suite_bases(n: int, lie_type: LieType, jobs: int):
+def _suite_bases(n: int, lie_type: LieType):
     from .linalg import RankDeficientError
     from .splines import bundle_rank, generating_set, left_basis, permutohedral_basis, right_basis
 
@@ -352,26 +355,23 @@ def _suite_bases(n: int, lie_type: LieType, jobs: int):
     return True, "generating ranks and basis sizes match the scan dimension"
 
 
-def _suite_characters(n: int, lie_type: LieType, jobs: int):
+def _suite_characters(n: int, lie_type: LieType):
     from .characters import computed_char, published_formula_char
 
-    def check(ts):
+    tsets = sorted(realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s)))
+    bad = []
+    for ts in tsets:
         space = from_tset(ts, n, lie_type)
-        bad = []
         for side in ("left", "right"):
             if computed_char(space, side) != published_formula_char(ts, n, side).evaluate():
                 bad.append((tset_str(ts), side))
-        return bad
-
-    tsets = sorted(realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s)))
-    bad = [b for chunk in _pmap(check, tsets, jobs) for b in chunk]
     if bad:
         detail = "; ".join(f"tset {{{t}}} {side}" for t, side in bad)
         return False, f"trace characters disagree with the closed form at: {detail}"
     return True, f"{len(tsets)} t-sets, both sides"
 
 
-def _suite_frobenius(n: int, lie_type: LieType, jobs: int):
+def _suite_frobenius(n: int, lie_type: LieType):
     from .symfunc import verify_table_rows
 
     report = verify_table_rows(n)
@@ -381,7 +381,7 @@ def _suite_frobenius(n: int, lie_type: LieType, jobs: int):
     return True, f"{len(report)} named characters"
 
 
-def _suite_h_positivity(n: int, lie_type: LieType, jobs: int):
+def _suite_h_positivity(n: int, lie_type: LieType):
     from .characters import computed_char
     from .symfunc import h_basis, h_positivity
 
@@ -398,23 +398,23 @@ def _suite_h_positivity(n: int, lie_type: LieType, jobs: int):
 
 
 def cmd_verify(args) -> int:
-    n, lie_type, level, jobs = args.n, args.type, args.level, args.jobs
+    n, lie_type, level = args.n, args.type, args.level
     if level == "full" and n > 4:
         print("full verification needs n <= 4", file=sys.stderr)
         return 1
     suites = [
-        ("group-laws", lambda: _suite_group_laws(n, lie_type, jobs)),
-        ("length-bfs", lambda: _suite_length_bfs(n, lie_type, jobs)),
-        ("root-bijection", lambda: _suite_root_bijection(n, lie_type, jobs)),
-        ("descent-formula", lambda: _suite_descents(n, lie_type, level, jobs)),
+        ("group-laws", lambda: _suite_group_laws(n, lie_type)),
+        ("length-bfs", lambda: _suite_length_bfs(n, lie_type)),
+        ("root-bijection", lambda: _suite_root_bijection(n, lie_type)),
+        ("descent-formula", lambda: _suite_descents(n, lie_type, level)),
     ]
     if level == "full":
         suites += [
-            ("spline-families", lambda: _suite_families(n, lie_type, jobs)),
-            ("bases", lambda: _suite_bases(n, lie_type, jobs)),
-            ("characters", lambda: _suite_characters(n, lie_type, jobs)),
-            ("frobenius-rows", lambda: _suite_frobenius(n, lie_type, jobs)),
-            ("h-positivity", lambda: _suite_h_positivity(n, lie_type, jobs)),
+            ("spline-families", lambda: _suite_families(n, lie_type)),
+            ("bases", lambda: _suite_bases(n, lie_type)),
+            ("characters", lambda: _suite_characters(n, lie_type)),
+            ("frobenius-rows", lambda: _suite_frobenius(n, lie_type)),
+            ("h-positivity", lambda: _suite_h_positivity(n, lie_type)),
         ]
     failures = 0
     for name, fn in suites:
@@ -485,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True):
-        if need_n:
-            p.add_argument("--n", type=int, required=True, help="rank")
+    def common(p, top=None):
+        p.add_argument("--n", type=_rank(top), required=True, help="rank")
         p.add_argument("--type", type=_lie, default=LieType.B, help="B or C")
         p.add_argument(
             "--format", choices=("text", "json", "tsv"), default="text"
@@ -495,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--level", choices=("formula", "full"), default="formula"
         )
-        p.add_argument("--jobs", type=int, default=1)
 
     p_table = sub.add_parser("table", help="characters for every t-subset")
     common(p_table)
@@ -513,11 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.set_defaults(fn=cmd_char)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    common(p_verify)
+    common(p_verify, top=MAX_ENUM_RANK)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_dump = sub.add_parser("dump-spline", help="print a family spline")
-    p_dump.add_argument("--n", type=int, required=True)
+    p_dump.add_argument("--n", type=_rank(MAX_ENUM_RANK), required=True, help="rank")
     p_dump.add_argument(
         "--family", choices=("t", "r", "f", "y", "g", "h"), required=True
     )

@@ -294,9 +294,6 @@ class GroupTable:
     def index_of(self, w: SignedPerm) -> int:
         return self.index[w.window]
 
-    def identity_index(self) -> int:
-        return self.index[tuple(range(1, self.n + 1))]
-
     def right_mult_indices(self, s: SignedPerm) -> np.ndarray:
         """Array r with r[i] = index of elements[i] * s."""
         cols = np.empty(self.n, dtype=np.int64)

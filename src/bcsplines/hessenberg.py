@@ -22,12 +22,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import SignedPerm, group_table
+from .group import SignedPerm, group_table, min_coset_reps
 from .roots import (
     LieType,
     Root,
     act,
     is_positive,
+    label_matrix,
     parse_root,
     poset_leq,
     positive_roots,
@@ -257,18 +258,12 @@ def h_inversions(w: SignedPerm, space: HessenbergSpace) -> frozenset[Root]:
 @lru_cache(maxsize=None)
 def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
     """For each positive root, the boolean vector over W_n of 'w sends it negative'."""
-    table = group_table(n)
-    win = table.windows_array
-    rows = np.arange(table.size)
+    rows = np.arange(group_table(n).size)
     out = {}
     for root in positive_roots(lie_type, n):
-        imgs = np.zeros((table.size, n), dtype=np.int64)
-        for pos, c in enumerate(root.evector()):
-            if c:
-                col = win[:, pos]
-                imgs[rows, np.abs(col) - 1] += c * np.sign(col)
-        first = np.argmax(imgs != 0, axis=1)
-        neg = imgs[rows, first] < 0
+        # uncached: at n = 6 the cached matrices of all roots would hold 80 MB
+        imgs = label_matrix.__wrapped__(n, root)
+        neg = imgs[rows, np.argmax(imgs != 0, axis=1)] < 0
         neg.setflags(write=False)
         out[root] = neg
     return out
@@ -307,27 +302,19 @@ def _dim_degree_one_cached(space: HessenbergSpace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _word_elt(word, n: int) -> SignedPerm:
-    return SignedPerm.from_word(word, n)
+def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
+    """The case-split value of D_H(i) from the t-set alone, with witness tags.
 
+    Each element maps to the tag of a spline whose shortest support is that
+    element (built by `splines.support_minimal_witnesses`):
 
-def _ascending(j: int, i: int, n: int) -> SignedPerm:
-    """s_j s_{j+1} ... s_i (j <= i)."""
-    return _word_elt(range(j, i + 1), n)
-
-
-def _descending(j: int, i: int, n: int) -> SignedPerm:
-    """s_j s_{j-1} ... s_i (j >= i)."""
-    return _word_elt(range(j, i - 1, -1), n)
-
-
-def _over_top(j: int, i: int, n: int) -> SignedPerm:
-    """s_j ... s_n s_{n-1} ... s_i (ascend to n, then descend to i)."""
-    return _word_elt(list(range(j, n + 1)) + list(range(n - 1, i - 1, -1)), n)
-
-
-def h_descent_formula(tset, n: int, i: int) -> frozenset[SignedPerm]:
-    """The case-split value of D_H(i) as a function of the t-set alone.
+        ("rt", k)        sum_{j<=k} (r_j - t_j)
+        ("try", j, i)    t_j - r_i - y_{i-1,j}
+        ("y", i, k)      y_{i,k}
+        ("f", i, A)      f_i^A
+        ("g", k)         g_k
+        ("phi", B)       phi^B
+        ("h",)           h - 1/2 sum_{j<=n} (r_j - t_j)
 
     t_0 is treated as absent from every t-set.
     """
@@ -335,54 +322,63 @@ def h_descent_formula(tset, n: int, i: int) -> frozenset[SignedPerm]:
         raise ValueError(f"index {i} out of range for n={n}")
     tset = frozenset(tset)
 
-    def coset_reps_minus_identity(idx: int) -> frozenset[SignedPerm]:
-        from .group import min_coset_reps
+    def word(*letters) -> SignedPerm:
+        return SignedPerm.from_word(letters, n)
 
+    def coset_reps() -> dict[SignedPerm, tuple]:
         e = SignedPerm.identity(n)
-        return frozenset(w for w in min_coset_reps(n, idx) if w != e)
+        return {w: ("f", i, w.window[:i]) for w in min_coset_reps(n, i) if w != e}
 
+    if i == n:
+        if n in tset:
+            return {SignedPerm.simple(n, n): ("rt", n)}
+        if n - 1 in tset:
+            return {word(*range(j, n + 1)): ("g", j) for j in range(1, n + 1)}
+        return coset_reps()
+
+    pair = tset & {i - 1, i}
+    if pair == {i - 1, i}:
+        return {SignedPerm.simple(i, n): ("rt", i)}
+    if pair == {i}:
+        # s_j ... s_i
+        return {
+            word(*range(j, i + 1)): ("try", j, i) if j < i else ("rt", i)
+            for j in range(1, i + 1)
+        }
     if i <= n - 2:
-        pair = tset & {i - 1, i}
-        if pair == {i - 1, i}:
-            return frozenset({SignedPerm.simple(i, n)})
-        if pair == {i}:
-            return frozenset(_ascending(j, i, n) for j in range(1, i + 1))
         if pair == {i - 1}:
-            down = {_descending(j, i, n) for j in range(i, n + 1)}
-            over = {_over_top(j, i, n) for j in range(1, n)}
-            return frozenset(down | over)
-        return coset_reps_minus_identity(i)
-
-    if i == n - 1:
-        pair = tset & {n - 2, n - 1}
-        trip = tset & {n - 2, n - 1, n}
-        if pair == {n - 2, n - 1}:
-            return frozenset({SignedPerm.simple(n - 1, n)})
-        if pair == {n - 1}:
-            return frozenset(_ascending(j, n - 1, n) for j in range(1, n))
-        if trip == {n - 2, n}:
-            return frozenset(
-                {SignedPerm.from_word([n, n - 1], n), SignedPerm.simple(n - 1, n)}
-            )
-        if trip == {n - 2}:
-            ups = {
-                _word_elt(list(range(j, n + 1)) + [n - 1], n) for j in range(1, n + 1)
+            # s_j ... s_i descending, then s_j ... s_n s_{n-1} ... s_i
+            down = {word(*range(j, i - 1, -1)): ("y", i, j + 1) for j in range(i, n)}
+            down[word(*range(n, i - 1, -1))] = ("y", i, -n)
+            over = {
+                word(*range(j, n + 1), *range(n - 1, i - 1, -1)): ("y", i, -j)
+                for j in range(1, n)
             }
-            return frozenset(ups | {SignedPerm.simple(n - 1, n)})
-        if trip == {n}:
-            # the coset representatives that keep the t_n root positive
-            t_n = t_root(n, n, LieType.C)
-            return frozenset(
-                w for w in coset_reps_minus_identity(n - 1) if is_positive(act(w, t_n))
-            )
-        return coset_reps_minus_identity(n - 1)
+            return down | over
+        return coset_reps()
 
-    # i == n
-    if n in tset:
-        return frozenset({SignedPerm.simple(n, n)})
-    if (n - 1) in tset:
-        return frozenset(_ascending(j, n, n) for j in range(1, n + 1))
-    return coset_reps_minus_identity(n)
+    # i == n - 1
+    trip = tset & {n - 2, n - 1, n}
+    if trip == {n - 2, n}:
+        return {SignedPerm.simple(n - 1, n): ("rt", n - 1), word(n, n - 1): ("h",)}
+    if trip == {n - 2}:
+        ups = {word(*range(j, n + 1), n - 1): ("y", n - 1, -j) for j in range(1, n + 1)}
+        return {SignedPerm.simple(n - 1, n): ("rt", n - 1)} | ups
+    if trip == {n}:
+        # the coset representatives that keep the t_n root positive; phi^B
+        # with w([n-1]) inside B and w(n) outside has value x_{w(n-1)} - x_{w(n)}
+        t_n = t_root(n, n, LieType.C)
+        return {
+            w: ("phi", w.window[: n - 1] + (-w.window[-1],))
+            for w in coset_reps()
+            if is_positive(act(w, t_n))
+        }
+    return coset_reps()
+
+
+def h_descent_formula(tset, n: int, i: int) -> frozenset[SignedPerm]:
+    """The case-split value of D_H(i) as a function of the t-set alone."""
+    return frozenset(descent_cases(tset, n, i))
 
 
 def on_divergent_branch(tset, n: int) -> bool:
@@ -403,14 +399,9 @@ def published_descent_formula(tset, n: int, i: int) -> frozenset[SignedPerm]:
     Everywhere else the two agree.
     """
     if n >= 2 and i == n - 1 and on_divergent_branch(tset, n):
-        asc = {_ascending(j, n - 1, n) for j in range(1, n)}
+        asc = {SignedPerm.from_word(range(j, n), n) for j in range(1, n)}
         return frozenset(asc | {SignedPerm.from_word([n, n - 1], n)})
     return h_descent_formula(tset, n, i)
-
-
-def dim_degree_one_formula(tset, n: int) -> int:
-    """n plus the sizes of the closed-form descent sets."""
-    return n + sum(len(h_descent_formula(tset, n, i)) for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,8 @@ def bareiss_det(mat) -> int:
     """Fraction-free determinant of a square integer matrix."""
     a = [[int(x) for x in row] for row in mat]
     m = len(a)
+    if m == 0:
+        return 1
     sign = 1
     prev = 1
     for k in range(m - 1):

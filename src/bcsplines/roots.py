@@ -21,7 +21,9 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .group import SignedPerm
+import numpy as np
+
+from .group import SignedPerm, group_table
 
 EVector = tuple[int, ...]
 
@@ -128,6 +130,21 @@ def act(w: SignedPerm, root_or_vec) -> EVector:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def label_matrix(n: int, root: Root) -> np.ndarray:
+    """act(w, root) for every w of the group table, stacked as an integer matrix."""
+    table = group_table(n)
+    win = table.windows_array
+    rows = np.arange(table.size)
+    out = np.zeros((table.size, n), dtype=np.int64)
+    for pos, c in enumerate(root.evector()):
+        if c:
+            col = win[:, pos]
+            out[rows, np.abs(col) - 1] += c * np.sign(col)
+    out.setflags(write=False)
+    return out
+
+
 def is_positive(vec: EVector) -> bool:
     """Sign of ± a root: true iff the first nonzero entry is positive."""
     for c in vec:
@@ -156,10 +173,6 @@ def root_to_reflection(root: Root) -> SignedPerm:
     if vec[j - 1] > 0:
         j = -j
     return SignedPerm.transposition(i, j, root.n)
-
-
-def root_str(root: Root) -> str:
-    return str(root)
 
 
 def parse_root(s: str, lie_type: LieType) -> Root:

@@ -36,13 +36,19 @@ from .group import GroupTable, SignedPerm, group_table, order_key, successor
 from .hessenberg import (
     HessenbergSpace,
     classify,
+    descent_cases,
     dim_degree_one,
-    h_descent_formula,
     on_divergent_branch,
     t_set,
 )
-from .linalg import RankDeficientError, invert_fraction, pivots, sparse_kernel_basis
-from .roots import Root, act, positive_roots, root_to_reflection
+from .linalg import (
+    RankDeficientError,
+    bareiss_det,
+    invert_fraction,
+    pivots,
+    sparse_kernel_basis,
+)
+from .roots import Root, act, label_matrix, positive_roots, root_to_reflection
 
 
 @dataclass(frozen=True)
@@ -214,21 +220,6 @@ def edge_label(w: SignedPerm, root: Root) -> LinearPoly:
 
 
 @lru_cache(maxsize=None)
-def label_matrix(n: int, root: Root) -> np.ndarray:
-    """Stacked edge labels act(w, root) for every w, as an integer matrix."""
-    table = group_table(n)
-    win = table.windows_array
-    rows = np.arange(table.size)
-    out = np.zeros((table.size, n), dtype=np.int64)
-    for pos, c in enumerate(root.evector()):
-        if c:
-            col = win[:, pos]
-            out[rows, np.abs(col) - 1] += c * np.sign(col)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def reflection_perm(n: int, root: Root) -> np.ndarray:
     """Index permutation w -> w * s_alpha over the group table."""
     table = group_table(n)
@@ -311,6 +302,8 @@ def unbalanced_sets(i: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 def t_spline(k: int, n: int) -> Spline:
     """Constant family: every element is sent to x_k (k may be negative)."""
+    if k == 0 or abs(k) > n:
+        raise ValueError(f"value index {k} out of range")
     table = group_table(n)
     num = np.zeros((table.size, n), dtype=np.int64)
     num[:, abs(k) - 1] = 1 if k > 0 else -1
@@ -319,6 +312,8 @@ def t_spline(k: int, n: int) -> Spline:
 
 def r_spline(i: int, n: int) -> Spline:
     """Window family: w is sent to x_{w(i)}."""
+    if not 1 <= i <= n:
+        raise ValueError(f"index {i} out of range [1,{n}]")
     table = group_table(n)
     col = table.windows_array[:, i - 1]
     num = np.zeros((table.size, n), dtype=np.int64)
@@ -336,8 +331,9 @@ def _coset_mask(table: GroupTable, i: int, elements_of_a) -> np.ndarray:
 def f_spline(i: int, a, n: int) -> Spline:
     """Coset family: supported where w([i]) = A."""
     a = tuple(a)
-    if len(a) != i or len({abs(x) for x in a}) != i:
-        raise ValueError(f"need an unbalanced set of size {i}, got {a}")
+    support = {abs(x) for x in a}
+    if i < 1 or len(a) != i or len(support) != i or not support <= set(range(1, n + 1)):
+        raise ValueError(f"need an unbalanced set of size {i} with entries in ±1..±{n}, got {a}")
     table = group_table(n)
     mask = _coset_mask(table, i, a)
     win = table.windows_array
@@ -614,11 +610,11 @@ def bundle_pivot_data(bundle: BasisBundle):
 
 
 def bundle_rank(bundle: BasisBundle) -> int:
-    """Certified rank of the bundle (pivot count with an exact certificate)."""
+    """Certified rank of the bundle: the pivot block has a nonzero determinant."""
     mat = bundle.matrix()
     rows, cols = pivots(mat)
-    sub = [[int(mat[r, c]) for c in cols] for r in rows]
-    invert_fraction(sub)  # exactness certificate; raises if singular
+    if bareiss_det([[int(mat[r, c]) for c in cols] for r in rows]) == 0:
+        raise RankDeficientError(f"{bundle.role} bundle has a singular pivot block")
     return len(cols)
 
 
@@ -655,7 +651,7 @@ def spline_space_basis(space: HessenbergSpace) -> BasisBundle:
 
     Solves the proportionality constraints exactly and certifies the result
     (every vector passes the spline predicate; the count matches the scan
-    dimension; independence has a modular-pivot certificate).  This is the
+    dimension; independence is certified by `bundle_rank`).  This is the
     fallback when the closed-form bundles do not span.
     """
     return _kernel_basis_cached(space)
@@ -710,7 +706,8 @@ def _kernel_basis_cached(space: HessenbergSpace) -> BasisBundle:
         tuple(splines),
         tuple(f"k{j}" for j in range(len(splines))),
     )
-    bundle_pivot_data(bundle)  # independence certificate
+    if bundle_rank(bundle) != len(bundle):
+        raise RankDeficientError("kernel vectors are not independent")
     return bundle
 
 
@@ -725,80 +722,22 @@ def support_minimal_witnesses(space: HessenbergSpace) -> dict[SignedPerm, Spline
 
     Together with the constant family these witness the lower bound in the
     dimension count; tests check singleton shortest support and that the
-    value there is projectively the label of the unique inversion.
+    value there is projectively the label of the unique inversion.  The
+    splines are built from the tags of `hessenberg.descent_cases`.
     """
     n = space.n
+    build = {
+        "rt": lambda k: r_minus_t_partial(k, n),
+        "try": lambda j, i: t_spline(j, n) - r_spline(i, n) - y_spline(i - 1, j, n),
+        "y": lambda i, k: y_spline(i, k, n),
+        "f": lambda i, a: f_spline(i, a, n),
+        "g": lambda k: g_spline(k, n),
+        "phi": lambda b: phi_spline(b, n),
+        "h": lambda: h_spline(n) - r_minus_t_partial(n, n).scale(Fraction(1, 2)),
+    }
     tset = t_set(space)
-    out: dict[SignedPerm, Spline] = {}
-
-    def asc(j, i):
-        return SignedPerm.from_word(range(j, i + 1), n)
-
-    def desc(j, i):
-        return SignedPerm.from_word(range(j, i - 1, -1), n)
-
-    def over(j, i):
-        return SignedPerm.from_word(list(range(j, n + 1)) + list(range(n - 1, i - 1, -1)), n)
-
-    h_combo = None
-    if n >= 2:
-        h_combo = h_spline(n) - r_minus_t_partial(n, n).scale(Fraction(1, 2))
-
-    for i in range(1, n + 1):
-        formula = h_descent_formula(tset, n, i)
-        if i <= n - 2:
-            pair = tset & {i - 1, i}
-            if pair == {i - 1, i}:
-                out[SignedPerm.simple(i, n)] = r_minus_t_partial(i, n)
-            elif pair == {i}:
-                out[SignedPerm.simple(i, n)] = r_minus_t_partial(i, n)
-                for j in range(1, i):
-                    out[asc(j, i)] = (
-                        t_spline(j, n) - r_spline(i, n) - y_spline(i - 1, j, n)
-                    )
-            elif pair == {i - 1}:
-                for j in range(i, n):
-                    out[desc(j, i)] = y_spline(i, j + 1, n)
-                out[desc(n, i)] = y_spline(i, -n, n)
-                for j in range(1, n):
-                    out[over(j, i)] = y_spline(i, -j, n)
-            else:
-                for w in formula:
-                    out[w] = f_spline(i, w.window[:i], n)
-        elif i == n - 1:
-            pair = tset & {n - 2, n - 1}
-            trip = tset & {n - 2, n - 1, n}
-            if pair == {n - 2, n - 1}:
-                out[SignedPerm.simple(n - 1, n)] = r_minus_t_partial(n - 1, n)
-            elif pair == {n - 1}:
-                out[SignedPerm.simple(n - 1, n)] = r_minus_t_partial(n - 1, n)
-                for j in range(1, n - 1):
-                    out[asc(j, n - 1)] = (
-                        t_spline(j, n) - r_spline(n - 1, n) - y_spline(n - 2, j, n)
-                    )
-            elif trip == {n - 2, n}:
-                out[SignedPerm.simple(n - 1, n)] = r_minus_t_partial(n - 1, n)
-                out[SignedPerm.from_word([n, n - 1], n)] = h_combo
-            elif trip == {n - 2}:
-                out[SignedPerm.simple(n - 1, n)] = r_minus_t_partial(n - 1, n)
-                for j in range(1, n + 1):
-                    w = SignedPerm.from_word(list(range(j, n + 1)) + [n - 1], n)
-                    out[w] = y_spline(n - 1, -j, n)
-            elif trip == {n}:
-                # phi^B with w([n-1]) inside B and w(n) outside: its value at
-                # w is x_{w(n-1)} - x_{w(n)}
-                for w in formula:
-                    out[w] = phi_spline(w.window[: n - 1] + (-w.window[-1],), n)
-            else:
-                for w in formula:
-                    out[w] = f_spline(n - 1, w.window[: n - 1], n)
-        else:
-            if n in tset:
-                out[SignedPerm.simple(n, n)] = r_minus_t_partial(n, n)
-            elif (n - 1) in tset:
-                for j in range(1, n + 1):
-                    out[asc(j, n)] = g_spline(j, n)
-            else:
-                for w in formula:
-                    out[w] = f_spline(n, w.window, n)
-    return out
+    return {
+        w: build[tag[0]](*tag[1:])
+        for i in range(1, n + 1)
+        for w, tag in descent_cases(tset, n, i).items()
+    }

@@ -44,10 +44,18 @@ class TestTable:
         r = run_cli("table", "--n", "5", "--level", "full")
         assert r.returncode == 1
 
-    def test_determinism_across_jobs(self):
-        a = run_cli("table", "--n", "3", "--format", "tsv", "--jobs", "1")
-        b = run_cli("table", "--n", "3", "--format", "tsv", "--jobs", "4")
+    def test_determinism(self):
+        a = run_cli("table", "--n", "3", "--format", "tsv")
+        b = run_cli("table", "--n", "3", "--format", "tsv")
         assert a.stdout == b.stdout
+
+    def test_rank_below_two_is_invalid_input(self):
+        for n in ("0", "-2", "1"):
+            r = run_cli("table", "--n", n)
+            assert r.returncode == 1
+            assert r.stdout == ""
+            assert "rank must be at least 2" in r.stderr
+            assert "Traceback" not in r.stderr
 
     def test_full_level_reports_defect_rows(self):
         r = run_cli(
@@ -147,6 +155,13 @@ class TestVerify:
         assert "FAIL  bases: closed-form families do not span at t-sets: {t3}\n" in r.stdout
         assert "RankDeficientError" not in r.stdout
 
+    def test_rank_out_of_range_is_invalid_input(self):
+        for n in ("0", "7"):
+            r = run_cli("verify", "--n", n)
+            assert r.returncode == 1
+            assert r.stdout == ""
+            assert "rank must be between 2 and 6" in r.stderr
+
     def test_formula_level(self):
         r = run_cli("verify", "--n", "3", "--type", "B", "--level", "formula")
         assert r.returncode == 0
@@ -179,6 +194,19 @@ class TestDumpSpline:
     def test_missing_parameters(self):
         assert run_cli("dump-spline", "--n", "2", "--family", "f").returncode == 1
         assert run_cli("dump-spline", "--n", "2", "--family", "y").returncode == 1
+
+    def test_index_out_of_range_is_invalid_input(self):
+        for args in (
+            ("--family", "t", "--index", "5"),
+            ("--family", "t", "--index", "0"),
+            ("--family", "r", "--index", "3"),
+            ("--family", "f", "--index", "3", "--set", "1,2,3"),
+            ("--family", "f", "--index", "2", "--set", "1,5"),
+        ):
+            r = run_cli("dump-spline", "--n", "2", *args)
+            assert r.returncode == 1, args
+            assert r.stdout == ""
+            assert r.stderr.startswith("invalid parameters:"), r.stderr
 
     def test_determinism(self):
         a = run_cli("dump-spline", "--n", "3", "--family", "g", "--index", "2")

@@ -101,6 +101,10 @@ def test_bareiss_det(seed):
     assert bareiss_det(mat) == fraction_det(mat)
 
 
+def test_bareiss_det_of_empty_matrix_is_one():
+    assert bareiss_det([]) == 1
+
+
 def test_sparse_kernel_basis():
     # x0 + x1 = 0, x1 - x2 = 0 in 4 unknowns: kernel dim 2
     rows = [{0: 1, 1: 1}, {1: 1, 2: -1}]

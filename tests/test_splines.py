@@ -482,7 +482,7 @@ class TestExpand:
 
 class TestSupportMinimalWitnesses:
     @pytest.mark.parametrize("lt", [B, C])
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witnesses(self, lt, n):
         for space in enumerate_hessenberg(lt, n):
             witnesses = support_minimal_witnesses(space)
@@ -491,24 +491,10 @@ class TestSupportMinimalWitnesses:
                 alpha = simple_root(i, lt, n)
                 for w in h_descent_formula(ts, n, i):
                     rho = witnesses[w]
+                    assert is_spline(rho, space)
                     assert shortest_support(rho) == {w}
                     assert rho.value_at(w).proportional_to(edge_label(w, alpha))
                     assert descent_set(w) == {i}
-
-
-    def test_branch_witnesses_rank_four(self):
-        n = 4
-        alpha = simple_root(n - 1, C, n)
-        for ts in realizable_tsets(C, n):
-            if not on_divergent_branch(ts, n):
-                continue
-            space = from_tset(ts, n, C)
-            witnesses = support_minimal_witnesses(space)
-            for w in h_descent_formula(ts, n, n - 1):
-                rho = witnesses[w]
-                assert is_spline(rho, space)
-                assert shortest_support(rho) == {w}
-                assert rho.value_at(w).proportional_to(edge_label(w, alpha))
 
 
 class TestDegreeZero:
