@@ -37,18 +37,24 @@ from .hessenberg import (
     on_divergent_branch,
     realize_tset,
     t_set,
+    tset_str,
 )
-from .linalg import RankDeficientError
+from .linalg import (
+    RankDeficientError,
+    inverse_mod_p,
+    symmetric_lift,
+    trace_product_mod_p,
+)
 from .roots import LieType, label_matrix, positive_roots
 from .splines import (
     BasisBundle,
     Spline,
-    bundle_pivot_data,
+    bundle_pivots,
+    generating_set,
     is_spline,
     labels_pairwise_independent,
     left_basis,
     permutohedral_basis,
-    spline_space_basis,
     unbalanced_sets,
     _rows_proportional,
 )
@@ -334,13 +340,21 @@ class _TraceData:
     tset: frozenset
     n: int
     bundle: BasisBundle
-    traces: tuple[Fraction, ...]  # per conjugacy class, trace on the full space
+    traces: tuple[int, ...]  # per conjugacy class, trace on the full space
     fallback: bool  # closed-form bundle was rank-deficient
 
 
 @lru_cache(maxsize=None)
 def _trace_data(tset: frozenset, n: int) -> _TraceData:
     """Per-class traces on one bundle, shared by every ideal with this t-set.
+
+    The bundle is the left basis, the permutohedral basis for the empty
+    t-set, or, where the left basis does not span (the divergent branch),
+    the rows of the generating set chosen by `pivots`.  Each trace is
+    tr(pv P^{-1}) modulo the prime at which the pivot block P was found
+    invertible, where pv holds the images of the bundle at the pivot
+    coordinates.  On a W_n-stable space of dimension m a trace is an integer
+    of absolute value at most m < p/2, so its symmetric residue is exact.
 
     Computes only; `_space_bundle_check` certifies the bundle for the space
     a caller asks about.
@@ -353,26 +367,28 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
         try:
             bundle = left_basis(space)
         except RankDeficientError:
-            bundle = spline_space_basis(space)
+            bundle = generating_set(space)
             fallback = True
-    mat, cols, inv = bundle_pivot_data(bundle)
+    mat, rows, cols, p = bundle_pivots(bundle)
+    dim = dim_degree_one(space)
+    if len(rows) < dim:
+        raise RankDeficientError(
+            f"{bundle.role} bundle spans {len(rows)} of {dim} dimensions "
+            f"(t-set {{{tset_str(tset)}}})"
+        )
+    bundle = bundle.subset(rows)
+    inv = inverse_mod_p(mat[np.ix_(rows, cols)], p)
     m = len(bundle)
     tensor = np.stack([s.num for s in bundle.splines])  # (m, N, n)
-    piv_rows = [c // n for c in cols]
-    piv_slots = [c % n for c in cols]
+    piv_rows, piv_slots = np.divmod(np.array(cols), n)
     table = group_table(n)
     traces = []
     for cl in conjugacy_classes(n):
         g = cl.rep
         src = table.left_mult_indices(g.inverse())
-        smat = poly_action_matrix(g).T
-        imgs = tensor[:, src, :] @ smat  # (m, N, n)
-        pv = imgs[:, piv_rows, piv_slots]  # (m, m): images at pivot coordinates
-        tr = Fraction(0)
-        for j in range(m):
-            row = pv[j]
-            tr += sum(int(row[c]) * inv[c][j] for c in range(m))
-        traces.append(tr)
+        imgs = tensor[:, src[piv_rows], :] @ poly_action_matrix(g).T  # (m, m, n)
+        pv = imgs[:, np.arange(m), piv_slots]  # (m, m): images at pivot coordinates
+        traces.append(symmetric_lift(trace_product_mod_p(pv, inv, p), p, m))
     return _TraceData(tset, n, bundle, tuple(traces), fallback)
 
 
@@ -415,9 +431,9 @@ def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
     values = []
     for cl, tr in zip(conjugacy_classes(n), data.traces):
         if side == "left":
-            values.append(tr - defining_char_value(cl.rep))
+            values.append(Fraction(tr - defining_char_value(cl.rep)))
         else:
-            values.append(tr - n)
+            values.append(Fraction(tr - n))
     return ClassFunction(n, tuple(values))
 
 

@@ -269,32 +269,34 @@ def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _inversion_counts(space: HessenbergSpace) -> np.ndarray:
+    """|H-inversions of w| for every w in the group table.
+
+    A count is at most the number of positive roots, n^2 <= 36 through
+    rank 6, so uint8 holds it: 46 KB per space at rank 6.
+    """
+    neg = _root_negativity(space.lie_type, space.n)
+    counts = np.zeros(group_table(space.n).size, dtype=np.uint8)
+    for r in space.roots:
+        counts += neg[r]
+    counts.setflags(write=False)
+    return counts
+
+
 def h_descent_oracle(space: HessenbergSpace, i: int) -> frozenset[SignedPerm]:
     """Brute-force scan: elements whose unique H-inversion is alpha_i."""
     if not 1 <= i <= space.n:
         raise ValueError(f"index {i} out of range")
-    table = group_table(space.n)
     neg = _root_negativity(space.lie_type, space.n)
-    counts = np.zeros(table.size, dtype=np.int64)
-    for r in space.roots:
-        counts += neg[r]
-    hits = (counts == 1) & neg[simple_root(i, space.lie_type, space.n)]
-    return frozenset(table.elements[k] for k in np.flatnonzero(hits))
+    hits = (_inversion_counts(space) == 1) & neg[simple_root(i, space.lie_type, space.n)]
+    elements = group_table(space.n).elements
+    return frozenset(elements[k] for k in np.flatnonzero(hits))
 
 
 def dim_degree_one(space: HessenbergSpace) -> int:
     """n plus the number of elements with exactly one H-inversion."""
-    return _dim_degree_one_cached(space)
-
-
-@lru_cache(maxsize=None)
-def _dim_degree_one_cached(space: HessenbergSpace) -> int:
-    table = group_table(space.n)
-    neg = _root_negativity(space.lie_type, space.n)
-    counts = np.zeros(table.size, dtype=np.int64)
-    for r in space.roots:
-        counts += neg[r]
-    return space.n + int(np.count_nonzero(counts == 1))
+    return space.n + int(np.count_nonzero(_inversion_counts(space) == 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """
 Exact linear algebra helpers for integer matrices.
 
-Pivot discovery runs modulo a large prime with numpy (columns independent
-mod p are independent over Q, so certified pivots are never spurious);
-everything that feeds a reported result is then done in exact rational
-arithmetic: Gauss-Jordan inversion over Fraction and fraction-free
-(Bareiss) determinants over int.
+Pivot discovery, inversion and traces run modulo a large prime with numpy.
+Each modular result is exact for a stated reason: columns independent mod p
+are independent over Q, so certified pivots are never spurious; a trace that
+is known to be an integer of absolute value below p/2 is its symmetric
+residue (`symmetric_lift`).  Where an exact rational answer is needed, the
+helpers work in Fraction (Gauss-Jordan inversion, the sparse kernel solve)
+or fraction-free over int (Bareiss determinants).
 """
 
 from __future__ import annotations
@@ -22,9 +24,40 @@ class RankDeficientError(ValueError):
     """A set of vectors expected to be independent is not."""
 
 
+def _pivot_step(a: np.ndarray, r: int, c: int, p: int, clear_above: bool) -> int | None:
+    """One Gauss-Jordan step on the residue matrix `a`, in place modulo p.
+
+    Swaps the first row at or below r with a nonzero entry in column c into
+    row r, scales it to a unit pivot and clears column c below it (and above
+    it too with clear_above).  Returns the index of the row swapped in, or
+    None if the column has no pivot there.  Entries stay in [0, p), so every
+    product is below p^2 < 2^63.
+    """
+    nz = np.flatnonzero(a[r:, c])
+    if nz.size == 0:
+        return None
+    k = int(nz[0]) + r
+    if k != r:
+        a[[r, k]] = a[[k, r]]
+    a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+    start = 0 if clear_above else r + 1
+    rest = np.flatnonzero(a[start:, c]) + start
+    rest = rest[rest != r]
+    if rest.size:
+        a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
+    return k
+
+
+def _residues(mat, p: int) -> np.ndarray:
+    """The matrix reduced into [0, p) as int64, for p small enough that products fit."""
+    if p * p >= 2**63:
+        raise OverflowError(f"prime {p} is too large for int64 residue products")
+    return np.mod(np.asarray(mat, dtype=np.int64), p)
+
+
 def rref_pivots_mod_p(mat: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Pivot (rows, columns) of the matrix over GF(p), first columns preferred."""
-    a = np.mod(mat.astype(np.int64), p)
+    a = _residues(mat, p)
     nrows, ncols = a.shape
     row_order = list(range(nrows))
     piv_rows, piv_cols = [], []
@@ -32,39 +65,82 @@ def rref_pivots_mod_p(mat: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c]) + r
-        if nz.size == 0:
+        k = _pivot_step(a, r, c, p, clear_above=False)
+        if k is None:
             continue
-        k = int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-            row_order[r], row_order[k] = row_order[k], row_order[r]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        rest = np.flatnonzero(a[r + 1 :, c]) + r + 1
-        if rest.size:
-            a[rest] = (a[rest] - np.outer(a[rest, c], a[r])) % p
+        row_order[r], row_order[k] = row_order[k], row_order[r]
         piv_rows.append(row_order[r])
         piv_cols.append(c)
         r += 1
     return piv_rows, piv_cols
 
 
-def pivots(mat: np.ndarray) -> tuple[list[int], list[int]]:
-    """Pivot rows/columns, maximized over a fixed prime list.
+def pivots(mat: np.ndarray) -> tuple[list[int], list[int], int]:
+    """Pivot rows/columns, maximized over a fixed prime list, and their prime.
 
     The modular rank is a lower bound for the rational rank, so the best
     result over several primes is reported; the returned pivots are a
-    certificate of rational independence.
+    certificate of rational independence, and the pivot block is
+    invertible modulo the returned prime.
     """
-    best: tuple[list[int], list[int]] = ([], [])
+    best: tuple[list[int], list[int], int] = ([], [], PRIMES[0])
     for p in PRIMES:
         rows, cols = rref_pivots_mod_p(mat, p)
         if len(rows) > len(best[0]):
-            best = (rows, cols)
+            best = (rows, cols, p)
         if len(best[0]) == min(mat.shape):
             break
     return best
+
+
+def inverse_mod_p(mat, p: int) -> np.ndarray:
+    """Inverse of a square integer matrix over GF(p), as residues in [0, p).
+
+    Raises RankDeficientError if the matrix is singular modulo p.
+    """
+    a = _residues(mat, p)
+    m = a.shape[0]
+    if a.shape != (m, m):
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    aug = np.concatenate([a, np.eye(m, dtype=np.int64)], axis=1)
+    for c in range(m):
+        if _pivot_step(aug, c, c, p, clear_above=True) is None:
+            raise RankDeficientError(f"matrix is singular modulo {p} at column {c}")
+    return aug[:, m:]
+
+
+def trace_product_mod_p(a, b, p: int) -> int:
+    """tr(a @ b) modulo p for square integer matrices of the same size.
+
+    Each product of residues is reduced before it is summed, so no partial
+    sum exceeds m * p; sizes for which that could leave int64 raise.
+    """
+    a, b = _residues(a, p), _residues(b, p)
+    m = a.shape[0]
+    if a.shape != (m, m) or b.shape != (m, m):
+        raise ValueError(f"need square matrices of one size, got {a.shape} and {b.shape}")
+    if m * p >= 2**63:
+        raise OverflowError(f"{m} residues modulo {p} may overflow int64")
+    return int(((a * b.T % p).sum(axis=1) % p).sum() % p)
+
+
+def symmetric_lift(residue: int, p: int, bound: int) -> int:
+    """The integer congruent to `residue` mod p with |value| <= bound.
+
+    Exact when the value is known to be an integer of absolute value at most
+    `bound` and 2 * bound < p.  A residue whose symmetric representative lies
+    outside [-bound, bound] raises ArithmeticError instead of being returned.
+    """
+    if 2 * bound >= p:
+        raise ValueError(f"bound {bound} is not below p/2 for p = {p}")
+    value = residue % p
+    if value > p // 2:
+        value -= p
+    if abs(value) > bound:
+        raise ArithmeticError(
+            f"residue {residue} mod {p} lifts to {value}, outside [-{bound}, {bound}]"
+        )
+    return value
 
 
 def invert_fraction(mat) -> list[list[Fraction]]:

@@ -113,23 +113,47 @@ class LinearPoly:
         return " ".join(terms) if terms else "0"
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _peak(num: np.ndarray) -> int:
+    """Largest absolute entry as a Python int (0 for an empty array)."""
+    return max(int(num.max(initial=0)), -int(num.min(initial=0)))
+
+
+def _widened(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as Python integers (object dtype) if results may reach `bound` > int64."""
+    return num.astype(object) if bound > _INT64_MAX else num
+
+
 class Spline:
-    """A map from W_n to linear polynomials, dense over the group table."""
+    """A map from W_n to linear polynomials, dense over the group table.
+
+    Values are stored in int64; arithmetic that could leave that range runs
+    on Python integers, and a reduced result that does not fit back raises
+    OverflowError instead of wrapping.
+    """
 
     __slots__ = ("table", "num", "den")
 
     def __init__(self, table: GroupTable, num: np.ndarray, den: int = 1):
-        num = np.asarray(num, dtype=np.int64)
+        num = np.asarray(num)
+        if num.dtype != object:
+            num = np.asarray(num, dtype=np.int64)
         if num.shape != (table.size, table.n):
             raise ValueError("value matrix has wrong shape")
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
-            num, den = -num, -den
+            num, den = -_widened(num, _peak(num)), -den
         g = int(np.gcd.reduce(np.abs(num), axis=None))
         g = math.gcd(g, den)
         if g > 1:
             num, den = num // g, den // g
+        if num.dtype == object:
+            if _peak(num) > _INT64_MAX:
+                raise OverflowError("spline values do not fit in int64")
+            num = num.astype(np.int64)
         num.setflags(write=False)
         self.table = table
         self.num = num
@@ -168,9 +192,11 @@ class Spline:
     def __add__(self, other: "Spline") -> "Spline":
         self._check(other)
         den = self.den * other.den // math.gcd(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        bound = _peak(self.num) * fa + _peak(other.num) * fb
         return Spline(
             self.table,
-            self.num * (den // self.den) + other.num * (den // other.den),
+            _widened(self.num, bound) * fa + _widened(other.num, bound) * fb,
             den,
         )
 
@@ -179,7 +205,8 @@ class Spline:
 
     def scale(self, c) -> "Spline":
         c = Fraction(c)
-        return Spline(self.table, self.num * c.numerator, self.den * c.denominator)
+        num = _widened(self.num, _peak(self.num) * abs(c.numerator))
+        return Spline(self.table, num * c.numerator, self.den * c.denominator)
 
     def __eq__(self, other):
         return (
@@ -478,6 +505,15 @@ class BasisBundle:
                 raise ValueError("bundle splines must have integral values")
         return np.stack([s.num.ravel() for s in self.splines])
 
+    def subset(self, rows) -> "BasisBundle":
+        """The splines at the given positions, in that order, with their labels."""
+        return BasisBundle(
+            self.n,
+            self.role,
+            tuple(self.splines[r] for r in rows),
+            tuple(self.labels[r] for r in rows),
+        )
+
 
 def _family_splines(tset, n: int):
     """The T/R/F/Y/G families determined by a t-set, with labels."""
@@ -594,28 +630,45 @@ def permutohedral_basis(n: int) -> BasisBundle:
 # ---------------------------------------------------------------------------
 
 
-def bundle_pivot_data(bundle: BasisBundle):
-    """Pivot columns and the exact inverse of the pivot submatrix.
+def bundle_pivots(bundle: BasisBundle) -> tuple[np.ndarray, list[int], list[int], int]:
+    """The bundle matrix, pivot rows (in bundle order) and columns, and their prime.
 
-    Raises RankDeficientError when the bundle is not linearly independent.
+    The pivot block is invertible modulo the prime that found it, and its
+    nonzero Bareiss determinant certifies over Q that the pivot rows are
+    independent.
     """
     mat = bundle.matrix()
-    _, cols = pivots(mat)
-    if len(cols) != len(bundle):
+    rows, cols, p = pivots(mat)
+    rows = sorted(rows)
+    if bareiss_det(mat[np.ix_(rows, cols)].tolist()) == 0:
+        raise RankDeficientError(f"{bundle.role} bundle has a singular pivot block")
+    return mat, rows, cols, p
+
+
+@lru_cache(maxsize=None)
+def bundle_pivot_data(bundle: BasisBundle):
+    """The bundle matrix, its pivot columns, and the exact inverse of the pivot
+    submatrix as an integer matrix over one common denominator.
+
+    Matrices are numpy object arrays of Python integers.  Raises
+    RankDeficientError when the bundle is not linearly independent.
+    """
+    mat, rows, cols, _ = bundle_pivots(bundle)
+    if len(rows) != len(bundle):
         raise RankDeficientError(
-            f"{bundle.role} bundle of size {len(bundle)} has rank {len(cols)}"
+            f"{bundle.role} bundle of size {len(bundle)} has rank {len(rows)}"
         )
-    sub = [[int(mat[r, c]) for c in cols] for r in range(len(bundle))]
-    return mat, cols, invert_fraction(sub)
+    inv = invert_fraction(mat[:, cols].tolist())
+    den = math.lcm(1, *(x.denominator for row in inv for x in row))
+    inv_num = np.array(
+        [[x.numerator * (den // x.denominator) for x in row] for row in inv], dtype=object
+    )
+    return mat.astype(object), cols, inv_num, den
 
 
 def bundle_rank(bundle: BasisBundle) -> int:
     """Certified rank of the bundle: the pivot block has a nonzero determinant."""
-    mat = bundle.matrix()
-    rows, cols = pivots(mat)
-    if bareiss_det([[int(mat[r, c]) for c in cols] for r in rows]) == 0:
-        raise RankDeficientError(f"{bundle.role} bundle has a singular pivot block")
-    return len(cols)
+    return len(bundle_pivots(bundle)[1])
 
 
 def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
@@ -624,18 +677,13 @@ def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
     The full residual is checked, so a successful return is a proof of
     membership.
     """
-    mat, cols, inv = bundle_pivot_data(bundle)
-    target = rho.flat_fractions()
-    coeffs = tuple(
-        sum((target[c] * inv[j][k] for j, c in enumerate(cols)), Fraction(0))
-        for k in range(len(bundle))
-    )
-    den = math.lcm(rho.den, *(c.denominator for c in coeffs))
-    int_coeffs = np.array([int(c * den) for c in coeffs], dtype=object)
-    resid = int_coeffs @ mat.astype(object) - (den // rho.den) * rho.num.ravel().astype(object)
+    mat, cols, inv_num, den = bundle_pivot_data(bundle)
+    # coefficients times den * rho.den, read off the pivot coordinates
+    scaled = rho.num.ravel()[cols].astype(object) @ inv_num
+    resid = scaled @ mat - den * rho.num.ravel().astype(object)
     if any(resid):
         raise ValueError("spline is not in the span of the bundle")
-    return coeffs
+    return tuple(Fraction(int(x), den * rho.den) for x in scaled)
 
 
 def reconstruct(coeffs, bundle: BasisBundle) -> Spline:

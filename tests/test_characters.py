@@ -14,9 +14,11 @@ from bcsplines.characters import (
     named_char,
     published_formula_char,
     used_fallback_basis,
+    _trace_data,
 )
 from bcsplines.group import SignedPerm, conjugacy_classes, group_table
 from bcsplines.hessenberg import (
+    dim_degree_one,
     enumerate_hessenberg,
     from_tset,
     on_divergent_branch,
@@ -26,9 +28,11 @@ from bcsplines.hessenberg import (
 from bcsplines.roots import LieType
 from bcsplines.splines import (
     Spline,
+    bundle_rank,
     expand,
     f_spline,
     g_spline,
+    generating_set,
     h_spline,
     is_spline,
     left_basis,
@@ -394,3 +398,35 @@ class TestComputedCharacters:
                         tr += expand(dot_action(g, rho), bundle)[j]
                     traces.append(tr)
                 assert traces[0] == traces[1]
+
+
+class TestModularTraces:
+    # the divergent-branch cells of ranks 3 and 4, where the left basis does
+    # not span and the traces run on an independent subset of the generating set
+    CELLS = ((3, frozenset({3})), (4, frozenset({4})))
+
+    @pytest.mark.parametrize("n,ts", CELLS)
+    def test_bundle_is_independent_generating_subset(self, n, ts):
+        data = _trace_data(ts, n)
+        space = from_tset(ts, n, C)
+        assert data.fallback
+        gen_labels = generating_set(space).labels
+        assert set(data.bundle.labels) <= set(gen_labels)
+        # kept in generating-set order
+        positions = [gen_labels.index(l) for l in data.bundle.labels]
+        assert positions == sorted(positions)
+        assert bundle_rank(data.bundle) == len(data.bundle) == dim_degree_one(space)
+
+    @pytest.mark.parametrize("n,ts", CELLS)
+    def test_traces_equal_exact_expansion(self, n, ts):
+        data = _trace_data(ts, n)
+        bundle = data.bundle
+        for cl, tr in zip(conjugacy_classes(n), data.traces):
+            exact = sum(
+                (
+                    expand(dot_action(cl.rep, rho), bundle)[j]
+                    for j, rho in enumerate(bundle.splines)
+                ),
+                Fraction(0),
+            )
+            assert exact == tr

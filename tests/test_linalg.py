@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from bcsplines.linalg import (
+    PRIMES,
     RankDeficientError,
     bareiss_det,
+    inverse_mod_p,
     invert_fraction,
     pivots,
     sparse_kernel_basis,
+    symmetric_lift,
+    trace_product_mod_p,
 )
 
 
@@ -65,12 +69,13 @@ def test_pivot_count_is_rank(seed):
         [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)],
         dtype=np.int64,
     )
-    prow, pcol = pivots(mat)
+    prow, pcol, p = pivots(mat)
     assert len(prow) == len(pcol) == fraction_rank(mat.tolist())
-    # the certified submatrix really is invertible
+    # the certified submatrix really is invertible, over Q and modulo p
     if prow:
         sub = [[int(mat[r, c]) for c in pcol] for r in prow]
         invert_fraction(sub)
+        inverse_mod_p(sub, p)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -117,3 +122,60 @@ def test_sparse_kernel_basis():
     # vectors are independent: distinct free coordinates
     frees = [max(v) for v in basis]
     assert len(set(frees)) == 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_inverse_mod_p(seed):
+    rng = random.Random(300 + seed)
+    p = PRIMES[seed % len(PRIMES)]
+    m = rng.randint(1, 7)
+    while True:
+        mat = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)]
+        if fraction_det(mat):
+            break
+    inv = inverse_mod_p(mat, p)
+    assert inv.min() >= 0 and inv.max() < p
+    prod = [
+        [sum(mat[i][k] * int(inv[k][j]) for k in range(m)) % p for j in range(m)]
+        for i in range(m)
+    ]
+    assert prod == [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def test_inverse_mod_p_singular_raises():
+    with pytest.raises(RankDeficientError):
+        inverse_mod_p([[1, 2], [2, 4]], PRIMES[0])
+    # invertible over Q but not modulo 7
+    with pytest.raises(RankDeficientError):
+        inverse_mod_p([[7, 0], [0, 1]], 7)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trace_product_mod_p_with_large_residues(seed):
+    # residues near p: int64 products and their sums would wrap unreduced
+    rng = random.Random(400 + seed)
+    p = PRIMES[0]
+    m = rng.randint(1, 40)
+    a = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+    b = [[rng.randrange(p - 1000, p) for _ in range(m)] for _ in range(m)]
+    exact = sum(a[j][c] * b[c][j] for j in range(m) for c in range(m))
+    assert trace_product_mod_p(np.array(a), np.array(b), p) == exact % p
+
+
+def test_symmetric_lift_in_bound():
+    p, bound = PRIMES[0], 5
+    for value in range(-bound, bound + 1):
+        assert symmetric_lift(value % p, p, bound) == value
+        assert symmetric_lift(value + 3 * p, p, bound) == value
+
+
+def test_symmetric_lift_past_bound_raises():
+    p, bound = PRIMES[0], 5
+    for value in (bound + 1, -bound - 1, p // 2, -(p // 2)):
+        with pytest.raises(ArithmeticError):
+            symmetric_lift(value % p, p, bound)
+
+
+def test_symmetric_lift_needs_bound_below_half_p():
+    with pytest.raises(ValueError):
+        symmetric_lift(0, 11, 6)

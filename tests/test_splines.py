@@ -1,8 +1,12 @@
 """Degree-one splines: labels, families, relations, bases, expansion."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcsplines.group import SignedPerm, group_table, min_coset_reps, descent_set
 from bcsplines.hessenberg import (
@@ -478,6 +482,62 @@ class TestExpand:
         assert all(
             by_label[l] == (1 if l.startswith("f1") else 0) for l in pb.labels
         )
+
+
+def _fits_int64(values) -> bool:
+    """Whether exact values stored over their least common denominator fit in int64."""
+    lcd = math.lcm(1, *(v.denominator for v in values))
+    return all(abs(v * lcd) <= np.iinfo(np.int64).max for v in values)
+
+
+class TestInt64Guard:
+    """Spline arithmetic is exact or raises OverflowError; it never wraps."""
+
+    NUMERATORS = st.integers(-(2**70), 2**70)
+    DENOMINATORS = st.integers(1, 2**70)
+
+    def test_repeated_scaling_raises(self):
+        with pytest.raises(OverflowError):
+            t_spline(1, 2).scale(2**40).scale(2**40)
+
+    def test_sum_past_int64_raises(self):
+        with pytest.raises(OverflowError):
+            t_spline(1, 2).scale(Fraction(1, 3)) + t_spline(2, 2).scale(Fraction(2**62, 5))
+
+    def test_cancelling_sum_of_large_values(self):
+        big = Fraction(3 * 2**61, 7)
+        assert (t_spline(1, 2).scale(big) - t_spline(1, 2).scale(big)).is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=NUMERATORS, b=DENOMINATORS, c=NUMERATORS, d=DENOMINATORS)
+    def test_sum_of_scaled_splines(self, a, b, c, d):
+        u, v = fig_spline(), r_spline(1, 2)
+        x, y = Fraction(a, b), Fraction(c, d)
+        ux = [x * e for e in u.flat_fractions()]
+        vy = [y * e for e in v.flat_fractions()]
+        expected = [p + q for p, q in zip(ux, vy)]
+        try:
+            out = u.scale(x) + v.scale(y)
+        except OverflowError:
+            assert not (_fits_int64(ux) and _fits_int64(vy) and _fits_int64(expected))
+        else:
+            assert out.num.dtype == np.int64
+            assert out.flat_fractions() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=NUMERATORS, b=DENOMINATORS, c=NUMERATORS, d=DENOMINATORS)
+    def test_repeated_scaling(self, a, b, c, d):
+        x, y = Fraction(a, b), Fraction(c, d)
+        u = fig_spline()
+        once = [x * e for e in u.flat_fractions()]
+        expected = [y * e for e in once]
+        try:
+            out = u.scale(x).scale(y)
+        except OverflowError:
+            assert not (_fits_int64(once) and _fits_int64(expected))
+        else:
+            assert out.num.dtype == np.int64
+            assert out.flat_fractions() == expected
 
 
 class TestSupportMinimalWitnesses:
