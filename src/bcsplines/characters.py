@@ -369,8 +369,8 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
         except RankDeficientError:
             bundle = generating_set(space)
             fallback = True
-    mat, rows, cols, p = bundle_pivots(bundle)
     dim = dim_degree_one(space)
+    mat, rows, cols, p = bundle_pivots(bundle, target=dim)
     if len(rows) < dim:
         raise RankDeficientError(
             f"{bundle.role} bundle spans {len(rows)} of {dim} dimensions "

@@ -10,6 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input, 2 verification failure.
 
+`verify --format json` prints one JSON object per suite (name, ok, detail,
+elapsed_s) instead of the PASS/FAIL lines.
+
 The closed forms printed by `table` and `char`, and checked by the
 descent-formula and characters suites of `verify`, are the paper's published
 case (published_descent_formula, published_formula_char), so the output
@@ -20,10 +23,14 @@ verdicts read NO / FAIL.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+import time
 
-from .group import MAX_ENUM_RANK, SignedPerm, group_table
+import numpy as np
+
+from .group import MAX_ENUM_RANK, SignedPerm, compose, group_table, invert
 from .hessenberg import (
     HessenbergSpace,
     enumerate_hessenberg,
@@ -220,43 +227,49 @@ def _suite_group_laws(n: int, lie_type: LieType):
     import random
 
     table = group_table(n)
+    win = table.windows_array
     rng = random.Random(20_000 + n)
-    els = table.elements
-    triples = (
-        [(a, b, c) for a in els for b in els for c in els]
+    ids = range(table.size)
+    triples = np.array(
+        list(itertools.product(ids, repeat=3))
         if n <= 2
-        else [(rng.choice(els), rng.choice(els), rng.choice(els)) for _ in range(2000)]
+        else [(rng.choice(ids), rng.choice(ids), rng.choice(ids)) for _ in range(2000)]
     )
-    for a, b, c in triples:
-        if (a * b) * c != a * (b * c):
-            return False, f"associativity fails at {a}, {b}, {c}"
-    e = SignedPerm.identity(n)
-    for w in els:
-        if w * w.inverse() != e or w.inverse() * w != e:
-            return False, f"inverse fails at {w}"
-    return True, f"{len(triples)} triples, {len(els)} inverses"
+    a, b, c = (win[triples[:, k]] for k in range(3))
+    ab = compose(a, b)
+    for k in range(len(triples)):
+        x, y = SignedPerm(a[k]), SignedPerm(b[k])
+        if (x * y).window != tuple(ab[k].tolist()):
+            return False, f"product fails at {x}, {y}"
+    bad = np.flatnonzero(np.any(compose(ab, c) != compose(a, compose(b, c)), axis=1))
+    if bad.size:
+        x, y, z = (SignedPerm(m[bad[0]]) for m in (a, b, c))
+        return False, f"associativity fails at {x}, {y}, {z}"
+    inv = invert(win)
+    e = np.arange(1, n + 1)
+    bad = np.flatnonzero(np.any((compose(win, inv) != e) | (compose(inv, win) != e), axis=1))
+    if bad.size:
+        return False, f"inverse fails at {SignedPerm(win[bad[0]])}"
+    return True, f"{len(triples)} triples, {table.size} inverses"
 
 
 def _suite_length_bfs(n: int, lie_type: LieType):
-    from collections import deque
-
-    from .group import length
-
     table = group_table(n)
-    gens = [SignedPerm.simple(i, n) for i in range(1, n + 1)]
-    dist = {SignedPerm.identity(n).window: 0}
-    queue = deque([SignedPerm.identity(n)])
-    while queue:
-        w = queue.popleft()
-        for s in gens:
-            ws = w * s
-            if ws.window not in dist:
-                dist[ws.window] = dist[w.window] + 1
-                queue.append(ws)
-    bad = [w for w in table.elements if dist[w.window] != length(w)]
-    if bad:
-        return False, f"length mismatch at {bad[0]}"
-    return True, f"{len(dist)} elements"
+    win = table.windows_array
+    gens = [[SignedPerm.simple(i, n).window] for i in range(1, n + 1)]
+    dist = np.full(table.size, -1)
+    frontier = table.indices_of([SignedPerm.identity(n).window])
+    dist[frontier] = 0
+    step = 0
+    while frontier.size:
+        step += 1
+        reached = np.concatenate([table.indices_of(compose(win[frontier], s)) for s in gens])
+        frontier = np.unique(reached[dist[reached] < 0])
+        dist[frontier] = step
+    bad = np.flatnonzero(dist != table.lengths)
+    if bad.size:
+        return False, f"length mismatch at {SignedPerm(win[bad[0]])}"
+    return True, f"{np.count_nonzero(dist >= 0)} elements"
 
 
 def _suite_root_bijection(n: int, lie_type: LieType):
@@ -338,7 +351,7 @@ def _suite_bases(n: int, lie_type: LieType):
     for ts in sorted(realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s))):
         space = from_tset(ts, n, lie_type)
         dim = dim_degree_one(space)
-        if bundle_rank(generating_set(space)) != dim:
+        if bundle_rank(generating_set(space), target=dim) != dim:
             deficient.append(tset_str(ts))
         elif ts:
             try:
@@ -418,11 +431,17 @@ def cmd_verify(args) -> int:
         ]
     failures = 0
     for name, fn in suites:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crash is a failure with its message
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        elapsed = time.perf_counter() - start
+        if args.format == "json":
+            record = {"name": name, "ok": ok, "detail": detail, "elapsed_s": round(elapsed, 6)}
+            print(json.dumps(record))
+        else:
+            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         failures += not ok
     return 2 if failures else 0
 

@@ -10,6 +10,16 @@ entry (acting on the right).  Its cardinality is 2^n * n!.
 Throughout the package the set {±1,...,±n} is totally ordered by
 -n < -(n-1) < ... < -1 < 1 < ... < n, skipping 0; lexicographic
 orderings of windows and of unbalanced sets use this order.
+
+Whole-group work runs on `GroupTable.windows_array`, the (N, n) integer
+array of all windows in table order.  Reading each entry's order_key as a
+digit in base 2n gives every window a code; the codes increase strictly
+along the table, so `GroupTable.indices_of` maps stacked windows to table
+indices by binary search and raises on anything that is not a window.
+`compose` and `invert` multiply and invert stacked windows, and the
+table's `lengths` and `descents` (bitmasks) are computed by one
+vectorised formula each, which `length` and `descent_set` also read.
+`SignedPerm` stays the per-element type for input, output and tests.
 """
 
 from __future__ import annotations
@@ -167,51 +177,77 @@ class SignedPerm:
         return f"SignedPerm({list(self.window)})"
 
 
-def _length_from_window(window: Window) -> int:
-    """Number of type-B positive roots sent to negative roots.
+def _window_lengths(windows) -> np.ndarray:
+    """Coxeter lengths of stacked windows, shape (N, n) -> (N,).
 
-    Counts sign flips among e_i (i in [n]), e_i - e_j and e_i + e_j (i < j);
-    the count is the same for the type C root data.  A vector
-    a*e_p + b*e_q (p < q) is negative iff its first nonzero coordinate is.
+    Counts the type-B positive roots sent to negative roots: e_i for each
+    negative entry w(i); for each pair i < j, both e_i - e_j and e_i + e_j
+    when |w(i)| < |w(j)| and w(i) < 0, and exactly one of them when
+    |w(i)| > |w(j)|.  The count is the same for the type C root data.
     """
-    n = len(window)
-    total = sum(1 for x in window if x < 0)
-    for i in range(n):
-        wi = window[i]
-        for j in range(i + 1, n):
-            wj = window[j]
-            # w(e_i - e_j)
-            if abs(wi) < abs(wj):
-                if wi < 0:
-                    total += 1
-            elif wj > 0:
-                total += 1
-            # w(e_i + e_j)
-            if abs(wi) < abs(wj):
-                if wi < 0:
-                    total += 1
-            elif wj < 0:
-                total += 1
+    win = np.asarray(windows, dtype=np.int64)
+    neg = win < 0
+    mag = np.abs(win)
+    total = neg.sum(axis=1)
+    for i in range(win.shape[-1] - 1):
+        smaller = mag[:, i : i + 1] < mag[:, i + 1 :]  # |w(i)| < |w(j)| for j > i
+        total += np.where(smaller, 2 * neg[:, i : i + 1], 1).sum(axis=1)
     return total
+
+
+def _window_descents(windows) -> np.ndarray:
+    """Descent sets of stacked windows as bitmasks: bit i-1 is set iff i is a descent.
+
+    i < n is a descent iff w(e_i - e_{i+1}) is a negative vector, n iff w(n) < 0.
+    """
+    win = np.asarray(windows, dtype=np.int64)
+    a, b = win[:, :-1], win[:, 1:]
+    down = np.concatenate([np.where(np.abs(a) < np.abs(b), a < 0, b > 0), win[:, -1:] < 0], axis=1)
+    return down.astype(np.int64) @ (1 << np.arange(win.shape[-1], dtype=np.int64))
 
 
 def length(w: SignedPerm) -> int:
     """Coxeter length of w over s_1,...,s_n."""
-    return _length_from_window(w.window)
+    return int(_window_lengths([w.window])[0])
 
 
 def descent_set(w: SignedPerm) -> frozenset[int]:
     """{i : length(w * s_i) < length(w)}."""
-    n = w.n
-    out = []
-    for i in range(1, n):
-        a, b = w.window[i - 1], w.window[i]
-        # descent iff w(e_i - e_{i+1}) is a negative vector
-        if (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b > 0):
-            out.append(i)
-    if w.window[n - 1] < 0:
-        out.append(n)
-    return frozenset(out)
+    mask = int(_window_descents([w.window])[0])
+    return frozenset(i for i in range(1, w.n + 1) if mask >> (i - 1) & 1)
+
+
+def _window_codes(windows: np.ndarray, n: int) -> np.ndarray:
+    """Base-2n numbers whose digits are the order_key of each window entry.
+
+    They increase strictly with the lexicographic order on windows.
+    """
+    if windows.ndim != 2 or windows.shape[1] != n:
+        raise ValueError(f"need windows of shape (N, {n}), got {windows.shape}")
+    if not np.all((windows != 0) & (np.abs(windows) <= n)):
+        raise ValueError(f"window entries out of range for W_{n}")
+    keys = np.where(windows < 0, windows + n, windows + n - 1)
+    return keys @ (2 * n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def compose(a, b) -> np.ndarray:
+    """Stacked products: row k is the window of a[k] * b[k].
+
+    a and b are integer arrays of shape (N, n); a first axis of length 1
+    broadcasts against the other.  Since (u*w)(k) = u(w(k)), the product's
+    window is sign(w(k)) * u(|w(k)|) entrywise.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return np.sign(b) * np.take_along_axis(a, np.abs(b) - 1, axis=-1)
+
+
+def invert(a) -> np.ndarray:
+    """Stacked inverses: row k is the window of a[k]^{-1}."""
+    a = np.asarray(a)
+    out = np.empty_like(a)
+    pos = np.arange(1, a.shape[-1] + 1, dtype=a.dtype)
+    np.put_along_axis(out, np.abs(a) - 1, np.sign(a) * pos, axis=-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -250,18 +286,21 @@ class GroupTable:
         if not 1 <= n <= MAX_ENUM_RANK:
             raise ValueError(f"group enumeration supports 1 <= n <= {MAX_ENUM_RANK}")
         self.n = n
-        windows = []
-        for perm in itertools.permutations(range(1, n + 1)):
-            for signs in itertools.product((-1, 1), repeat=n):
-                windows.append(tuple(s * p for s, p in zip(signs, perm)))
-        windows.sort(key=lambda win: tuple(order_key(x, n) for x in win))
-        self.windows: tuple[Window, ...] = tuple(windows)
-        self.index: dict[Window, int] = {win: i for i, win in enumerate(windows)}
-        self.size = len(windows)
+        perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+        signs = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int64)
+        arr = (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)
+        codes = _window_codes(arr, n)
+        order = np.argsort(codes)
+        arr, codes = arr[order], codes[order]
+        for a in (arr, codes):
+            a.setflags(write=False)
+        self.windows_array: np.ndarray = arr
+        self._codes = codes
+        self.windows: tuple[Window, ...] = tuple(zip(*arr.T.tolist()))
+        self.size = len(self.windows)
         self._elements = None
         self._lengths = None
         self._descents = None
-        self._windows_array = None
 
     @property
     def elements(self) -> tuple[SignedPerm, ...]:
@@ -270,49 +309,47 @@ class GroupTable:
         return self._elements
 
     @property
-    def windows_array(self) -> np.ndarray:
-        if self._windows_array is None:
-            arr = np.array(self.windows, dtype=np.int64)
-            arr.setflags(write=False)
-            self._windows_array = arr
-        return self._windows_array
-
-    @property
     def lengths(self) -> np.ndarray:
         if self._lengths is None:
-            arr = np.array([_length_from_window(w) for w in self.windows], dtype=np.int64)
+            arr = _window_lengths(self.windows_array)
             arr.setflags(write=False)
             self._lengths = arr
         return self._lengths
 
     @property
-    def descents(self) -> tuple[frozenset[int], ...]:
+    def descents(self) -> np.ndarray:
+        """Descent sets as bitmasks: bit i-1 of descents[k] is set iff i is a descent."""
         if self._descents is None:
-            self._descents = tuple(descent_set(el) for el in self.elements)
+            arr = _window_descents(self.windows_array)
+            arr.setflags(write=False)
+            self._descents = arr
         return self._descents
 
+    def indices_of(self, windows) -> np.ndarray:
+        """Table indices of stacked windows, shape (N, n) -> (N,).
+
+        The codes of the table's windows increase strictly along the table
+        order, so each query is found by binary search; a query that is not
+        a window of W_n raises ValueError.
+        """
+        query = _window_codes(np.asarray(windows, dtype=np.int64), self.n)
+        idx = np.minimum(np.searchsorted(self._codes, query), self.size - 1)
+        missing = np.flatnonzero(self._codes[idx] != query)
+        if missing.size:
+            bad = tuple(np.asarray(windows)[missing[0]].tolist())
+            raise ValueError(f"not a signed permutation window: {bad}")
+        return idx
+
     def index_of(self, w: SignedPerm) -> int:
-        return self.index[w.window]
+        return int(self.indices_of([w.window])[0])
 
     def right_mult_indices(self, s: SignedPerm) -> np.ndarray:
         """Array r with r[i] = index of elements[i] * s."""
-        cols = np.empty(self.n, dtype=np.int64)
-        signs = np.empty(self.n, dtype=np.int64)
-        for pos, val in enumerate(s.window):
-            cols[pos] = abs(val) - 1
-            signs[pos] = 1 if val > 0 else -1
-        imgs = self.windows_array[:, cols] * signs
-        return np.array([self.index[tuple(row)] for row in imgs.tolist()], dtype=np.int64)
+        return self.indices_of(compose(self.windows_array, [s.window]))
 
     def left_mult_indices(self, g: SignedPerm) -> np.ndarray:
         """Array r with r[i] = index of g * elements[i]."""
-        n = self.n
-        lookup = np.zeros(2 * n + 1, dtype=np.int64)
-        for k in range(1, n + 1):
-            lookup[k + n] = g(k)
-            lookup[-k + n] = -g(k)
-        imgs = lookup[self.windows_array + n]
-        return np.array([self.index[tuple(row)] for row in imgs.tolist()], dtype=np.int64)
+        return self.indices_of(compose([g.window], self.windows_array))
 
 
 @lru_cache(maxsize=None)
@@ -376,9 +413,8 @@ def min_coset_reps(n: int, i: int) -> tuple[SignedPerm, ...]:
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range [1,{n}]")
     table = group_table(n)
-    return tuple(
-        el for el, des in zip(table.elements, table.descents) if des <= {i}
-    )
+    keep = np.flatnonzero((table.descents & ~(1 << (i - 1))) == 0)
+    return tuple(SignedPerm(table.windows[k]) for k in keep)
 
 
 def in_young_subgroup(w: SignedPerm, i: int) -> bool:

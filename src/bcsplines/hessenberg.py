@@ -290,8 +290,8 @@ def h_descent_oracle(space: HessenbergSpace, i: int) -> frozenset[SignedPerm]:
         raise ValueError(f"index {i} out of range")
     neg = _root_negativity(space.lie_type, space.n)
     hits = (_inversion_counts(space) == 1) & neg[simple_root(i, space.lie_type, space.n)]
-    elements = group_table(space.n).elements
-    return frozenset(elements[k] for k in np.flatnonzero(hits))
+    windows = group_table(space.n).windows
+    return frozenset(SignedPerm(windows[k]) for k in np.flatnonzero(hits))
 
 
 def dim_degree_one(space: HessenbergSpace) -> int:

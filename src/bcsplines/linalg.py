@@ -75,20 +75,23 @@ def rref_pivots_mod_p(mat: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     return piv_rows, piv_cols
 
 
-def pivots(mat: np.ndarray) -> tuple[list[int], list[int], int]:
+def pivots(mat: np.ndarray, target: int | None = None) -> tuple[list[int], list[int], int]:
     """Pivot rows/columns, maximized over a fixed prime list, and their prime.
 
     The modular rank is a lower bound for the rational rank, so the best
     result over several primes is reported; the returned pivots are a
     certificate of rational independence, and the pivot block is
-    invertible modulo the returned prime.
+    invertible modulo the returned prime.  The search stops once the rank
+    reaches min(mat.shape) or `target`, a known upper bound on the rank
+    (such as the dimension of a space that holds the rows).
     """
+    top = min(mat.shape) if target is None else min(target, *mat.shape)
     best: tuple[list[int], list[int], int] = ([], [], PRIMES[0])
     for p in PRIMES:
         rows, cols = rref_pivots_mod_p(mat, p)
         if len(rows) > len(best[0]):
             best = (rows, cols, p)
-        if len(best[0]) == min(mat.shape):
+        if len(best[0]) >= top:
             break
     return best
 

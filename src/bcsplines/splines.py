@@ -173,9 +173,9 @@ class Spline:
         """Build from a mapping of windows (or SignedPerms) to coefficient rows."""
         table = group_table(n)
         num = np.zeros((table.size, n), dtype=np.int64)
-        for key, coeffs in values.items():
-            win = key.window if isinstance(key, SignedPerm) else tuple(key)
-            num[table.index[win]] = coeffs
+        wins = [key.window if isinstance(key, SignedPerm) else tuple(key) for key in values]
+        if wins:
+            num[table.indices_of(wins)] = list(values.values())
         return cls(table, num)
 
     def value_at(self, w) -> LinearPoly:
@@ -630,15 +630,18 @@ def permutohedral_basis(n: int) -> BasisBundle:
 # ---------------------------------------------------------------------------
 
 
-def bundle_pivots(bundle: BasisBundle) -> tuple[np.ndarray, list[int], list[int], int]:
+def bundle_pivots(
+    bundle: BasisBundle, target: int | None = None
+) -> tuple[np.ndarray, list[int], list[int], int]:
     """The bundle matrix, pivot rows (in bundle order) and columns, and their prime.
 
     The pivot block is invertible modulo the prime that found it, and its
     nonzero Bareiss determinant certifies over Q that the pivot rows are
-    independent.
+    independent.  `target` is a known upper bound on the rank, passed on to
+    `pivots` (the scan dimension of a space holding the bundle).
     """
     mat = bundle.matrix()
-    rows, cols, p = pivots(mat)
+    rows, cols, p = pivots(mat, target)
     rows = sorted(rows)
     if bareiss_det(mat[np.ix_(rows, cols)].tolist()) == 0:
         raise RankDeficientError(f"{bundle.role} bundle has a singular pivot block")
@@ -666,9 +669,13 @@ def bundle_pivot_data(bundle: BasisBundle):
     return mat.astype(object), cols, inv_num, den
 
 
-def bundle_rank(bundle: BasisBundle) -> int:
-    """Certified rank of the bundle: the pivot block has a nonzero determinant."""
-    return len(bundle_pivots(bundle)[1])
+def bundle_rank(bundle: BasisBundle, target: int | None = None) -> int:
+    """Certified rank of the bundle: the pivot block has a nonzero determinant.
+
+    With `target`, a known upper bound on the rank, the search for pivots
+    stops once it is reached.
+    """
+    return len(bundle_pivots(bundle, target)[1])
 
 
 def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:

@@ -5,6 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from bcsplines import cli, group
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -166,6 +171,59 @@ class TestVerify:
         r = run_cli("verify", "--n", "3", "--type", "B", "--level", "formula")
         assert r.returncode == 0
         assert "characters" not in r.stdout  # oracle-level suites skipped
+
+    @pytest.mark.parametrize("lie, code", [("B", 0), ("C", 2)])
+    def test_json_format_one_object_per_suite(self, lie, code):
+        r = run_cli("verify", "--n", "3", "--type", lie, "--format", "json")
+        assert r.returncode == code
+        records = [json.loads(line) for line in r.stdout.splitlines()]
+        assert [rec["name"] for rec in records] == [
+            "group-laws",
+            "length-bfs",
+            "root-bijection",
+            "descent-formula",
+        ]
+        for rec in records:
+            assert set(rec) == {"name", "ok", "detail", "elapsed_s"}
+            assert isinstance(rec["ok"], bool) and rec["elapsed_s"] >= 0
+        assert records[1]["detail"] == "48 elements"
+        assert [rec["ok"] for rec in records] == [True, True, True, code == 0]
+        text = run_cli("verify", "--n", "3", "--type", lie).stdout.splitlines()
+        assert text == [
+            f"{'PASS' if rec['ok'] else 'FAIL'}  {rec['name']}: {rec['detail']}" for rec in records
+        ]
+
+
+def _swap_first_entries(fn):
+    """fn with window entries 1 and 2 swapped on every third row of its result."""
+
+    def broken(*args):
+        out = np.array(fn(*args))
+        rows = np.flatnonzero(np.arange(len(out)) % 3 == 1)
+        out[np.ix_(rows, [0, 1])] = out[np.ix_(rows, [1, 0])]
+        return out
+
+    return broken
+
+
+class TestVerifyDetectsBrokenKernels:
+    """The array-based group suites fail, naming an element, on a faulty kernel."""
+
+    def test_broken_compose(self, monkeypatch, capsys):
+        broken = _swap_first_entries(group.compose)
+        monkeypatch.setattr(group, "compose", broken)
+        monkeypatch.setattr(cli, "compose", broken)
+        assert cli.main(["verify", "--n", "3"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  group-laws: product fails at SignedPerm([" in out
+        assert "FAIL  length-bfs: length mismatch at SignedPerm([" in out
+
+    def test_broken_invert(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "invert", _swap_first_entries(group.invert))
+        assert cli.main(["verify", "--n", "3"]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL  group-laws: inverse fails at SignedPerm([" in out
+        assert "PASS  length-bfs: 48 elements" in out
 
 
 class TestDumpSpline:

@@ -1,17 +1,21 @@
 """Signed permutation group: arithmetic, length, cosets, conjugacy."""
 
 import itertools
+import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from bcsplines.group import (
     SignedPerm,
     class_size_formula,
+    compose,
     conjugacy_classes,
     descent_set,
     group_table,
     in_young_subgroup,
+    invert,
     length,
     min_coset_reps,
     parse_cycle_type,
@@ -32,6 +36,17 @@ def bfs_lengths(n):
                 dist[ws.window] = dist[w.window] + 1
                 queue.append(ws)
     return dist
+
+
+def loop_descent_set(window):
+    """Per-element descent set, read off the window one position at a time."""
+    n = len(window)
+    out = {n} if window[-1] < 0 else set()
+    for i in range(1, n):
+        a, b = window[i - 1], window[i]
+        if (abs(a) < abs(b) and a < 0) or (abs(a) > abs(b) and b > 0):
+            out.add(i)
+    return frozenset(out)
 
 
 class TestArithmetic:
@@ -101,10 +116,12 @@ class TestLength:
         assert length(SignedPerm([-1, -2])) == 4
         assert length(SignedPerm([-2, -1])) == 3
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_against_word_length_oracle(self, n):
+        table = group_table(n)
         dist = bfs_lengths(n)
-        for w in group_table(n).elements:
+        assert table.lengths.tolist() == [dist[win] for win in table.windows]
+        for w in table.elements:
             assert length(w) == dist[w.window]
 
     def test_descents(self):
@@ -112,15 +129,78 @@ class TestLength:
         assert descent_set(SignedPerm.simple(1, 2)) == {1}
         assert descent_set(SignedPerm([-1, -2])) == {1, 2}
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_descents_via_length(self, n):
-        for w in group_table(n).elements:
+        table = group_table(n)
+        for w, mask in zip(table.elements, table.descents.tolist()):
             expected = {
                 i
                 for i in range(1, n + 1)
                 if length(w * SignedPerm.simple(i, n)) < length(w)
             }
-            assert descent_set(w) == expected
+            bits = {i for i in range(1, n + 1) if mask >> (i - 1) & 1}
+            assert descent_set(w) == bits == loop_descent_set(w.window) == expected
+
+
+class TestArrayKernels:
+    """compose, invert and indices_of against the per-element arithmetic."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive_small_ranks(self, n):
+        table = group_table(n)
+        win, els = table.windows_array, table.elements
+        index = {w: k for k, w in enumerate(table.windows)}
+        assert table.indices_of(win).tolist() == list(range(table.size))
+        inv = invert(win)
+        assert [tuple(r) for r in inv.tolist()] == [w.inverse().window for w in els]
+        for a in els:
+            prod = compose([a.window], win)
+            assert [tuple(r) for r in prod.tolist()] == [(a * b).window for b in els]
+            assert table.indices_of(prod).tolist() == [index[(a * b).window] for b in els]
+
+    def test_seeded_pairs_rank_six(self):
+        table = group_table(6)
+        index = {w: k for k, w in enumerate(table.windows)}
+        rng = random.Random(6)
+        pairs = [(rng.randrange(table.size), rng.randrange(table.size)) for _ in range(2000)]
+        a = table.windows_array[[i for i, _ in pairs]]
+        b = table.windows_array[[j for _, j in pairs]]
+        prod, inv = compose(a, b), invert(a)
+        idx = table.indices_of(prod)
+        for k, (i, j) in enumerate(pairs):
+            x, y = SignedPerm(table.windows[i]), SignedPerm(table.windows[j])
+            assert tuple(prod[k].tolist()) == (x * y).window
+            assert tuple(inv[k].tolist()) == x.inverse().window
+            assert idx[k] == index[(x * y).window]
+
+    def test_broadcast_either_side(self):
+        table = group_table(3)
+        g = SignedPerm([2, -3, 1])
+        left = table.indices_of(compose([g.window], table.windows_array))
+        right = table.indices_of(compose(table.windows_array, [g.window]))
+        assert left.tolist() == [table.index_of(g * w) for w in table.elements]
+        assert right.tolist() == [table.index_of(w * g) for w in table.elements]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[(1, 1, 2)], [(0, 1, 2)], [(4, 1, 2)], [(1, -4, 2)], [(1, 2, 3), (2, 2, -1)]],
+    )
+    def test_indices_of_rejects_non_windows(self, bad):
+        with pytest.raises(ValueError):
+            group_table(3).indices_of(bad)
+
+    @pytest.mark.parametrize("bad", [[(1, 2)], [(1, 2, 3, 4)], (1, 2, 3)])
+    def test_indices_of_rejects_wrong_rank(self, bad):
+        with pytest.raises(ValueError):
+            group_table(3).indices_of(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_min_coset_reps_match_frozenset_filter(self, n):
+        table = group_table(n)
+        descents = [loop_descent_set(win) for win in table.windows]
+        for i in range(1, n + 1):
+            expected = [win for win, des in zip(table.windows, descents) if des <= {i}]
+            assert [w.window for w in min_coset_reps(n, i)] == expected
 
 
 class TestCycleTypes:

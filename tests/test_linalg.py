@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bcsplines import linalg
 from bcsplines.linalg import (
     PRIMES,
     RankDeficientError,
@@ -76,6 +77,28 @@ def test_pivot_count_is_rank(seed):
         sub = [[int(mat[r, c]) for c in pcol] for r in prow]
         invert_fraction(sub)
         inverse_mod_p(sub, p)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pivots_stop_at_target_rank(seed, monkeypatch):
+    # redundant rows: rank 3 < min(shape), so without a target every prime is tried
+    rng = random.Random(300 + seed)
+    base = [[rng.randint(-4, 4) for _ in range(8)] for _ in range(3)]
+    coeffs = [[rng.randint(-2, 2) for _ in base] for _ in range(3)]
+    combos = [[sum(c * x for c, x in zip(cs, col)) for col in zip(*base)] for cs in coeffs]
+    mat = np.array(base + combos, dtype=np.int64)
+    rank = fraction_rank(mat.tolist())
+    calls = []
+    real = linalg.rref_pivots_mod_p
+    monkeypatch.setattr(
+        linalg, "rref_pivots_mod_p", lambda m, p: calls.append(p) or real(m, p)
+    )
+    full = pivots(mat)
+    assert len(calls) == len(PRIMES)
+    calls.clear()
+    assert pivots(mat, target=rank) == full
+    assert calls == [PRIMES[0]]
+    assert len(full[0]) == rank
 
 
 @pytest.mark.parametrize("seed", range(8))
