@@ -71,7 +71,6 @@ from .characters import (
     ClassFunction,
     computed_char,
     dot_action,
-    evaluate,
     formula_char,
     named_char,
     published_formula_char,

@@ -37,9 +37,9 @@ from .hessenberg import (
     on_divergent_branch,
     realize_tset,
     t_set,
-    tset_str,
 )
 from .linalg import (
+    PRIMES,
     RankDeficientError,
     inverse_mod_p,
     symmetric_lift,
@@ -49,13 +49,10 @@ from .roots import LieType, label_matrix, positive_roots
 from .splines import (
     BasisBundle,
     Spline,
-    bundle_pivots,
-    generating_set,
     is_spline,
     labels_pairwise_independent,
-    left_basis,
-    permutohedral_basis,
     unbalanced_sets,
+    witness_basis,
     _rows_proportional,
 )
 
@@ -247,11 +244,6 @@ def _binom(n: int, k: int) -> int:
     return out
 
 
-def evaluate(expr: CharacterExpression) -> ClassFunction:
-    """Evaluate a character expression as an exact class function."""
-    return expr.evaluate()
-
-
 def formula_char(tset, n: int, side: str) -> CharacterExpression:
     """The closed-form degree-one character of the left or right quotient.
 
@@ -335,51 +327,35 @@ def _label_equivariant(window: tuple, n: int, lie_type: LieType) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _trace_bundle(tset: frozenset, n: int) -> tuple[BasisBundle, tuple[int, ...]]:
+    """The witness basis of the t-set and its pivot columns (`witness_basis`)."""
+    return witness_basis(realize_tset(tset, n, LieType.B))
+
+
 @dataclass(frozen=True)
 class _TraceData:
-    tset: frozenset
-    n: int
     bundle: BasisBundle
     traces: tuple[int, ...]  # per conjugacy class, trace on the full space
-    fallback: bool  # closed-form bundle was rank-deficient
 
 
 @lru_cache(maxsize=None)
 def _trace_data(tset: frozenset, n: int) -> _TraceData:
-    """Per-class traces on one bundle, shared by every ideal with this t-set.
+    """Per-class traces on the witness basis, shared by every ideal with this t-set.
 
-    The bundle is the left basis, the permutohedral basis for the empty
-    t-set, or, where the left basis does not span (the divergent branch),
-    the rows of the generating set chosen by `pivots`.  Each trace is
-    tr(pv P^{-1}) modulo the prime at which the pivot block P was found
-    invertible, where pv holds the images of the bundle at the pivot
+    Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
+    of the bundle and pv holds the images of the bundle at the pivot
     coordinates.  On a W_n-stable space of dimension m a trace is an integer
     of absolute value at most m < p/2, so its symmetric residue is exact.
 
     Computes only; `_space_bundle_check` certifies the bundle for the space
     a caller asks about.
     """
-    space = realize_tset(tset, n, LieType.B)
-    fallback = False
-    if not tset:
-        bundle = permutohedral_basis(n)
-    else:
-        try:
-            bundle = left_basis(space)
-        except RankDeficientError:
-            bundle = generating_set(space)
-            fallback = True
-    dim = dim_degree_one(space)
-    mat, rows, cols, p = bundle_pivots(bundle, target=dim)
-    if len(rows) < dim:
-        raise RankDeficientError(
-            f"{bundle.role} bundle spans {len(rows)} of {dim} dimensions "
-            f"(t-set {{{tset_str(tset)}}})"
-        )
-    bundle = bundle.subset(rows)
-    inv = inverse_mod_p(mat[np.ix_(rows, cols)], p)
-    m = len(bundle)
-    tensor = np.stack([s.num for s in bundle.splines])  # (m, N, n)
+    bundle, cols = _trace_bundle(tset, n)
+    m, p = len(bundle), PRIMES[0]
+    mat = bundle.matrix()
+    inv = inverse_mod_p(mat[:, cols], p)
+    tensor = mat.reshape(m, -1, n)  # (m, N, n)
     piv_rows, piv_slots = np.divmod(np.array(cols), n)
     table = group_table(n)
     traces = []
@@ -389,22 +365,26 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
         imgs = tensor[:, src[piv_rows], :] @ poly_action_matrix(g).T  # (m, m, n)
         pv = imgs[:, np.arange(m), piv_slots]  # (m, m): images at pivot coordinates
         traces.append(symmetric_lift(trace_product_mod_p(pv, inv, p), p, m))
-    return _TraceData(tset, n, bundle, tuple(traces), fallback)
+    return _TraceData(bundle, tuple(traces))
 
 
 @lru_cache(maxsize=None)
 def _space_bundle_check(space: HessenbergSpace) -> bool:
-    """Certify the trace bundle of the space's t-set for this space.
+    """Certify the witness basis of the space's t-set as a basis of its splines.
 
-    The bundle must be a basis of the space's splines (each passes
-    `is_spline`, the count equals the scan dimension, the labels are
-    pairwise independent) on which the dot action is defined (the labels
-    are equivariant in the space's type).
+    The count equals the scan dimension, the pivot block is upper triangular
+    with a nonzero diagonal (an exact integer test, so the elements are
+    independent), and each element passes `is_spline`.  The dot action is
+    defined on the space: its labels are pairwise independent and
+    equivariant in the space's type.
     """
     n = space.n
-    bundle = _trace_data(t_set(space), n).bundle
+    bundle, cols = _trace_bundle(t_set(space), n)
     if len(bundle) != dim_degree_one(space):
         raise RankDeficientError("bundle does not span for this space")
+    block = bundle.matrix()[:, cols]
+    if len(cols) != len(bundle) or np.tril(block, -1).any() or not np.diag(block).all():
+        raise RankDeficientError("pivot block is not upper triangular with a nonzero diagonal")
     for s in bundle.splines:
         if not is_spline(s, space):
             raise AssertionError("bundle element violates an edge condition")
@@ -435,8 +415,3 @@ def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
         else:
             values.append(Fraction(tr - n))
     return ClassFunction(n, tuple(values))
-
-
-def used_fallback_basis(tset, n: int) -> bool:
-    """Whether the closed-form bundles failed to span for this t-set."""
-    return _trace_data(frozenset(tset), n).fallback

@@ -2,12 +2,13 @@
 Exact linear algebra helpers for integer matrices.
 
 Pivot discovery, inversion and traces run modulo a large prime with numpy.
-Each modular result is exact for a stated reason: columns independent mod p
-are independent over Q, so certified pivots are never spurious; a trace that
-is known to be an integer of absolute value below p/2 is its symmetric
-residue (`symmetric_lift`).  Where an exact rational answer is needed, the
-helpers work in Fraction (Gauss-Jordan inversion, the sparse kernel solve)
-or fraction-free over int (Bareiss determinants).
+Each modular result is exact for a stated reason: rows independent mod p
+are independent over Q, so pivots found mod p are never spurious; a trace
+known to be an integer of absolute value below p/2 is its symmetric residue
+(`symmetric_lift`).  Inverses mod p serve pivot blocks whose independence
+is proved over the integers elsewhere (a triangular block, or a Bareiss
+determinant).  The Fraction routes (Gauss-Jordan inversion, the sparse
+kernel solve) are the exact references the modular ones are tested against.
 """
 
 from __future__ import annotations
@@ -75,22 +76,21 @@ def rref_pivots_mod_p(mat: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     return piv_rows, piv_cols
 
 
-def pivots(mat: np.ndarray, target: int | None = None) -> tuple[list[int], list[int], int]:
-    """Pivot rows/columns, maximized over a fixed prime list, and their prime.
+def pivots(mat: np.ndarray, target: int | None = None) -> tuple[list[int], list[int]]:
+    """Pivot rows/columns, maximized over a fixed prime list.
 
     The modular rank is a lower bound for the rational rank, so the best
     result over several primes is reported; the returned pivots are a
-    certificate of rational independence, and the pivot block is
-    invertible modulo the returned prime.  The search stops once the rank
+    certificate of rational independence.  The search stops once the rank
     reaches min(mat.shape) or `target`, a known upper bound on the rank
     (such as the dimension of a space that holds the rows).
     """
     top = min(mat.shape) if target is None else min(target, *mat.shape)
-    best: tuple[list[int], list[int], int] = ([], [], PRIMES[0])
+    best: tuple[list[int], list[int]] = ([], [])
     for p in PRIMES:
         rows, cols = rref_pivots_mod_p(mat, p)
         if len(rows) > len(best[0]):
-            best = (rows, cols, p)
+            best = (rows, cols)
         if len(best[0]) >= top:
             break
     return best

@@ -293,9 +293,8 @@ def labels_pairwise_independent(lie_type, n: int) -> bool:
     """
     roots = positive_roots(lie_type, n)
     for a, b in combinations(roots, 2):
-        la, lb = label_matrix(n, a), label_matrix(n, b)
-        outer = la[:, :, None] * lb[:, None, :]
-        if np.any(np.all(outer == outer.transpose(0, 2, 1), axis=(1, 2))):
+        # label rows are nonzero, so this is the test of the 2x2 minors
+        if _rows_proportional(label_matrix(n, a), label_matrix(n, b)).any():
             return False
     return True
 
@@ -491,7 +490,7 @@ class BasisBundle:
     """An ordered set of splines with provenance tags."""
 
     n: int
-    role: str  # generating | left | right | permutohedral | kernel
+    role: str  # generating | left | right | permutohedral | kernel | witness
     splines: tuple[Spline, ...]
     labels: tuple[str, ...]
 
@@ -504,15 +503,6 @@ class BasisBundle:
             if s.den != 1:
                 raise ValueError("bundle splines must have integral values")
         return np.stack([s.num.ravel() for s in self.splines])
-
-    def subset(self, rows) -> "BasisBundle":
-        """The splines at the given positions, in that order, with their labels."""
-        return BasisBundle(
-            self.n,
-            self.role,
-            tuple(self.splines[r] for r in rows),
-            tuple(self.labels[r] for r in rows),
-        )
 
 
 def _family_splines(tset, n: int):
@@ -632,20 +622,20 @@ def permutohedral_basis(n: int) -> BasisBundle:
 
 def bundle_pivots(
     bundle: BasisBundle, target: int | None = None
-) -> tuple[np.ndarray, list[int], list[int], int]:
-    """The bundle matrix, pivot rows (in bundle order) and columns, and their prime.
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """The bundle matrix and its pivot rows (in bundle order) and columns.
 
-    The pivot block is invertible modulo the prime that found it, and its
-    nonzero Bareiss determinant certifies over Q that the pivot rows are
-    independent.  `target` is a known upper bound on the rank, passed on to
-    `pivots` (the scan dimension of a space holding the bundle).
+    The nonzero Bareiss determinant of the pivot block certifies over Q that
+    the pivot rows are independent.  `target` is a known upper bound on the
+    rank, passed on to `pivots` (the scan dimension of a space holding the
+    bundle).
     """
     mat = bundle.matrix()
-    rows, cols, p = pivots(mat, target)
+    rows, cols = pivots(mat, target)
     rows = sorted(rows)
     if bareiss_det(mat[np.ix_(rows, cols)].tolist()) == 0:
         raise RankDeficientError(f"{bundle.role} bundle has a singular pivot block")
-    return mat, rows, cols, p
+    return mat, rows, cols
 
 
 @lru_cache(maxsize=None)
@@ -656,7 +646,7 @@ def bundle_pivot_data(bundle: BasisBundle):
     Matrices are numpy object arrays of Python integers.  Raises
     RankDeficientError when the bundle is not linearly independent.
     """
-    mat, rows, cols, _ = bundle_pivots(bundle)
+    mat, rows, cols = bundle_pivots(bundle)
     if len(rows) != len(bundle):
         raise RankDeficientError(
             f"{bundle.role} bundle of size {len(bundle)} has rank {len(rows)}"
@@ -706,8 +696,8 @@ def spline_space_basis(space: HessenbergSpace) -> BasisBundle:
 
     Solves the proportionality constraints exactly and certifies the result
     (every vector passes the spline predicate; the count matches the scan
-    dimension; independence is certified by `bundle_rank`).  This is the
-    fallback when the closed-form bundles do not span.
+    dimension; independence is certified by `bundle_rank`).  The tests use
+    it as the reference that reads the definition directly.
     """
     return _kernel_basis_cached(space)
 
@@ -796,3 +786,26 @@ def support_minimal_witnesses(space: HessenbergSpace) -> dict[SignedPerm, Spline
         for i in range(1, n + 1)
         for w, tag in descent_cases(tset, n, i).items()
     }
+
+
+def witness_basis(space: HessenbergSpace) -> tuple[BasisBundle, tuple[int, ...]]:
+    """t_1..t_n, then the support-minimal witnesses by (length, table index),
+    with the pivot column of each row in the flattened values.
+
+    The pivot of t_i is coordinate i at e, that of rho_w the first nonzero
+    coordinate of rho_w(w).  A witness vanishes at e and at every other
+    element no longer than its own, so the pivot block is upper triangular.
+    The h witness, with denominator 2, is scaled to integers.
+    """
+    n, table = space.n, group_table(space.n)
+    e = table.index_of(SignedPerm.identity(n))
+    items = [(t_spline(i, n), f"t{i}") for i in range(1, n + 1)]
+    cols = [e * n + k for k in range(n)]
+    witnesses = support_minimal_witnesses(space)
+    index = {w: table.index_of(w) for w in witnesses}
+    for w in sorted(witnesses, key=lambda w: (table.lengths[index[w]], index[w])):
+        k, rho = index[w], witnesses[w].scale(witnesses[w].den)
+        items.append((rho, "rho_" + ",".join(map(str, w.window))))
+        cols.append(k * n + int(np.argmax(rho.num[k] != 0)))
+    bundle = BasisBundle(n, "witness", tuple(s for s, _ in items), tuple(l for _, l in items))
+    return bundle, tuple(cols)

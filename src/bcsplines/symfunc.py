@@ -10,9 +10,10 @@ where (lam(w), mu(w)) is the signed cycle type and p_r(x+y) = p_r(x) + p_r(y),
 p_r(x-y) = p_r(x) - p_r(y).  Supported bases: P (p_lam(x) p_mu(y)),
 H (h_lam(x) h_mu(y)) and S (s_lam(x) s_mu(y)); conversions are exact.
 
-The P -> H transition within one variable family is computed through the
-monomial basis (symmetric polynomials in deg-many variables); a Newton
-recurrence provides an independent second route for cross-checking.
+The P -> H transition within one variable family is the Newton recurrence
+r h_r = sum_k p_k h_{r-k}, solved for p_r and multiplied out over the parts
+of a partition; the tests check it against an independent route through
+the monomial basis.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .characters import ClassFunction
 from .group import Partition
@@ -102,96 +103,6 @@ def _strip_removals(gamma: Partition, size: int):
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _h_poly(k: int, nvars: int) -> dict:
-    out: dict = {}
-    for combo in combinations_with_replacement(range(nvars), k):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        key = tuple(e)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def _p_poly(r: int, nvars: int) -> dict:
-    out: dict = {}
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = r
-        out[tuple(e)] = 1
-    return out
-
-
-def _m_coeffs(poly: dict, deg: int) -> dict[Partition, int]:
-    """Coefficients on the monomial basis, read off sorted exponent vectors."""
-    out: dict[Partition, int] = {}
-    for e, c in poly.items():
-        key = tuple(sorted((x for x in e if x), reverse=True))
-        if sorted(e, reverse=True) == list(e):
-            out[key] = c
-    return out
-
-
-@lru_cache(maxsize=None)
-def p_in_h(lam: Partition) -> dict[Partition, Fraction]:
-    """Expansion of p_lam in the complete homogeneous basis (monomial route)."""
-    deg = sum(lam)
-    if deg == 0:
-        return {(): Fraction(1)}
-    nvars = deg
-    mus = partitions(deg)
-    h_rows = {}
-    for mu in mus:
-        poly = {(0,) * nvars: 1}
-        for part in mu:
-            poly = _poly_mul(poly, _h_poly(part, nvars))
-        h_rows[mu] = _m_coeffs(poly, deg)
-    target_poly = {(0,) * nvars: 1}
-    for part in lam:
-        target_poly = _poly_mul(target_poly, _p_poly(part, nvars))
-    target = _m_coeffs(target_poly, deg)
-    # solve sum_mu c_mu h_mu = p_lam on the monomial coordinates
-    keys = sorted({k for row in h_rows.values() for k in row} | set(target))
-    mat = [[Fraction(h_rows[mu].get(k, 0)) for mu in mus] for k in keys]
-    vec = [Fraction(target.get(k, 0)) for k in keys]
-    coeffs = _solve_exact(mat, vec)
-    return {mu: c for mu, c in zip(mus, coeffs) if c}
-
-
-def _solve_exact(mat, vec):
-    """Solve an overdetermined consistent exact system by elimination."""
-    m = len(mat[0])
-    rows = [list(r) + [v] for r, v in zip(mat, vec)]
-    piv = []
-    r = 0
-    for c in range(m):
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
-            raise ValueError("transition matrix is singular")
-        rows[r], rows[k] = rows[k], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][m]:
-            raise ValueError("inconsistent system")
-    return [rows[i][m] for i in range(m)]
-
-
 @lru_cache(maxsize=None)
 def p_in_h_newton(r: int) -> dict[Partition, Fraction]:
     """p_r in the h basis via the Newton recurrence r h_r = sum p_k h_{r-k}."""
@@ -205,7 +116,10 @@ def p_in_h_newton(r: int) -> dict[Partition, Fraction]:
     return {k: v for k, v in out.items() if v}
 
 
-def p_in_h_newton_partition(lam: Partition) -> dict[Partition, Fraction]:
+@lru_cache(maxsize=None)
+def p_in_h(lam: Partition) -> dict[Partition, Fraction]:
+    """Expansion of p_lam in the complete homogeneous basis: the product of
+    the Newton expansions of its parts."""
     out = {(): Fraction(1)}
     for part in lam:
         nxt: dict[Partition, Fraction] = {}

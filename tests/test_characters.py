@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bcsplines import characters
 from bcsplines.characters import (
     CharacterExpression,
     ClassFunction,
@@ -13,7 +15,7 @@ from bcsplines.characters import (
     formula_char,
     named_char,
     published_formula_char,
-    used_fallback_basis,
+    _space_bundle_check,
     _trace_data,
 )
 from bcsplines.group import SignedPerm, conjugacy_classes, group_table
@@ -22,17 +24,19 @@ from bcsplines.hessenberg import (
     enumerate_hessenberg,
     from_tset,
     on_divergent_branch,
+    realizable_tsets,
     realize_tset,
     t_set,
 )
+from bcsplines.linalg import RankDeficientError
 from bcsplines.roots import LieType
 from bcsplines.splines import (
+    BasisBundle,
     Spline,
     bundle_rank,
     expand,
     f_spline,
     g_spline,
-    generating_set,
     h_spline,
     is_spline,
     left_basis,
@@ -41,6 +45,7 @@ from bcsplines.splines import (
     spline_space_basis,
     t_spline,
     unbalanced_sets,
+    witness_basis,
     y_spline,
 )
 
@@ -337,11 +342,15 @@ class TestComputedCharacters:
         assert computed_char(space, "left") == named_char("trivial", 4).scale(4)
         assert computed_char(space, "right") == named_char("defining", 4)
 
-    def test_fallback_flag(self):
-        realize_tset(frozenset({3}), 3, B)
-        computed_char(realize_tset(frozenset({3}), 3, B), "left")
-        assert used_fallback_basis(frozenset({3}), 3)
-        assert not used_fallback_basis(frozenset({1}), 3)
+    def test_one_trace_bundle_for_every_tset(self):
+        # empty, ordinary and divergent t-sets all trace on the witness basis
+        for ts in (frozenset(), frozenset({1}), frozenset({3})):
+            space = realize_tset(ts, 3, B)
+            computed_char(space, "left")
+            bundle = _trace_data(ts, 3).bundle
+            assert bundle.role == "witness"
+            assert bundle.labels[:3] == ("t1", "t2", "t3")
+            assert bundle == witness_basis(space)[0]
 
     def test_dimension_is_quotient_dimension(self):
         from bcsplines.hessenberg import dim_degree_one
@@ -401,20 +410,21 @@ class TestComputedCharacters:
 
 
 class TestModularTraces:
-    # the divergent-branch cells of ranks 3 and 4, where the left basis does
-    # not span and the traces run on an independent subset of the generating set
-    CELLS = ((3, frozenset({3})), (4, frozenset({4})))
+    # the divergent-branch cells of ranks 3 and 4, the empty t-set and an
+    # ordinary cell
+    CELLS = (
+        (3, frozenset({3})),
+        (4, frozenset({4})),
+        (3, frozenset()),
+        (3, frozenset({1})),
+    )
 
-    @pytest.mark.parametrize("n,ts", CELLS)
-    def test_bundle_is_independent_generating_subset(self, n, ts):
-        data = _trace_data(ts, n)
+    @pytest.mark.parametrize("n,ts", CELLS[:2])
+    def test_bundle_is_certified_witness_basis(self, n, ts):
         space = from_tset(ts, n, C)
-        assert data.fallback
-        gen_labels = generating_set(space).labels
-        assert set(data.bundle.labels) <= set(gen_labels)
-        # kept in generating-set order
-        positions = [gen_labels.index(l) for l in data.bundle.labels]
-        assert positions == sorted(positions)
+        assert _space_bundle_check(space)
+        data = _trace_data(ts, n)
+        # the Bareiss route of the closed-form bundles agrees on the rank
         assert bundle_rank(data.bundle) == len(data.bundle) == dim_degree_one(space)
 
     @pytest.mark.parametrize("n,ts", CELLS)
@@ -430,3 +440,84 @@ class TestModularTraces:
                 Fraction(0),
             )
             assert exact == tr
+
+
+class TestWitnessCertificate:
+    """t_1..t_n and the witnesses ordered by length: a triangular pivot block."""
+
+    @pytest.mark.parametrize(
+        "space",
+        [
+            from_tset(ts, n, lt)
+            for n in (2, 3, 4)
+            for lt in (B, C)
+            for ts in sorted(realizable_tsets(lt, n), key=sorted)
+        ]
+        + [from_tset(frozenset({5}), 5, C)],
+        ids=lambda sp: f"{sp.lie_type.name}{sp.n}-{{{','.join(f't{i}' for i in sorted(t_set(sp)))}}}",
+    )
+    def test_pivot_block_is_triangular(self, space):
+        bundle, cols = witness_basis(space)
+        assert len(bundle) == len(cols) == dim_degree_one(space)
+        block = bundle.matrix()[:, cols]
+        assert not np.tril(block, -1).any()
+        assert set(np.abs(np.diag(block)).tolist()) <= {1, 2}
+
+    @pytest.fixture
+    def tampered(self, monkeypatch):
+        """Have the certificate read a modified witness basis of C3 {t3}."""
+        space = from_tset(frozenset({3}), 3, C)
+        bundle, cols = witness_basis(space)
+        _space_bundle_check.cache_clear()
+
+        def install(splines, new_cols):
+            fake = BasisBundle(3, bundle.role, tuple(splines), bundle.labels)
+            monkeypatch.setattr(
+                characters, "_trace_bundle", lambda ts, n: (fake, tuple(new_cols))
+            )
+            return space
+
+        yield bundle, cols, install
+        _space_bundle_check.cache_clear()
+
+    def test_untampered_bundle_passes(self, tampered):
+        bundle, cols, install = tampered
+        assert _space_bundle_check(install(bundle.splines, cols))
+
+    def test_zero_at_a_pivot_raises(self, tampered):
+        bundle, cols, install = tampered
+        splines = list(bundle.splines)
+        r = len(splines) - 1
+        num = splines[r].num.copy()
+        num.flat[cols[r]] = 0
+        splines[r] = Spline(splines[r].table, num)
+        with pytest.raises(RankDeficientError, match="upper triangular"):
+            _space_bundle_check(install(splines, cols))
+
+    def test_swapped_witnesses_raise(self, tampered):
+        bundle, cols, install = tampered
+        block = bundle.matrix()[:, cols]
+        lengths = group_table(3).lengths[np.array(cols) // 3]
+        # a shorter witness that is nonzero at the pivot of a longer one
+        r, s = next(
+            (r, s)
+            for r in range(3, len(cols))
+            for s in range(r + 1, len(cols))
+            if lengths[r] < lengths[s] and block[r, s]
+        )
+        order = list(range(len(cols)))
+        order[r], order[s] = s, r
+        with pytest.raises(RankDeficientError, match="upper triangular"):
+            _space_bundle_check(
+                install([bundle.splines[k] for k in order], [cols[k] for k in order])
+            )
+
+
+class TestRankFiveBranch:
+    @pytest.mark.parametrize(
+        "ts", [{5}, {1, 5}, {2, 5}, {1, 2, 5}], ids=lambda ts: ",".join(f"t{i}" for i in sorted(ts))
+    )
+    def test_corrected_formula_equals_traces(self, ts):
+        space = from_tset(frozenset(ts), 5, C)
+        for side in ("left", "right"):
+            assert computed_char(space, side) == formula_char(ts, 5, side).evaluate()

@@ -160,6 +160,12 @@ class TestVerify:
         assert "FAIL  bases: closed-form families do not span at t-sets: {t3}\n" in r.stdout
         assert "RankDeficientError" not in r.stdout
 
+    @pytest.mark.parametrize("lie_type,code", [("B", 0), ("C", 2)])
+    def test_rank_four_full_matches_golden(self, lie_type, code):
+        r = run_cli("verify", "--n", "4", "--type", lie_type, "--level", "full")
+        assert r.returncode == code
+        assert r.stdout == (GOLDEN / f"verify_n4_{lie_type}_full.txt").read_text()
+
     def test_rank_out_of_range_is_invalid_input(self):
         for n in ("0", "7"):
             r = run_cli("verify", "--n", n)

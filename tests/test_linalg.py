@@ -70,13 +70,13 @@ def test_pivot_count_is_rank(seed):
         [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)],
         dtype=np.int64,
     )
-    prow, pcol, p = pivots(mat)
+    prow, pcol = pivots(mat)
     assert len(prow) == len(pcol) == fraction_rank(mat.tolist())
-    # the certified submatrix really is invertible, over Q and modulo p
+    # the certified submatrix really is invertible over Q
     if prow:
         sub = [[int(mat[r, c]) for c in pcol] for r in prow]
         invert_fraction(sub)
-        inverse_mod_p(sub, p)
+        assert bareiss_det(sub) != 0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -20,7 +20,6 @@ from bcsplines.symfunc import (
     key_str,
     kostka,
     p_in_h,
-    p_in_h_newton_partition,
     p_to_h,
     parse_key,
     partitions,
@@ -105,6 +104,100 @@ class TestKostka:
             kostka((2,), (1, 1, 1))
 
 
+# p -> h through the monomial basis: an independent oracle for the Newton
+# recurrence of `p_in_h`.  Polynomials in deg-many variables are dicts from
+# exponent vectors to integer coefficients.
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _h_poly(k: int, nvars: int) -> dict:
+    out: dict = {}
+    for combo in itertools.combinations_with_replacement(range(nvars), k):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        key = tuple(e)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _p_poly(r: int, nvars: int) -> dict:
+    out: dict = {}
+    for i in range(nvars):
+        e = [0] * nvars
+        e[i] = r
+        out[tuple(e)] = 1
+    return out
+
+
+def _m_coeffs(poly: dict, deg: int) -> dict:
+    """Coefficients on the monomial basis, read off sorted exponent vectors."""
+    out: dict = {}
+    for e, c in poly.items():
+        key = tuple(sorted((x for x in e if x), reverse=True))
+        if sorted(e, reverse=True) == list(e):
+            out[key] = c
+    return out
+
+
+def _solve_exact(mat, vec):
+    """Solve an overdetermined consistent exact system by elimination."""
+    m = len(mat[0])
+    rows = [list(r) + [v] for r, v in zip(mat, vec)]
+    piv = []
+    r = 0
+    for c in range(m):
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            raise ValueError("transition matrix is singular")
+        rows[r], rows[k] = rows[k], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        piv.append(c)
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][m]:
+            raise ValueError("inconsistent system")
+    return [rows[i][m] for i in range(m)]
+
+
+def p_in_h_monomial(lam):
+    """Expansion of p_lam in the complete homogeneous basis (monomial route)."""
+    deg = sum(lam)
+    if deg == 0:
+        return {(): Fraction(1)}
+    nvars = deg
+    mus = partitions(deg)
+    h_rows = {}
+    for mu in mus:
+        poly = {(0,) * nvars: 1}
+        for part in mu:
+            poly = _poly_mul(poly, _h_poly(part, nvars))
+        h_rows[mu] = _m_coeffs(poly, deg)
+    target_poly = {(0,) * nvars: 1}
+    for part in lam:
+        target_poly = _poly_mul(target_poly, _p_poly(part, nvars))
+    target = _m_coeffs(target_poly, deg)
+    # solve sum_mu c_mu h_mu = p_lam on the monomial coordinates
+    keys = sorted({k for row in h_rows.values() for k in row} | set(target))
+    mat = [[Fraction(h_rows[mu].get(k, 0)) for mu in mus] for k in keys]
+    vec = [Fraction(target.get(k, 0)) for k in keys]
+    coeffs = _solve_exact(mat, vec)
+    return {mu: c for mu, c in zip(mus, coeffs) if c}
+
+
 class TestPowerToHomogeneous:
     def test_degree_one(self):
         assert p_in_h((1,)) == {(1,): 1}
@@ -115,7 +208,7 @@ class TestPowerToHomogeneous:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_monomial_route_equals_newton_route(self, k):
         for lam in partitions(k):
-            assert p_in_h(lam) == p_in_h_newton_partition(lam)
+            assert p_in_h_monomial(lam) == p_in_h(lam)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_transition_is_invertible(self, k):
