@@ -50,6 +50,7 @@ from .splines import (
     LinearPoly,
     Spline,
     edge_label,
+    edges_ok,
     expand,
     f_spline,
     g_spline,

@@ -49,7 +49,7 @@ from .roots import LieType, label_matrix, positive_roots
 from .splines import (
     BasisBundle,
     Spline,
-    is_spline,
+    edges_ok,
     labels_pairwise_independent,
     unbalanced_sets,
     witness_basis,
@@ -225,17 +225,6 @@ class CharacterExpression:
             expr += f" - {coeff(-self.chi, 'chi')}"
         return expr
 
-    def to_json_dict(self) -> dict:
-        return {
-            "one": self.a,
-            "h": {str(i): self.h_multiset().count(i) for i in sorted(set(self.h_multiset()))},
-            "s": self.c,
-            "delta": self.d,
-            "chi": self.chi,
-            "one_offset": self.one_offset,
-            "dim": self.dimension(),
-        }
-
 
 def _binom(n: int, k: int) -> int:
     out = 1
@@ -316,15 +305,9 @@ def published_formula_char(tset, n: int, side: str) -> CharacterExpression:
 def _label_equivariant(window: tuple, n: int, lie_type: LieType) -> bool:
     """g applied to the label at g^{-1}v is the label at v, for every root."""
     g = SignedPerm(window)
-    table = group_table(n)
-    src = table.left_mult_indices(g.inverse())
-    smat = poly_action_matrix(g).T
-    for root in positive_roots(lie_type, n):
-        lab = label_matrix(n, root)
-        moved = lab[src] @ smat
-        if not _rows_proportional(moved, lab).all():
-            return False
-    return True
+    src = group_table(n).left_mult_indices(g.inverse())
+    labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
+    return bool(_rows_proportional(labs[:, src] @ poly_action_matrix(g).T, labs).all())
 
 
 @lru_cache(maxsize=None)
@@ -374,20 +357,21 @@ def _space_bundle_check(space: HessenbergSpace) -> bool:
 
     The count equals the scan dimension, the pivot block is upper triangular
     with a nonzero diagonal (an exact integer test, so the elements are
-    independent), and each element passes `is_spline`.  The dot action is
-    defined on the space: its labels are pairwise independent and
-    equivariant in the space's type.
+    independent), and every element meets the edge conditions (one
+    `edges_ok` call for the whole bundle).  The dot action is defined on the
+    space: its labels are pairwise independent and equivariant in the
+    space's type.
     """
     n = space.n
     bundle, cols = _trace_bundle(t_set(space), n)
     if len(bundle) != dim_degree_one(space):
         raise RankDeficientError("bundle does not span for this space")
-    block = bundle.matrix()[:, cols]
+    mat = bundle.matrix()
+    block = mat[:, cols]
     if len(cols) != len(bundle) or np.tril(block, -1).any() or not np.diag(block).all():
         raise RankDeficientError("pivot block is not upper triangular with a nonzero diagonal")
-    for s in bundle.splines:
-        if not is_spline(s, space):
-            raise AssertionError("bundle element violates an edge condition")
+    if not edges_ok(mat.reshape(len(bundle), -1, n), space.roots).all():
+        raise AssertionError("bundle element violates an edge condition")
     if not labels_pairwise_independent(space.lie_type, n):
         raise AssertionError("edge labels are not pairwise independent")
     for cl in conjugacy_classes(n):

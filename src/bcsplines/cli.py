@@ -23,6 +23,7 @@ verdicts read NO / FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -46,10 +47,10 @@ from .hessenberg import (
 )
 from .roots import LieType
 from .splines import (
+    edges_ok,
     f_spline,
     g_spline,
     h_spline,
-    is_spline,
     r_spline,
     t_spline,
     y_spline,
@@ -114,8 +115,8 @@ def _table_row(tset: frozenset, n: int, lie_type: LieType, level: str) -> dict:
 
 def cmd_table(args) -> int:
     n = args.n
-    if args.level == "full" and n > 4:
-        print(f"full-oracle table needs n <= 4, got {n}", file=sys.stderr)
+    if args.level == "full" and n > 5:
+        print(f"full-oracle table needs n <= 5, got {n}", file=sys.stderr)
         return 1
     if args.by_ideal:
         rows = []
@@ -181,8 +182,8 @@ def cmd_char(args) -> int:
         out[f"{side}_dim"] = expr.dimension()
     failures = 0
     if args.level == "full":
-        if space is None or n > 4:
-            print("full-oracle level needs n <= 4", file=sys.stderr)
+        if space is None or n > 5:
+            print("full-oracle level needs n <= 5", file=sys.stderr)
             return 1
         for side, expr in exprs.items():
             cc = computed_char(space, side)
@@ -309,15 +310,33 @@ def _suite_families(n: int, lie_type: LieType):
     from .hessenberg import classify
     from .splines import unbalanced_sets
 
+    def stack(splines):
+        return np.stack([s.num for s in splines])
+
+    families = {
+        ("g",): stack([g_spline(i, n) for i in range(1, n + 1)]),
+        ("h",): stack([h_spline(n)]),
+    }
+    for i in range(1, n + 1):
+        families["f", i] = stack([f_spline(i, a, n) for a in unbalanced_sets(i, n)])
+        if i < n:
+            families["y", i] = stack([y_spline(i, k, n) for k in range(-n, n + 1) if k])
+
+    # the families and the roots recur across spaces: check each pair once
+    @functools.cache
+    def meets(key, root) -> bool:
+        return bool(edges_ok(families[key], (root,)).all())
+
+    def holds(key, space) -> bool:
+        return all(meets(key, root) for root in sorted(space.roots))
+
     converse_holds = 0
     converse_fails = 0
     for space in enumerate_hessenberg(lie_type, n):
         cls = classify(t_set(space), n)
         for i in range(1, n + 1):
             hyp = i in cls.uncovered
-            ok = all(
-                is_spline(f_spline(i, a, n), space) for a in unbalanced_sets(i, n)
-            )
+            ok = holds(("f", i), space)
             if hyp and not ok:
                 return False, f"coset family fails for uncovered i={i}"
             if not hyp:
@@ -328,17 +347,11 @@ def _suite_families(n: int, lie_type: LieType):
             hyp = (i <= n - 2 and i not in ts) or (
                 i == n - 1 and not ts & {n - 1, n}
             )
-            if hyp and not all(
-                is_spline(y_spline(i, k, n), space)
-                for k in range(-n, n + 1)
-                if k
-            ):
+            if hyp and not holds(("y", i), space):
                 return False, f"interval family fails under its hypothesis, i={i}"
-        if n not in ts and not all(
-            is_spline(g_spline(i, n), space) for i in range(1, n + 1)
-        ):
+        if n not in ts and not holds(("g",), space):
             return False, "signed family fails under its hypothesis"
-        if (n - 1) not in ts and not is_spline(h_spline(n), space):
+        if (n - 1) not in ts and not holds(("h",), space):
             return False, "parity family fails under its hypothesis"
     return True, f"converse: {converse_holds} hold / {converse_fails} fail (reported only)"
 
@@ -412,8 +425,8 @@ def _suite_h_positivity(n: int, lie_type: LieType):
 
 def cmd_verify(args) -> int:
     n, lie_type, level = args.n, args.type, args.level
-    if level == "full" and n > 4:
-        print("full verification needs n <= 4", file=sys.stderr)
+    if level == "full" and n > 5:
+        print("full verification needs n <= 5", file=sys.stderr)
         return 1
     suites = [
         ("group-laws", lambda: _suite_group_laws(n, lie_type)),

@@ -56,23 +56,33 @@ def _residues(mat, p: int) -> np.ndarray:
     return np.mod(np.asarray(mat, dtype=np.int64), p)
 
 
+_SCAN_COLUMNS = 64
+
+
 def rref_pivots_mod_p(mat: np.ndarray, p: int) -> tuple[list[int], list[int]]:
-    """Pivot (rows, columns) of the matrix over GF(p), first columns preferred."""
+    """Pivot (rows, columns) of the matrix over GF(p), first columns preferred.
+
+    Each step jumps to the next column with a nonzero residue at or below
+    row r, found by scanning blocks of `_SCAN_COLUMNS` columns; a column
+    zero there stays zero below every later pivot row.  So the Python steps
+    number the rank plus the blocks, not the columns.
+    """
     a = _residues(mat, p)
     nrows, ncols = a.shape
     row_order = list(range(nrows))
     piv_rows, piv_cols = [], []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        k = _pivot_step(a, r, c, p, clear_above=False)
-        if k is None:
+    r = c = 0
+    while r < nrows and c < ncols:
+        nz = np.flatnonzero(a[r:, c : c + _SCAN_COLUMNS].any(axis=0))
+        if nz.size == 0:
+            c += _SCAN_COLUMNS
             continue
+        c += int(nz[0])
+        k = _pivot_step(a, r, c, p, clear_above=False)
         row_order[r], row_order[k] = row_order[k], row_order[r]
         piv_rows.append(row_order[r])
         piv_cols.append(c)
-        r += 1
+        r, c = r + 1, c + 1
     return piv_rows, piv_cols
 
 

@@ -256,27 +256,67 @@ def reflection_perm(n: int, root: Root) -> np.ndarray:
 
 
 def _rows_proportional(d: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Rowwise test that d is a scalar multiple of lab (lab rows nonzero)."""
-    outer = d[:, :, None] * lab[:, None, :]
-    minors_ok = np.all(outer == outer.transpose(0, 2, 1), axis=(1, 2))
-    support_ok = np.all((d != 0) <= (lab != 0), axis=1)
-    return minors_ok & support_ok
+    """Rowwise test that d is a scalar multiple of lab (lab rows nonzero).
+
+    With p a coordinate where the label row is nonzero, d is a multiple of
+    it exactly when d_k lab_p = d_p lab_k for every k.  The last axis holds
+    the coordinates, and lab broadcasts against d over the others.  The
+    products must fit the dtype: callers bound them, or pass Python integers
+    (object arrays).
+    """
+    piv = np.argmax(lab != 0, axis=-1)[..., None]
+    lab_p = np.take_along_axis(lab, piv, axis=-1)
+    d_p = np.take_along_axis(d, np.broadcast_to(piv, d.shape[:-1] + (1,)), axis=-1)
+    return np.all(d * lab_p == d_p * lab, axis=-1)
+
+
+def _edge_checks(values: np.ndarray, roots):
+    """For each root in sorted order: the root, the rows lo with lo < lo
+    s_alpha in table order (each edge once), and an (m, len(lo)) bool array,
+    true where the edge from lo meets its condition, for the stacked values
+    (m, N, n).
+
+    Edge differences are at most 2 * peak and labels at most 2 in absolute
+    value, so the test runs in the narrowest integer type that holds
+    4 * peak, and on Python integers where that could leave int64; it never
+    wraps.
+    """
+    n = values.shape[-1]
+    if values.ndim != 3 or values.shape[1] != group_table(n).size:
+        raise ValueError(f"need stacked values of shape (m, N, n), got {values.shape}")
+    if any(root.n != n for root in roots):
+        raise ValueError("rank mismatch")
+    dtype = np.min_scalar_type(-4 * _peak(values) - 1)
+    values = values.astype(dtype, copy=False)
+    for root in sorted(roots):
+        perm = reflection_perm(n, root)
+        lo = np.flatnonzero(np.arange(perm.size) < perm)
+        lab = label_matrix(n, root)[lo].astype(dtype, copy=False)
+        yield root, lo, _rows_proportional(values[:, lo] - values[:, perm[lo]], lab)
+
+
+def edges_ok(values: np.ndarray, roots) -> np.ndarray:
+    """One bool per spline of the stacked values (m, N, n): the edge
+    condition of every given root (say the roots of H) holds."""
+    ok = np.ones(len(values), dtype=bool)
+    for _, _, rows_ok in _edge_checks(values, roots):
+        ok &= rows_ok.all(axis=1)
+        if not ok.any():
+            break
+    return ok
 
 
 def is_spline(rho: Spline, space: HessenbergSpace, witness: bool = False):
     """Check the edge conditions of rho for every root of H.
 
-    With witness=True returns (ok, offending (element, root) or None).
+    With witness=True returns (ok, offending (element, root) or None): the
+    first failing root in sorted order and its first failing element in
+    table order.
     """
-    if rho.n != space.n:
-        raise ValueError("rank mismatch")
-    for root in sorted(space.roots):
-        perm = reflection_perm(rho.n, root)
-        d = rho.num - rho.num[perm]
-        ok = _rows_proportional(d, label_matrix(rho.n, root))
-        if not ok.all():
+    for root, lo, rows_ok in _edge_checks(rho.num[None], space.roots):
+        if not rows_ok.all():
             if witness:
-                bad = int(np.flatnonzero(~ok)[0])
+                bad = int(lo[np.argmin(rows_ok[0])])
                 return False, (rho.table.elements[bad], root)
             return False
     return (True, None) if witness else True
@@ -291,12 +331,11 @@ def labels_pairwise_independent(lie_type, n: int) -> bool:
     degree-one spline space by n plus the number of elements with exactly
     one H-inversion.
     """
-    roots = positive_roots(lie_type, n)
-    for a, b in combinations(roots, 2):
-        # label rows are nonzero, so this is the test of the 2x2 minors
-        if _rows_proportional(label_matrix(n, a), label_matrix(n, b)).any():
-            return False
-    return True
+    labs = [label_matrix(n, root) for root in positive_roots(lie_type, n)]
+    # label rows are nonzero, as `_rows_proportional` needs
+    return not any(
+        _rows_proportional(np.stack(labs[k + 1 :]), lab).any() for k, lab in enumerate(labs[:-1])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +386,6 @@ def r_spline(i: int, n: int) -> Spline:
     return Spline(table, num)
 
 
-def _coset_mask(table: GroupTable, i: int, elements_of_a) -> np.ndarray:
-    target = frozenset(elements_of_a)
-    return np.array(
-        [frozenset(win[:i]) == target for win in table.windows], dtype=bool
-    )
-
-
 def f_spline(i: int, a, n: int) -> Spline:
     """Coset family: supported where w([i]) = A."""
     a = tuple(a)
@@ -361,10 +393,10 @@ def f_spline(i: int, a, n: int) -> Spline:
     if i < 1 or len(a) != i or len(support) != i or not support <= set(range(1, n + 1)):
         raise ValueError(f"need an unbalanced set of size {i} with entries in ±1..±{n}, got {a}")
     table = group_table(n)
-    mask = _coset_mask(table, i, a)
     win = table.windows_array
     num = np.zeros((table.size, n), dtype=np.int64)
-    rows = np.flatnonzero(mask)
+    # w([i]) has i distinct absolute values, so it lies in A exactly when it is A
+    rows = np.flatnonzero(np.all(np.isin(win[:, :i], a), axis=1))
     ci = win[rows, i - 1]
     num[rows, np.abs(ci) - 1] += np.sign(ci)
     if i < n:
@@ -738,9 +770,8 @@ def _kernel_basis_cached(space: HessenbergSpace) -> BasisBundle:
         for col, v in vec.items():
             num[divmod(col, n)] = int(v * den)
         splines.append(Spline(table, num))
-    for s in splines:
-        if not is_spline(s, space):
-            raise RankDeficientError("kernel vector fails the spline predicate")
+    if not edges_ok(np.stack([s.num for s in splines]), space.roots).all():
+        raise RankDeficientError("kernel vector fails the spline predicate")
     if len(splines) != dim_degree_one(space):
         raise RankDeficientError(
             f"kernel dimension {len(splines)} does not match the scan dimension"

@@ -494,6 +494,16 @@ class TestWitnessCertificate:
         with pytest.raises(RankDeficientError, match="upper triangular"):
             _space_bundle_check(install(splines, cols))
 
+    def test_witness_off_an_edge_raises(self, tampered):
+        bundle, cols, install = tampered
+        splines = list(bundle.splines)
+        r = len(splines) - 1
+        num = splines[r].num.copy()
+        num.flat[max(set(range(num.size)) - set(cols))] += 1  # off every pivot column
+        splines[r] = Spline(splines[r].table, num)
+        with pytest.raises(AssertionError, match="bundle element violates an edge condition"):
+            _space_bundle_check(install(splines, cols))
+
     def test_swapped_witnesses_raise(self, tampered):
         bundle, cols, install = tampered
         block = bundle.matrix()[:, cols]

@@ -46,7 +46,7 @@ class TestTable:
         assert rows[0]["dim"] == 6
 
     def test_rank_limit_for_full_level(self):
-        r = run_cli("table", "--n", "5", "--level", "full")
+        r = run_cli("table", "--n", "6", "--level", "full")
         assert r.returncode == 1
 
     def test_determinism(self):
@@ -70,6 +70,14 @@ class TestTable:
         rows = {l.split("\t")[0]: l.split("\t") for l in r.stdout.splitlines()[1:]}
         assert rows["t3"][-1] == "NO"
         assert rows["t2,t3"][-1] == "yes"
+
+    def test_rank_five_full_level_defect_rows(self):
+        r = run_cli("table", "--n", "5", "--level", "full", "--format", "tsv")
+        assert r.returncode == 2
+        rows = [l.split("\t") for l in r.stdout.splitlines()[1:]]
+        assert len(rows) == 32
+        assert [row[0] for row in rows if row[-1] == "NO"] == ["t5", "t1,t5", "t2,t5", "t1,t2,t5"]
+        assert all(row[-1] in ("yes", "NO") for row in rows)
 
     def test_by_ideal_lists_every_ideal(self):
         r = run_cli("table", "--n", "3", "--by-ideal", "--type", "C", "--format", "tsv")
@@ -130,6 +138,18 @@ class TestChar:
         assert r.returncode == 2
         assert "left_verified: False" in r.stdout
         assert "left_computed_dim: 12" in r.stdout
+
+    def test_full_level_rank_five_defect_cell(self):
+        r = run_cli("char", "--n", "5", "--tset", "t5", "--level", "full")
+        assert r.returncode == 2
+        assert "left_verified: False" in r.stdout
+        assert "left_computed_dim: 158" in r.stdout
+
+    def test_full_level_rank_limit(self):
+        for cmd in ("char", "verify"):
+            extra = ("--tset", "t6") if cmd == "char" else ()
+            r = run_cli(cmd, "--n", "6", *extra, "--level", "full")
+            assert r.returncode == 1 and "needs n <= 5" in r.stderr
 
     def test_formula_only_large_rank(self):
         r = run_cli("char", "--n", "8", "--tset", "t2,t5,t6,t8")

@@ -62,6 +62,71 @@ def fraction_det(mat):
     return det
 
 
+def rref_pivots_per_column(mat, p):
+    """One elimination step per column, pivot or not: the reference for
+    `rref_pivots_mod_p`, which jumps to the next nonzero column."""
+    a = linalg._residues(mat, p)
+    nrows, ncols = a.shape
+    row_order = list(range(nrows))
+    piv_rows, piv_cols = [], []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        k = linalg._pivot_step(a, r, c, p, clear_above=False)
+        if k is None:
+            continue
+        row_order[r], row_order[k] = row_order[k], row_order[r]
+        piv_rows.append(row_order[r])
+        piv_cols.append(c)
+        r += 1
+    return piv_rows, piv_cols
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_pivots_equal_per_column_loop(seed):
+    rng = np.random.default_rng(500 + seed)
+    rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 400))
+    mat = rng.integers(-4, 5, size=(rows, cols))
+    # sparse, so that the pivots spread over the columns, some of them past
+    # a long run of empty columns
+    mat[rng.random((rows, cols)) > (0.01, 0.05, 0.5)[seed % 3]] = 0
+    mat[:, cols // 4 : cols // 2] = 0
+    if rows > 2:  # a redundant row, and one dependent only modulo 7
+        mat[-1] = mat[0] - 2 * mat[1]
+        mat[-2] = mat[0] + mat[1] + 7 * rng.integers(-2, 3, size=cols)
+    for p in (PRIMES[0], 7):
+        assert linalg.rref_pivots_mod_p(mat, p) == rref_pivots_per_column(mat, p)
+
+
+def test_rref_pivots_after_empty_column_blocks():
+    # pivots at the first column after one and after two empty scan blocks
+    mat = np.zeros((3, 200), dtype=np.int64)
+    mat[0, 64] = mat[1, 192] = 1
+    mat[2, 64] = 2
+    assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == rref_pivots_per_column(mat, PRIMES[0])
+    assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == ([0, 1], [64, 192])
+
+
+def test_rref_pivots_singular_only_mod_7():
+    mat = np.array([[1, 2, 3, 0], [2, 4, 13, 0], [0, 1, 7, 0]])
+    assert fraction_rank(mat.tolist()) == 3
+    assert linalg.rref_pivots_mod_p(mat, 7) == rref_pivots_per_column(mat, 7) == ([0, 2], [0, 1])
+    assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == rref_pivots_per_column(mat, PRIMES[0])
+    assert len(linalg.rref_pivots_mod_p(mat, PRIMES[0])[0]) == 3
+
+
+def test_rref_pivots_on_rank_five_generating_set():
+    from bcsplines.hessenberg import from_tset
+    from bcsplines.roots import LieType
+    from bcsplines.splines import generating_set
+
+    mat = generating_set(from_tset(frozenset({5}), 5, LieType.C)).matrix()
+    fast = linalg.rref_pivots_mod_p(mat, PRIMES[0])
+    assert fast == rref_pivots_per_column(mat, PRIMES[0])
+    assert len(fast[0]) < len(mat)  # the generating set has redundant rows
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pivot_count_is_rank(seed):
     rng = random.Random(seed)

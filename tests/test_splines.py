@@ -22,6 +22,7 @@ from bcsplines.hessenberg import (
 from bcsplines.linalg import RankDeficientError
 from bcsplines.roots import (
     LieType,
+    label_matrix,
     positive_roots,
     root_to_reflection,
     simple_root,
@@ -32,6 +33,7 @@ from bcsplines.splines import (
     Spline,
     bundle_rank,
     edge_label,
+    edges_ok,
     expand,
     f_spline,
     g_spline,
@@ -52,8 +54,11 @@ from bcsplines.splines import (
     t_spline,
     telescoping_identity,
     unbalanced_sets,
+    witness_basis,
     y_spline,
     y_f_g_identity,
+    _rows_proportional,
+    reflection_perm,
 )
 
 B, C = LieType.B, LieType.C
@@ -138,11 +143,148 @@ class TestSplinePredicate:
         ok, witness = is_spline(broken, delta_space(B, 2), witness=True)
         assert not ok and witness is not None
 
+    def test_perturbation_witness_is_first_root_then_element(self):
+        values = dict(FIG_SPLINE_VALUES)
+        values[(2, 1)] = (2, -1)
+        broken = Spline.from_values(2, values)
+        ok, witness = is_spline(broken, delta_space(B, 2), witness=True)
+        # the first failing root in sorted order, then its first element in table order
+        assert not ok
+        assert witness == (SignedPerm.identity(2), simple_root(1, B, 2))
+        assert witness == reference_is_spline(broken, delta_space(B, 2))
+
     def test_fig_spline_not_in_full_space(self):
         assert not is_spline(fig_spline(), full_space(B, 2))
 
 
+def outer_rows_proportional(d, lab):
+    """Rowwise test that d is a multiple of lab by every 2x2 minor of the
+    outer product plus a support test: the reference for the pivot form."""
+    outer = d[:, :, None] * lab[:, None, :]
+    minors_ok = np.all(outer == outer.transpose(0, 2, 1), axis=(1, 2))
+    support_ok = np.all((d != 0) <= (lab != 0), axis=1)
+    return minors_ok & support_ok
+
+
+def reference_is_spline(rho, space):
+    """The first failing (element, root) of rho, or None, over every row of
+    every root of H by the outer-product test."""
+    for root in sorted(space.roots):
+        d = rho.num - rho.num[reflection_perm(rho.n, root)]
+        ok = outer_rows_proportional(d, label_matrix(rho.n, root))
+        if not ok.all():
+            return rho.table.elements[int(np.flatnonzero(~ok)[0])], root
+    return None
+
+
+REALIZABLE_CELLS = [
+    from_tset(ts, n, lt)
+    for n in (2, 3, 4)
+    for lt in (B, C)
+    for ts in sorted(realizable_tsets(lt, n), key=sorted)
+]
+
+
+def cell_id(space):
+    return f"{space.lie_type.name}{space.n}-{{{','.join(f't{i}' for i in sorted(t_set(space)))}}}"
+
+
+class TestBatchedEdgeTest:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pivot_form_equals_outer_product(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, n = 400, 4
+        lab = np.zeros((rows, n), dtype=np.int64)
+        for r in range(rows):  # labels of one and of two nonzeros
+            k = 1 + r % 2
+            lab[r, rng.choice(n, size=k, replace=False)] = rng.choice([-2, -1, 1, 2], size=k)
+        d = rng.integers(-2, 3, size=(3, rows, n))
+        d[:, ::5] = 0
+        d[1, 1::3] = 3 * lab[1::3]
+        d[2, 2::3] = -lab[2::3]
+        d[2, ::4, 0] = 0  # one-nonzero differences against either kind of label
+        want = np.stack([outer_rows_proportional(x, lab) for x in d])
+        assert want.any() and not want.all()
+        assert np.array_equal(_rows_proportional(d, lab), want)
+        assert np.array_equal(_rows_proportional(d[1], lab), want[1])
+
+    @pytest.mark.parametrize("space", REALIZABLE_CELLS, ids=cell_id)
+    def test_batch_equals_reference_per_spline(self, space):
+        n = space.n
+        bundle, _ = witness_basis(space)
+        splines = list(bundle.splines)
+        splines += [f_spline(n - 1, a, n) for a in unbalanced_sets(n - 1, n)]
+        splines += [y_spline(1, k, n) for k in range(-n, n + 1) if k]
+        splines += [g_spline(k, n) for k in range(1, n + 1)]
+        num = splines[-1].num.copy()
+        num[-1, 0] += 1  # one vertex off the family
+        splines.append(Spline(splines[-1].table, num))
+        refs = [reference_is_spline(s, space) for s in splines]
+        assert refs[-1] is not None and all(r is None for r in refs[: len(bundle)])
+        got = edges_ok(np.stack([s.num for s in splines]), space.roots)
+        assert got.tolist() == [r is None for r in refs]
+        for s, ref in zip(splines, refs):
+            assert is_spline(s, space, witness=True) == (ref is None, ref)
+
+    def test_rank_mismatch_raises(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            edges_ok(np.stack([t_spline(1, 3).num]), delta_space(B, 2).roots)
+
+
+class TestEdgeTestOverflow:
+    """The edge test reads exact differences; a wrap in the integer type it
+    runs in (int64 for the largest values, int8 for the smallest) never
+    decides it."""
+
+    @staticmethod
+    def _two_valued(n, inside, value, outside):
+        values = {w.window: outside for w in group_table(n).elements}
+        for w in inside:
+            values[w.window] = value
+        return Spline.from_values(n, values)
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**7 - 1])
+    def test_wrapped_difference_is_not_a_multiple(self, big):
+        # the edge (s2, s2 s1) carries the label s2(e1 - e2) = e1 + e2 and the
+        # difference (big + 1, -big - 1), which wraps to a multiple of (1, 1)
+        # in int64 (big = 2^63 - 1) or int8 (big = 127)
+        e, s1, s2 = SignedPerm.identity(2), SignedPerm.simple(1, 2), SignedPerm.simple(2, 2)
+        rho = self._two_valued(2, (e, s2), (big, -big), (-1, 1))
+        space = delta_space(B, 2)
+        if big > 2**7:
+            assert reference_is_spline(rho, space) is None  # the wrapped verdict
+        ok, (w, root) = is_spline(rho, space, witness=True)
+        assert not ok and root == simple_root(1, B, 2) and w in (s2, s2 * s1)
+        assert edges_ok(np.stack([rho.num]), space.roots).tolist() == [False]
+
+    @pytest.mark.parametrize("half", [2**62, 2**6])
+    def test_wrapped_product_is_not_a_multiple(self, half):
+        # the edge (s1, s1 s2) carries the label s1(2 e2) = 2 e1 and the
+        # difference (0, 2 half); the pivot product 2 * 2 half wraps to 0 in
+        # int64 (half = 2^62) or int8 (half = 64)
+        e, s1, s2 = SignedPerm.identity(2), SignedPerm.simple(1, 2), SignedPerm.simple(2, 2)
+        rho = self._two_valued(2, (e, s1), (0, half), (0, -half))
+        space = delta_space(C, 2)
+        ok, (w, root) = is_spline(rho, space, witness=True)
+        assert not ok and root == simple_root(2, C, 2) and w in (s1, s1 * s2)
+        assert edges_ok(np.stack([rho.num]), space.roots).tolist() == [False]
+
+    @pytest.mark.parametrize("big", [2**63 - 1, 2**7 - 1, 2**5])
+    def test_large_values_that_are_a_spline(self, big):
+        rho = t_spline(1, 2).scale(big - 1) + r_spline(1, 2)
+        assert is_spline(rho, full_space(C, 2))
+        assert edges_ok(np.stack([rho.num, -rho.num]), full_space(B, 2).roots).all()
+
+
 class TestFamilyValues:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coset_support_is_window_set(self, n):
+        table = group_table(n)
+        for i in range(1, n + 1):
+            for a in unbalanced_sets(i, n):
+                want = [frozenset(win[:i]) == frozenset(a) for win in table.windows]
+                assert np.any(f_spline(i, a, n).num, axis=1).tolist() == want
+
     def test_window_family_signs(self):
         rho = r_spline(1, 2)
         assert rho.value_at(SignedPerm([-2, 1])) == LinearPoly.from_ints((0, -1))
