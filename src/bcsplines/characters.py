@@ -23,6 +23,7 @@ verification suites, never silently resolved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,8 +36,6 @@ from .hessenberg import (
     classify,
     dim_degree_one,
     on_divergent_branch,
-    realize_tset,
-    t_set,
 )
 from .linalg import (
     PRIMES,
@@ -47,7 +46,6 @@ from .linalg import (
 )
 from .roots import LieType, label_matrix, positive_roots
 from .splines import (
-    BasisBundle,
     Spline,
     edges_ok,
     labels_pairwise_independent,
@@ -122,6 +120,7 @@ def defining_char_value(w: SignedPerm) -> int:
     )
 
 
+@lru_cache(maxsize=None)
 def named_char(kind: str, n: int, i: int | None = None) -> ClassFunction:
     """One of the building blocks: trivial, delta, defining, h_i, s."""
     if kind == "h_i":
@@ -183,7 +182,7 @@ class CharacterExpression:
         n = self.n
         total = self.a - self.one_offset + self.chi * n + self.c * n + self.d
         for i in self.h_multiset():
-            total += 2**i * _binom(n, i)
+            total += 2**i * math.comb(n, i)
         return total
 
     def evaluate(self) -> ClassFunction:
@@ -224,13 +223,6 @@ class CharacterExpression:
         if self.chi < 0:
             expr += f" - {coeff(-self.chi, 'chi')}"
         return expr
-
-
-def _binom(n: int, k: int) -> int:
-    out = 1
-    for j in range(k):
-        out = out * (n - j) // (j + 1)
-    return out
 
 
 def formula_char(tset, n: int, side: str) -> CharacterExpression:
@@ -302,43 +294,54 @@ def published_formula_char(tset, n: int, side: str) -> CharacterExpression:
 
 
 @lru_cache(maxsize=None)
-def _label_equivariant(window: tuple, n: int, lie_type: LieType) -> bool:
-    """g applied to the label at g^{-1}v is the label at v, for every root."""
-    g = SignedPerm(window)
-    src = group_table(n).left_mult_indices(g.inverse())
+def _labels_equivariant(lie_type: LieType, n: int) -> bool:
+    """At every class representative g, g applied to the label at g^{-1}v is
+    the label at v, for every root: the dot action preserves the edge ideals.
+    """
+    table = group_table(n)
     labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
-    return bool(_rows_proportional(labs[:, src] @ poly_action_matrix(g).T, labs).all())
+    for cl in conjugacy_classes(n):
+        g = cl.rep
+        src = table.left_mult_indices(g.inverse())
+        if not _rows_proportional(labs[:, src] @ poly_action_matrix(g).T, labs).all():
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
-def _trace_bundle(tset: frozenset, n: int) -> tuple[BasisBundle, tuple[int, ...]]:
-    """The witness basis of the t-set and its pivot columns (`witness_basis`)."""
-    return witness_basis(realize_tset(tset, n, LieType.B))
+def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
+    """Build, certify and trace the witness basis of the space; keep only the
+    per-class traces on the full degree-one space.
 
-
-@dataclass(frozen=True)
-class _TraceData:
-    bundle: BasisBundle
-    traces: tuple[int, ...]  # per conjugacy class, trace on the full space
-
-
-@lru_cache(maxsize=None)
-def _trace_data(tset: frozenset, n: int) -> _TraceData:
-    """Per-class traces on the witness basis, shared by every ideal with this t-set.
+    The certificate: the count equals the scan dimension, the pivot block is
+    upper triangular with a nonzero diagonal (an exact integer test, so the
+    elements are independent), and every element meets the edge conditions
+    (one `edges_ok` call for the whole basis).  The dot action is defined on
+    the space: its labels are pairwise independent and equivariant in the
+    space's type.
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
-    of the bundle and pv holds the images of the bundle at the pivot
-    coordinates.  On a W_n-stable space of dimension m a trace is an integer
-    of absolute value at most m < p/2, so its symmetric residue is exact.
-
-    Computes only; `_space_bundle_check` certifies the bundle for the space
-    a caller asks about.
+    and pv holds the images of the basis at the pivot coordinates.  On a
+    W_n-stable space of dimension m a trace is an integer of absolute value
+    at most m < p/2, so its symmetric residue is exact.
     """
-    bundle, cols = _trace_bundle(tset, n)
+    n = space.n
+    bundle, cols = witness_basis(space)
     m, p = len(bundle), PRIMES[0]
+    if m != dim_degree_one(space):
+        raise RankDeficientError("bundle does not span for this space")
     mat = bundle.matrix()
-    inv = inverse_mod_p(mat[:, cols], p)
     tensor = mat.reshape(m, -1, n)  # (m, N, n)
+    block = mat[:, cols]
+    if len(cols) != m or np.tril(block, -1).any() or not np.diag(block).all():
+        raise RankDeficientError("pivot block is not upper triangular with a nonzero diagonal")
+    if not edges_ok(tensor, space.roots).all():
+        raise AssertionError("bundle element violates an edge condition")
+    if not labels_pairwise_independent(space.lie_type, n):
+        raise AssertionError("edge labels are not pairwise independent")
+    if not _labels_equivariant(space.lie_type, n):
+        raise AssertionError("dot action does not preserve the edge ideals")
+    inv = inverse_mod_p(block, p)
     piv_rows, piv_slots = np.divmod(np.array(cols), n)
     table = group_table(n)
     traces = []
@@ -348,36 +351,7 @@ def _trace_data(tset: frozenset, n: int) -> _TraceData:
         imgs = tensor[:, src[piv_rows], :] @ poly_action_matrix(g).T  # (m, m, n)
         pv = imgs[:, np.arange(m), piv_slots]  # (m, m): images at pivot coordinates
         traces.append(symmetric_lift(trace_product_mod_p(pv, inv, p), p, m))
-    return _TraceData(bundle, tuple(traces))
-
-
-@lru_cache(maxsize=None)
-def _space_bundle_check(space: HessenbergSpace) -> bool:
-    """Certify the witness basis of the space's t-set as a basis of its splines.
-
-    The count equals the scan dimension, the pivot block is upper triangular
-    with a nonzero diagonal (an exact integer test, so the elements are
-    independent), and every element meets the edge conditions (one
-    `edges_ok` call for the whole bundle).  The dot action is defined on the
-    space: its labels are pairwise independent and equivariant in the
-    space's type.
-    """
-    n = space.n
-    bundle, cols = _trace_bundle(t_set(space), n)
-    if len(bundle) != dim_degree_one(space):
-        raise RankDeficientError("bundle does not span for this space")
-    mat = bundle.matrix()
-    block = mat[:, cols]
-    if len(cols) != len(bundle) or np.tril(block, -1).any() or not np.diag(block).all():
-        raise RankDeficientError("pivot block is not upper triangular with a nonzero diagonal")
-    if not edges_ok(mat.reshape(len(bundle), -1, n), space.roots).all():
-        raise AssertionError("bundle element violates an edge condition")
-    if not labels_pairwise_independent(space.lie_type, n):
-        raise AssertionError("edge labels are not pairwise independent")
-    for cl in conjugacy_classes(n):
-        if not _label_equivariant(cl.rep.window, n, space.lie_type):
-            raise AssertionError("dot action does not preserve the edge ideals")
-    return True
+    return tuple(traces)
 
 
 def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
@@ -390,10 +364,8 @@ def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     n = space.n
-    _space_bundle_check(space)
-    data = _trace_data(t_set(space), n)
     values = []
-    for cl, tr in zip(conjugacy_classes(n), data.traces):
+    for cl, tr in zip(conjugacy_classes(n), _trace_data(space)):
         if side == "left":
             values.append(Fraction(tr - defining_char_value(cl.rep)))
         else:

@@ -25,6 +25,7 @@ vectorised formula each, which `length` and `descent_set` also read.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -390,18 +391,11 @@ def class_size_formula(lam: Partition, mu: Partition) -> int:
         out = 1
         for part in set(p):
             m = p.count(part)
-            out *= part**m * _factorial(m)
+            out *= part**m * math.factorial(m)
         return out
 
-    order = 2**n * _factorial(n)
+    order = 2**n * math.factorial(n)
     return order // (z(lam) * 2 ** len(lam) * z(mu) * 2 ** len(mu))
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def min_coset_reps(n: int, i: int) -> tuple[SignedPerm, ...]:

@@ -182,10 +182,6 @@ class Spline:
         idx = w if isinstance(w, int) else self.table.index_of(w)
         return LinearPoly(tuple(Fraction(int(v), self.den) for v in self.num[idx]))
 
-    def support(self) -> frozenset[SignedPerm]:
-        rows = np.flatnonzero(np.any(self.num, axis=1))
-        return frozenset(self.table.elements[int(k)] for k in rows)
-
     def is_zero(self) -> bool:
         return not self.num.any()
 

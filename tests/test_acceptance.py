@@ -144,7 +144,6 @@ def test_criterion_01_reference_table_rank_four():
     import bcsplines.splines as spl
 
     chars._trace_data.cache_clear()
-    chars._space_bundle_check.cache_clear()
     spl._kernel_basis_cached.cache_clear()
     start = time.monotonic()
     unverified = []

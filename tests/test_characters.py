@@ -1,6 +1,8 @@
 """Dot action and the degree-one characters of the two quotients."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,6 @@ from bcsplines.characters import (
     formula_char,
     named_char,
     published_formula_char,
-    _space_bundle_check,
     _trace_data,
 )
 from bcsplines.group import SignedPerm, conjugacy_classes, group_table
@@ -342,15 +343,45 @@ class TestComputedCharacters:
         assert computed_char(space, "left") == named_char("trivial", 4).scale(4)
         assert computed_char(space, "right") == named_char("defining", 4)
 
-    def test_one_trace_bundle_for_every_tset(self):
+    def test_one_trace_bundle_for_every_tset(self, monkeypatch):
         # empty, ordinary and divergent t-sets all trace on the witness basis
+        built = []
+
+        def recording(space):
+            out = witness_basis(space)
+            built.append((space, out[0]))
+            return out
+
+        monkeypatch.setattr(characters, "witness_basis", recording)
+        _trace_data.cache_clear()
         for ts in (frozenset(), frozenset({1}), frozenset({3})):
             space = realize_tset(ts, 3, B)
             computed_char(space, "left")
-            bundle = _trace_data(ts, 3).bundle
+            computed_char(space, "right")
+            ((built_space, bundle),) = built
+            assert built_space == space
             assert bundle.role == "witness"
             assert bundle.labels[:3] == ("t1", "t2", "t3")
             assert bundle == witness_basis(space)[0]
+            built.clear()
+
+    def test_no_witness_bundle_outlives_the_pass(self, monkeypatch):
+        refs = []
+
+        def recording(space):
+            out = witness_basis(space)
+            refs.append(weakref.ref(out[0]))
+            return out
+
+        monkeypatch.setattr(characters, "witness_basis", recording)
+        _trace_data.cache_clear()
+        space = from_tset(frozenset({1}), 3, C)
+        computed_char(space, "left")
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
+        traces = _trace_data(space)
+        assert isinstance(traces, tuple) and len(traces) == len(conjugacy_classes(3))
+        assert all(type(tr) is int for tr in traces)
 
     def test_dimension_is_quotient_dimension(self):
         from bcsplines.hessenberg import dim_degree_one
@@ -422,16 +453,16 @@ class TestModularTraces:
     @pytest.mark.parametrize("n,ts", CELLS[:2])
     def test_bundle_is_certified_witness_basis(self, n, ts):
         space = from_tset(ts, n, C)
-        assert _space_bundle_check(space)
-        data = _trace_data(ts, n)
+        assert _trace_data(space)
+        bundle = witness_basis(space)[0]
         # the Bareiss route of the closed-form bundles agrees on the rank
-        assert bundle_rank(data.bundle) == len(data.bundle) == dim_degree_one(space)
+        assert bundle_rank(bundle) == len(bundle) == dim_degree_one(space)
 
     @pytest.mark.parametrize("n,ts", CELLS)
     def test_traces_equal_exact_expansion(self, n, ts):
-        data = _trace_data(ts, n)
-        bundle = data.bundle
-        for cl, tr in zip(conjugacy_classes(n), data.traces):
+        space = realize_tset(ts, n, B)
+        bundle = witness_basis(space)[0]
+        for cl, tr in zip(conjugacy_classes(n), _trace_data(space)):
             exact = sum(
                 (
                     expand(dot_action(cl.rep, rho), bundle)[j]
@@ -468,21 +499,21 @@ class TestWitnessCertificate:
         """Have the certificate read a modified witness basis of C3 {t3}."""
         space = from_tset(frozenset({3}), 3, C)
         bundle, cols = witness_basis(space)
-        _space_bundle_check.cache_clear()
+        _trace_data.cache_clear()
 
         def install(splines, new_cols):
             fake = BasisBundle(3, bundle.role, tuple(splines), bundle.labels)
             monkeypatch.setattr(
-                characters, "_trace_bundle", lambda ts, n: (fake, tuple(new_cols))
+                characters, "witness_basis", lambda sp: (fake, tuple(new_cols))
             )
             return space
 
         yield bundle, cols, install
-        _space_bundle_check.cache_clear()
+        _trace_data.cache_clear()
 
     def test_untampered_bundle_passes(self, tampered):
         bundle, cols, install = tampered
-        assert _space_bundle_check(install(bundle.splines, cols))
+        assert len(_trace_data(install(bundle.splines, cols))) == len(conjugacy_classes(3))
 
     def test_zero_at_a_pivot_raises(self, tampered):
         bundle, cols, install = tampered
@@ -492,7 +523,7 @@ class TestWitnessCertificate:
         num.flat[cols[r]] = 0
         splines[r] = Spline(splines[r].table, num)
         with pytest.raises(RankDeficientError, match="upper triangular"):
-            _space_bundle_check(install(splines, cols))
+            _trace_data(install(splines, cols))
 
     def test_witness_off_an_edge_raises(self, tampered):
         bundle, cols, install = tampered
@@ -502,7 +533,7 @@ class TestWitnessCertificate:
         num.flat[max(set(range(num.size)) - set(cols))] += 1  # off every pivot column
         splines[r] = Spline(splines[r].table, num)
         with pytest.raises(AssertionError, match="bundle element violates an edge condition"):
-            _space_bundle_check(install(splines, cols))
+            _trace_data(install(splines, cols))
 
     def test_swapped_witnesses_raise(self, tampered):
         bundle, cols, install = tampered
@@ -518,7 +549,7 @@ class TestWitnessCertificate:
         order = list(range(len(cols)))
         order[r], order[s] = s, r
         with pytest.raises(RankDeficientError, match="upper triangular"):
-            _space_bundle_check(
+            _trace_data(
                 install([bundle.splines[k] for k in order], [cols[k] for k in order])
             )
 
