@@ -295,13 +295,20 @@ def published_formula_char(tset, n: int, side: str) -> CharacterExpression:
 
 @lru_cache(maxsize=None)
 def _labels_equivariant(lie_type: LieType, n: int) -> bool:
-    """At every class representative g, g applied to the label at g^{-1}v is
-    the label at v, for every root: the dot action preserves the edge ideals.
+    """At every simple reflection g, g applied to the label at g^{-1}v is
+    proportional to the label at v, for every root and vertex v: the dot
+    action preserves the edge ideals.
+
+    Testing the generators suffices.  If g and h pass, then for every v,
+    g h label((gh)^{-1} v) = g (h label(h^{-1} u)) with u = g^{-1} v, which
+    is g applied to a nonzero multiple of label(u), hence a nonzero multiple
+    of label(v): g acts invertibly and labels are nonzero.  So the elements
+    that pass are closed under products, and s_1, ..., s_n generate W_n.
     """
     table = group_table(n)
     labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
-    for cl in conjugacy_classes(n):
-        g = cl.rep
+    for i in range(1, n + 1):
+        g = SignedPerm.simple(i, n)
         src = table.left_mult_indices(g.inverse())
         if not _rows_proportional(labs[:, src] @ poly_action_matrix(g).T, labs).all():
             return False

@@ -228,7 +228,7 @@ def _suite_group_laws(n: int, lie_type: LieType):
     import random
 
     table = group_table(n)
-    win = table.windows_array
+    win = table.windows_array.astype(np.int8)  # |entries| <= 6: small whole-group temporaries
     rng = random.Random(20_000 + n)
     ids = range(table.size)
     triples = np.array(
@@ -256,20 +256,22 @@ def _suite_group_laws(n: int, lie_type: LieType):
 
 def _suite_length_bfs(n: int, lie_type: LieType):
     table = group_table(n)
-    win = table.windows_array
-    gens = [[SignedPerm.simple(i, n).window] for i in range(1, n + 1)]
+    right = [table.right_mult_indices(SignedPerm.simple(i, n)) for i in range(1, n + 1)]
     dist = np.full(table.size, -1)
-    frontier = table.indices_of([SignedPerm.identity(n).window])
+    frontier = np.zeros(table.size, dtype=bool)
+    frontier[table.index_of(SignedPerm.identity(n))] = True
     dist[frontier] = 0
     step = 0
-    while frontier.size:
+    while frontier.any():
         step += 1
-        reached = np.concatenate([table.indices_of(compose(win[frontier], s)) for s in gens])
-        frontier = np.unique(reached[dist[reached] < 0])
+        reached = np.zeros(table.size, dtype=bool)
+        for r in right:
+            reached[r[frontier]] = True
+        frontier = reached & (dist < 0)
         dist[frontier] = step
     bad = np.flatnonzero(dist != table.lengths)
     if bad.size:
-        return False, f"length mismatch at {SignedPerm(win[bad[0]])}"
+        return False, f"length mismatch at {SignedPerm(table.windows_array[bad[0]])}"
     return True, f"{np.count_nonzero(dist >= 0)} elements"
 
 

@@ -19,7 +19,11 @@ indices by binary search and raises on anything that is not a window.
 `compose` and `invert` multiply and invert stacked windows, and the
 table's `lengths` and `descents` (bitmasks) are computed by one
 vectorised formula each, which `length` and `descent_set` also read.
-`SignedPerm` stays the per-element type for input, output and tests.
+Conjugacy classes come from the window array too: one pass follows the
+cycles of |w| position by position, and `SignedPerm` is built once per
+class, for its representative.  `SignedPerm` stays the per-element type
+for input, output and tests; it is immutable, so cached tuples of them
+are safe to share.
 """
 
 from __future__ import annotations
@@ -59,8 +63,14 @@ class SignedPerm:
         n = len(window)
         if sorted(abs(x) for x in window) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation window: {window}")
-        self.n = n
-        self.window = window
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "window", window)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SignedPerm is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SignedPerm is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "SignedPerm":
@@ -221,14 +231,18 @@ def descent_set(w: SignedPerm) -> frozenset[int]:
 def _window_codes(windows: np.ndarray, n: int) -> np.ndarray:
     """Base-2n numbers whose digits are the order_key of each window entry.
 
-    They increase strictly with the lexicographic order on windows.
+    They increase strictly with the lexicographic order on windows.  Built
+    one position at a time, so no temporary is as large as the windows.
     """
     if windows.ndim != 2 or windows.shape[1] != n:
         raise ValueError(f"need windows of shape (N, {n}), got {windows.shape}")
-    if not np.all((windows != 0) & (np.abs(windows) <= n)):
-        raise ValueError(f"window entries out of range for W_{n}")
-    keys = np.where(windows < 0, windows + n, windows + n - 1)
-    return keys @ (2 * n) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = np.zeros(len(windows), dtype=np.int64)
+    for col in windows.T:
+        if not np.all((col != 0) & (np.abs(col) <= n)):
+            raise ValueError(f"window entries out of range for W_{n}")
+        codes *= 2 * n
+        codes += np.where(col < 0, col + n, col + n - 1)
+    return codes
 
 
 def compose(a, b) -> np.ndarray:
@@ -370,13 +384,42 @@ def conjugacy_classes(n: int) -> tuple[ConjClass, ...]:
 
 @lru_cache(maxsize=None)
 def _conjugacy_classes_cached(n: int) -> tuple[ConjClass, ...]:
+    """Classes from one pass over the window array.
+
+    For each position p, follow |w| from p until it returns (at most n
+    steps): the step count is the length of p's cycle, and the parity of
+    the negative entries met on the way is the cycle's sign.  A cycle of
+    length l is met from each of its l positions, so the number of
+    positions in each (length, sign) slot fixes the signed cycle type.
+    That number is at most n, so one base-(n+1) digit per slot encodes
+    each element's type in an int64 code ((n+1)^(2n) < 2^63 for n <= 6).
+    The first table index with a given code is the lexicographically
+    least member of its class, and the code's count is the class size.
+    """
     table = group_table(n)
-    buckets: dict[tuple[Partition, Partition], list[int]] = {}
-    for idx, el in enumerate(table.elements):
-        buckets.setdefault(el.signed_cycle_type(), []).append(idx)
+    win = table.windows_array.astype(np.int8)
+    nxt = (np.abs(win) - 1).ravel()  # |w(p)| - 1, flattened row by row
+    neg = (win < 0).ravel()
+    base = np.arange(table.size) * n
+    digit = (n + 1) ** np.arange(2 * n, dtype=np.int64)  # slot 2(l-1) + sign
+    codes = np.zeros(table.size, dtype=np.int64)
+    for p in range(n):
+        cur = np.full(table.size, p, dtype=np.int8)
+        odd = np.zeros(table.size, dtype=bool)
+        slot = np.full(table.size, -1, dtype=np.int8)
+        for step in range(1, n + 1):
+            flat = base + cur
+            odd ^= neg[flat]
+            cur = nxt[flat]
+            back = (cur == p) & (slot < 0)
+            slot[back] = 2 * (step - 1) + odd[back]
+        codes += digit[slot]
+    _, first, sizes = np.unique(codes, return_index=True, return_counts=True)
     out = []
-    for (lam, mu), idxs in sorted(buckets.items()):
-        out.append(ConjClass(lam, mu, table.elements[min(idxs)], len(idxs)))
+    for k, size in zip(first.tolist(), sizes.tolist()):
+        rep = SignedPerm(table.windows[k])
+        out.append(ConjClass(*rep.signed_cycle_type(), rep, size))
+    out.sort(key=lambda c: (c.lam, c.mu))
     return tuple(out)
 
 
@@ -398,11 +441,13 @@ def class_size_formula(lam: Partition, mu: Partition) -> int:
     return order // (z(lam) * 2 ** len(lam) * z(mu) * 2 ** len(mu))
 
 
+@lru_cache(maxsize=None)
 def min_coset_reps(n: int, i: int) -> tuple[SignedPerm, ...]:
     """Shortest representatives of cosets of S_i x W_{n-i} in W_n.
 
     w is a minimal representative iff length(w * s_j) > length(w) for all
-    j != i; there are 2^i * binomial(n, i) of them.
+    j != i; there are 2^i * binomial(n, i) of them, in table order.  The
+    result is cached and shared: a tuple of immutable elements.
     """
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range [1,{n}]")

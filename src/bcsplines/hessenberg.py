@@ -28,7 +28,6 @@ from .roots import (
     Root,
     act,
     is_positive,
-    label_matrix,
     parse_root,
     poset_leq,
     positive_roots,
@@ -257,15 +256,28 @@ def h_inversions(w: SignedPerm, space: HessenbergSpace) -> frozenset[Root]:
 
 @lru_cache(maxsize=None)
 def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
-    """For each positive root, the boolean vector over W_n of 'w sends it negative'."""
-    rows = np.arange(group_table(n).size)
+    """For each positive root, the boolean vector over W_n of 'w sends it negative'.
+
+    Read from the windows: w(e_i + c e_j) = sign(w(i)) e_|w(i)| + c sign(w(j)) e_|w(j)|
+    for i < j, whose first nonzero entry sits at min(|w(i)|, |w(j)|).  So
+    the root goes negative iff w(i) < 0 when |w(i)| < |w(j)|, and iff
+    (w(j) < 0) xor (c < 0) otherwise; e_i and 2e_i go negative iff w(i) < 0.
+    """
+    win = group_table(n).windows_array.astype(np.int8)
+    mag = np.abs(win)
+    neg = win < 0
     out = {}
     for root in positive_roots(lie_type, n):
-        # uncached: at n = 6 the cached matrices of all roots would hold 80 MB
-        imgs = label_matrix.__wrapped__(n, root)
-        neg = imgs[rows, np.argmax(imgs != 0, axis=1)] < 0
-        neg.setflags(write=False)
-        out[root] = neg
+        vec = root.evector()
+        i, *rest = np.flatnonzero(vec)
+        if rest:
+            j = rest[0]
+            flip = neg[:, j] if vec[j] > 0 else ~neg[:, j]
+            sends = np.where(mag[:, i] < mag[:, j], neg[:, i], flip)
+        else:
+            sends = neg[:, i].copy()
+        sends.setflags(write=False)
+        out[root] = sends
     return out
 
 

@@ -30,7 +30,7 @@ from bcsplines.hessenberg import (
     t_set,
 )
 from bcsplines.linalg import RankDeficientError
-from bcsplines.roots import LieType
+from bcsplines.roots import LieType, label_matrix, positive_roots
 from bcsplines.splines import (
     BasisBundle,
     Spline,
@@ -552,6 +552,31 @@ class TestWitnessCertificate:
             _trace_data(
                 install([bundle.splines[k] for k in order], [cols[k] for k in order])
             )
+
+
+class TestLabelEquivariance:
+    """`_labels_equivariant` tests the simple reflections only; a label
+    broken at one vertex for one root still makes it fail."""
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("vertex", [0, 17, 47])
+    def test_label_broken_at_one_vertex(self, monkeypatch, lt, vertex):
+        roots = positive_roots(lt, 3)
+        target, other = roots[4], roots[0]  # images of distinct roots are independent
+
+        def broken(n, root):
+            out = label_matrix(n, root)
+            if root == target:
+                out = out.copy()
+                out[vertex] = label_matrix(n, other)[vertex]
+            return out
+
+        monkeypatch.setattr(characters, "label_matrix", broken)
+        characters._labels_equivariant.cache_clear()
+        try:
+            assert not characters._labels_equivariant(lt, 3)
+        finally:
+            characters._labels_equivariant.cache_clear()
 
 
 class TestRankFiveBranch:

@@ -11,6 +11,19 @@ import pytest
 from bcsplines import cli, group
 
 GOLDEN = Path(__file__).parent / "golden"
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
+
+
+def _rank_six_references():
+    """verify --n 6 --type C and every char --n 6 --tset T --format json in the
+    benchmark's reference outputs (read only)."""
+    refs = json.loads(REFERENCES.read_text())
+    return sorted(
+        (key, ref)
+        for key, ref in refs.items()
+        if key == "verify --n 6 --type C"
+        or (key.startswith("char --n 6 --tset ") and key.endswith(" --format json"))
+    )
 
 
 def run_cli(*args):
@@ -218,6 +231,22 @@ class TestVerify:
         assert text == [
             f"{'PASS' if rec['ok'] else 'FAIL'}  {rec['name']}: {rec['detail']}" for rec in records
         ]
+
+
+class TestRankSixReferences:
+    """Rank-6 output, in process, byte-identical to the benchmark's references."""
+
+    def test_references_cover_both_commands(self):
+        keys = [key for key, _ in _rank_six_references()]
+        assert "verify --n 6 --type C" in keys
+        assert sum(key.startswith("char ") for key in keys) >= 1
+
+    @pytest.mark.parametrize(
+        "key, ref", [pytest.param(key, ref, id=key) for key, ref in _rank_six_references()]
+    )
+    def test_output_matches_reference(self, capsys, key, ref):
+        code = cli.main(key.split())
+        assert (code, capsys.readouterr().out) == (ref["exit_code"], ref["stdout"])
 
 
 def _swap_first_entries(fn):

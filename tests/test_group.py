@@ -7,7 +7,9 @@ from collections import deque
 import numpy as np
 import pytest
 
+from bcsplines import group
 from bcsplines.group import (
+    ConjClass,
     SignedPerm,
     class_size_formula,
     compose,
@@ -36,6 +38,18 @@ def bfs_lengths(n):
                 dist[ws.window] = dist[w.window] + 1
                 queue.append(ws)
     return dist
+
+
+def bucket_scan_classes(n):
+    """Class oracle: bucket every element by its own signed_cycle_type()."""
+    table = group_table(n)
+    buckets: dict = {}
+    for idx, el in enumerate(table.elements):
+        buckets.setdefault(el.signed_cycle_type(), []).append(idx)
+    return tuple(
+        ConjClass(lam, mu, table.elements[min(idxs)], len(idxs))
+        for (lam, mu), idxs in sorted(buckets.items())
+    )
 
 
 def loop_descent_set(window):
@@ -250,14 +264,34 @@ class TestConjugacyClasses:
             assert c.size == class_size_formula(c.lam, c.mu)
 
     def test_representative_is_lex_least(self):
-        table = group_table(2)
-        for c in conjugacy_classes(2):
-            members = [
-                w
-                for w in table.elements
-                if w.signed_cycle_type() == (c.lam, c.mu)
-            ]
-            assert c.rep == min(members, key=lambda w: w.sort_key())
+        for n in (1, 2, 3, 4):
+            table = group_table(n)
+            for c in conjugacy_classes(n):
+                members = [
+                    w
+                    for w in table.elements
+                    if w.signed_cycle_type() == (c.lam, c.mu)
+                ]
+                assert c.rep == min(members, key=lambda w: w.sort_key())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_bucket_scan(self, n):
+        # same order, (lambda, mu), representative and size
+        assert conjugacy_classes(n) == bucket_scan_classes(n)
+
+    def test_one_signed_perm_per_class(self, monkeypatch):
+        group_table(5)  # built outside the count; it builds no SignedPerm either
+        built = []
+        init = SignedPerm.__init__
+
+        def counting(self, window):
+            built.append(window)
+            init(self, window)
+
+        monkeypatch.setattr(SignedPerm, "__init__", counting)
+        classes = group._conjugacy_classes_cached.__wrapped__(5)
+        assert len(classes) == 36
+        assert len(built) <= len(classes)
 
 
 class TestCosets:
@@ -266,6 +300,17 @@ class TestCosets:
             for i in range(1, n + 1):
                 expected = 2**i * len(list(itertools.combinations(range(n), i)))
                 assert len(min_coset_reps(n, i)) == expected
+
+    def test_cached_and_immutable(self):
+        reps = min_coset_reps(4, 2)
+        assert min_coset_reps(4, 2) is reps
+        assert isinstance(reps, tuple)
+        first = reps[0].window
+        with pytest.raises(AttributeError):
+            reps[0].window = (1, 2, 3, 4)
+        with pytest.raises(AttributeError):
+            del reps[0].n
+        assert min_coset_reps(4, 2)[0].window == first
 
     def test_identity_is_a_representative(self):
         assert SignedPerm.identity(2) in min_coset_reps(2, 1)

@@ -1,5 +1,6 @@
 """Root systems of types B and C and the reflection correspondence."""
 
+import numpy as np
 import pytest
 
 from bcsplines.group import SignedPerm, group_table, length
@@ -9,6 +10,7 @@ from bcsplines.roots import (
     Root,
     act,
     is_positive,
+    label_matrix,
     parse_root,
     poset_leq,
     positive_roots,
@@ -112,6 +114,17 @@ class TestAction:
             for r in positive_roots(lt, n):
                 out = act(w, r)
                 assert out in vecs or tuple(-c for c in out) in vecs
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_negativity_matches_label_signs(self, lt, n):
+        # reference: the sign of the first nonzero entry of each image w(alpha)
+        neg = _root_negativity(lt, n)
+        rows = np.arange(group_table(n).size)
+        for r in positive_roots(lt, n):
+            imgs = label_matrix.__wrapped__(n, r)
+            expected = imgs[rows, np.argmax(imgs != 0, axis=1)] < 0
+            assert np.array_equal(neg[r], expected), r
 
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4])
