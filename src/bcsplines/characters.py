@@ -49,6 +49,7 @@ from .splines import (
     Spline,
     edges_ok,
     labels_pairwise_independent,
+    triangular_pivots,
     unbalanced_sets,
     witness_basis,
     _rows_proportional,
@@ -320,36 +321,36 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     """Build, certify and trace the witness basis of the space; keep only the
     per-class traces on the full degree-one space.
 
-    The certificate: the count equals the scan dimension, the pivot block is
-    upper triangular with a nonzero diagonal (an exact integer test, so the
-    elements are independent), and every element meets the edge conditions
-    (one `edges_ok` call for the whole basis).  The dot action is defined on
-    the space: its labels are pairwise independent and equivariant in the
+    The certificate: the count equals the scan dimension, `triangular_pivots`
+    finds a pivot block that is upper triangular with a nonzero diagonal
+    after a row reordering (an exact integer test, so the elements are
+    independent), and every element meets the edge conditions (one
+    `edges_ok` call for the whole basis).  The dot action is defined on the
+    space: its labels are pairwise independent and equivariant in the
     space's type.
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
-    and pv holds the images of the basis at the pivot coordinates.  On a
-    W_n-stable space of dimension m a trace is an integer of absolute value
-    at most m < p/2, so its symmetric residue is exact.
+    and pv holds the images of the basis at the pivot coordinates, both with
+    the rows in bundle order (a row permutation does not change the trace).
+    On a W_n-stable space of dimension m a trace is an integer of absolute
+    value at most m < p/2, so its symmetric residue is exact.
     """
     n = space.n
-    bundle, cols = witness_basis(space)
+    bundle = witness_basis(space)
     m, p = len(bundle), PRIMES[0]
     if m != dim_degree_one(space):
         raise RankDeficientError("bundle does not span for this space")
     mat = bundle.matrix()
     tensor = mat.reshape(m, -1, n)  # (m, N, n)
-    block = mat[:, cols]
-    if len(cols) != m or np.tril(block, -1).any() or not np.diag(block).all():
-        raise RankDeficientError("pivot block is not upper triangular with a nonzero diagonal")
+    _, cols = triangular_pivots(tensor)
     if not edges_ok(tensor, space.roots).all():
         raise AssertionError("bundle element violates an edge condition")
     if not labels_pairwise_independent(space.lie_type, n):
         raise AssertionError("edge labels are not pairwise independent")
     if not _labels_equivariant(space.lie_type, n):
         raise AssertionError("dot action does not preserve the edge ideals")
-    inv = inverse_mod_p(block, p)
-    piv_rows, piv_slots = np.divmod(np.array(cols), n)
+    inv = inverse_mod_p(mat[:, cols], p)
+    piv_rows, piv_slots = np.divmod(cols, n)
     table = group_table(n)
     traces = []
     for cl in conjugacy_classes(n):

@@ -31,7 +31,9 @@ import time
 
 import numpy as np
 
-from .group import MAX_ENUM_RANK, SignedPerm, compose, group_table, invert
+from .group import (
+    MAX_ENUM_RANK, MAX_FULL_RANK, SignedPerm, compose, cycle_type_str, group_table, invert
+)
 from .hessenberg import (
     HessenbergSpace,
     enumerate_hessenberg,
@@ -115,8 +117,8 @@ def _table_row(tset: frozenset, n: int, lie_type: LieType, level: str) -> dict:
 
 def cmd_table(args) -> int:
     n = args.n
-    if args.level == "full" and n > 5:
-        print(f"full-oracle table needs n <= 5, got {n}", file=sys.stderr)
+    if args.level == "full" and n > MAX_FULL_RANK:
+        print(f"full-oracle table needs n <= {MAX_FULL_RANK}, got {n}", file=sys.stderr)
         return 1
     if args.by_ideal:
         rows = []
@@ -157,7 +159,7 @@ def _parse_space(args) -> tuple[frozenset[int], HessenbergSpace | None]:
         tset = parse_tset(args.tset)
         if not tset <= set(range(1, n + 1)):
             raise ValueError(f"t-set {args.tset!r} out of range for n={n}")
-        space = realize_tset(tset, n, args.type) if n <= 6 else None
+        space = realize_tset(tset, n, args.type) if n <= MAX_ENUM_RANK else None
         return tset, space
     if args.ideal is not None:
         space = HessenbergSpace.parse(args.ideal, args.type, n)
@@ -182,8 +184,8 @@ def cmd_char(args) -> int:
         out[f"{side}_dim"] = expr.dimension()
     failures = 0
     if args.level == "full":
-        if space is None or n > 5:
-            print("full-oracle level needs n <= 5", file=sys.stderr)
+        if space is None or n > MAX_FULL_RANK:
+            print(f"full-oracle level needs n <= {MAX_FULL_RANK}", file=sys.stderr)
             return 1
         for side, expr in exprs.items():
             cc = computed_char(space, side)
@@ -195,7 +197,7 @@ def cmd_char(args) -> int:
                 {"type": cl.key_str(), "value": str(v)} for cl, v in cc.items()
             ]
         left_fn = computed_char(space, "left")
-    elif n <= 6:
+    elif n <= MAX_ENUM_RANK:
         left_fn = exprs["left"].evaluate()
     else:
         left_fn = None
@@ -207,7 +209,7 @@ def cmd_char(args) -> int:
         out["left_h_positive"] = pos
         if witness:
             out["left_h_negative_terms"] = [
-                {"key": "|".join(map(str, k)), "coeff": str(c)} for k, c in witness
+                {"key": cycle_type_str(*k), "coeff": str(c)} for k, c in witness
             ]
     if args.format == "json":
         print(json.dumps(out, indent=2, default=str))
@@ -427,8 +429,8 @@ def _suite_h_positivity(n: int, lie_type: LieType):
 
 def cmd_verify(args) -> int:
     n, lie_type, level = args.n, args.type, args.level
-    if level == "full" and n > 5:
-        print("full verification needs n <= 5", file=sys.stderr)
+    if level == "full" and n > MAX_FULL_RANK:
+        print(f"full verification needs n <= {MAX_FULL_RANK}", file=sys.stderr)
         return 1
     suites = [
         ("group-laws", lambda: _suite_group_laws(n, lie_type)),
@@ -523,14 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_rank(top), required=True, help="rank")
         p.add_argument("--type", type=_lie, default=LieType.B, help="B or C")
         p.add_argument(
-            "--format", choices=("text", "json", "tsv"), default="text"
-        )
-        p.add_argument(
             "--level", choices=("formula", "full"), default="formula"
         )
 
     p_table = sub.add_parser("table", help="characters for every t-subset")
     common(p_table)
+    p_table.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p_table.add_argument(
         "--by-ideal",
         action="store_true",
@@ -540,12 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_char = sub.add_parser("char", help="characters for one Hessenberg space")
     common(p_char)
+    p_char.add_argument("--format", choices=("text", "json"), default="text")
     p_char.add_argument("--tset", help='e.g. "t1,t4" (empty string for none)')
     p_char.add_argument("--ideal", help='e.g. "[100];[010];[001];[011]"')
     p_char.set_defaults(fn=cmd_char)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     common(p_verify, top=MAX_ENUM_RANK)
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_dump = sub.add_parser("dump-spline", help="print a family spline")

@@ -35,10 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-Window = tuple[int, ...]
 Partition = tuple[int, ...]
 
 MAX_ENUM_RANK = 6  # W_6 has 46080 elements, the practical limit for full scans
+MAX_FULL_RANK = 5  # the limit for --level full: traces and bases of every space
 
 
 def order_key(k: int, n: int) -> int:
@@ -79,14 +79,7 @@ class SignedPerm:
     @classmethod
     def simple(cls, i: int, n: int) -> "SignedPerm":
         """The generator s_i: swap positions i, i+1 for i < n; negate w(n) for i = n."""
-        if not 1 <= i <= n:
-            raise ValueError(f"simple generator index {i} out of range [1,{n}]")
-        w = list(range(1, n + 1))
-        if i < n:
-            w[i - 1], w[i] = w[i], w[i - 1]
-        else:
-            w[n - 1] = -n
-        return cls(w)
+        return cls.from_word((i,), n)
 
     @classmethod
     def transposition(cls, i: int, j: int, n: int) -> "SignedPerm":
@@ -109,11 +102,20 @@ class SignedPerm:
 
     @classmethod
     def from_word(cls, word, n: int) -> "SignedPerm":
-        """Product s_{word[0]} s_{word[1]} ... as an element of W_n."""
-        w = cls.identity(n)
+        """Product s_{word[0]} s_{word[1]} ... as an element of W_n.
+
+        Each letter acts on the window from the right: s_i (i < n) swaps
+        positions i and i+1, s_n negates the last entry.
+        """
+        w = list(range(1, n + 1))
         for i in word:
-            w = w * cls.simple(i, n)
-        return w
+            if not 1 <= i <= n:
+                raise ValueError(f"simple generator index {i} out of range [1,{n}]")
+            if i < n:
+                w[i - 1], w[i] = w[i], w[i - 1]
+            else:
+                w[n - 1] = -w[n - 1]
+        return cls(w)
 
     def __call__(self, k: int) -> int:
         """Apply to k in {±1,...,±n}."""
@@ -311,8 +313,7 @@ class GroupTable:
             a.setflags(write=False)
         self.windows_array: np.ndarray = arr
         self._codes = codes
-        self.windows: tuple[Window, ...] = tuple(zip(*arr.T.tolist()))
-        self.size = len(self.windows)
+        self.size = len(arr)
         self._elements = None
         self._lengths = None
         self._descents = None
@@ -320,7 +321,7 @@ class GroupTable:
     @property
     def elements(self) -> tuple[SignedPerm, ...]:
         if self._elements is None:
-            self._elements = tuple(SignedPerm(w) for w in self.windows)
+            self._elements = tuple(SignedPerm(w) for w in self.windows_array.tolist())
         return self._elements
 
     @property
@@ -417,7 +418,7 @@ def _conjugacy_classes_cached(n: int) -> tuple[ConjClass, ...]:
     _, first, sizes = np.unique(codes, return_index=True, return_counts=True)
     out = []
     for k, size in zip(first.tolist(), sizes.tolist()):
-        rep = SignedPerm(table.windows[k])
+        rep = SignedPerm(table.windows_array[k].tolist())
         out.append(ConjClass(*rep.signed_cycle_type(), rep, size))
     out.sort(key=lambda c: (c.lam, c.mu))
     return tuple(out)
@@ -453,7 +454,7 @@ def min_coset_reps(n: int, i: int) -> tuple[SignedPerm, ...]:
         raise ValueError(f"index {i} out of range [1,{n}]")
     table = group_table(n)
     keep = np.flatnonzero((table.descents & ~(1 << (i - 1))) == 0)
-    return tuple(SignedPerm(table.windows[k]) for k in keep)
+    return tuple(SignedPerm(w) for w in table.windows_array[keep].tolist())
 
 
 def in_young_subgroup(w: SignedPerm, i: int) -> bool:

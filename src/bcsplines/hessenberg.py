@@ -302,8 +302,7 @@ def h_descent_oracle(space: HessenbergSpace, i: int) -> frozenset[SignedPerm]:
         raise ValueError(f"index {i} out of range")
     neg = _root_negativity(space.lie_type, space.n)
     hits = (_inversion_counts(space) == 1) & neg[simple_root(i, space.lie_type, space.n)]
-    windows = group_table(space.n).windows
-    return frozenset(SignedPerm(windows[k]) for k in np.flatnonzero(hits))
+    return frozenset(SignedPerm(w) for w in group_table(space.n).windows_array[hits].tolist())
 
 
 def dim_degree_one(space: HessenbergSpace) -> int:

@@ -3,12 +3,13 @@ Exact linear algebra helpers for integer matrices.
 
 Pivot discovery, inversion and traces run modulo a large prime with numpy.
 Each modular result is exact for a stated reason: rows independent mod p
-are independent over Q, so pivots found mod p are never spurious; a trace
-known to be an integer of absolute value below p/2 is its symmetric residue
-(`symmetric_lift`).  Inverses mod p serve pivot blocks whose independence
-is proved over the integers elsewhere (a triangular block, or a Bareiss
-determinant).  The Fraction routes (Gauss-Jordan inversion, the sparse
-kernel solve) are the exact references the modular ones are tested against.
+are independent over Q (their pivot block has a determinant that is nonzero
+mod p, hence a nonzero integer), so pivots found mod p are never spurious; a
+trace known to be an integer of absolute value below p/2 is its symmetric
+residue (`symmetric_lift`).  Inverses mod p serve pivot blocks whose
+independence is proved over the integers elsewhere (a triangular block, see
+`splines.triangular_pivots`).  The Fraction route, the sparse kernel solve,
+is the exact reference that reads the edge conditions directly.
 """
 
 from __future__ import annotations
@@ -154,69 +155,6 @@ def symmetric_lift(residue: int, p: int, bound: int) -> int:
             f"residue {residue} mod {p} lifts to {value}, outside [-{bound}, {bound}]"
         )
     return value
-
-
-def invert_fraction(mat) -> list[list[Fraction]]:
-    """Exact inverse of a square integer (or Fraction) matrix.
-
-    Raises RankDeficientError if singular.  Pivoting prefers +-1 entries to
-    keep intermediate fractions small.
-    """
-    m = len(mat)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-        for i, row in enumerate(mat)
-    ]
-    for col in range(m):
-        piv = None
-        for r in range(col, m):
-            v = aug[r][col]
-            if v and (piv is None or abs(v) == 1):
-                piv = r
-                if abs(v) == 1:
-                    break
-        if piv is None:
-            raise RankDeficientError(f"matrix is singular at column {col}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        if pv != 1:
-            aug[col] = [x / pv for x in aug[col]]
-        prow = aug[col]
-        for r in range(m):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-    return [row[m:] for row in aug]
-
-
-def bareiss_det(mat) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    if m == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, m):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[k][k]
-        for i in range(k + 1, m):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, m):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign * a[m - 1][m - 1]
 
 
 def solve_upper_triangular_sparse(

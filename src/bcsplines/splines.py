@@ -41,13 +41,7 @@ from .hessenberg import (
     on_divergent_branch,
     t_set,
 )
-from .linalg import (
-    RankDeficientError,
-    bareiss_det,
-    invert_fraction,
-    pivots,
-    sparse_kernel_basis,
-)
+from .linalg import RankDeficientError, pivots, sparse_kernel_basis
 from .roots import Root, act, label_matrix, positive_roots, root_to_reflection
 
 
@@ -225,7 +219,7 @@ class Spline:
     def dump(self) -> str:
         """One line per group element: "window TAB polynomial"."""
         lines = []
-        for idx, win in enumerate(self.table.windows):
+        for idx, win in enumerate(self.table.windows_array.tolist()):
             lines.append(
                 ",".join(map(str, win)) + "\t" + str(self.value_at(idx))
             )
@@ -648,67 +642,64 @@ def permutohedral_basis(n: int) -> BasisBundle:
 # ---------------------------------------------------------------------------
 
 
-def bundle_pivots(
-    bundle: BasisBundle, target: int | None = None
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """The bundle matrix and its pivot rows (in bundle order) and columns.
-
-    The nonzero Bareiss determinant of the pivot block certifies over Q that
-    the pivot rows are independent.  `target` is a known upper bound on the
-    rank, passed on to `pivots` (the scan dimension of a space holding the
-    bundle).
-    """
-    mat = bundle.matrix()
-    rows, cols = pivots(mat, target)
-    rows = sorted(rows)
-    if bareiss_det(mat[np.ix_(rows, cols)].tolist()) == 0:
-        raise RankDeficientError(f"{bundle.role} bundle has a singular pivot block")
-    return mat, rows, cols
-
-
-@lru_cache(maxsize=None)
-def bundle_pivot_data(bundle: BasisBundle):
-    """The bundle matrix, its pivot columns, and the exact inverse of the pivot
-    submatrix as an integer matrix over one common denominator.
-
-    Matrices are numpy object arrays of Python integers.  Raises
-    RankDeficientError when the bundle is not linearly independent.
-    """
-    mat, rows, cols = bundle_pivots(bundle)
-    if len(rows) != len(bundle):
-        raise RankDeficientError(
-            f"{bundle.role} bundle of size {len(bundle)} has rank {len(rows)}"
-        )
-    inv = invert_fraction(mat[:, cols].tolist())
-    den = math.lcm(1, *(x.denominator for row in inv for x in row))
-    inv_num = np.array(
-        [[x.numerator * (den // x.denominator) for x in row] for row in inv], dtype=object
-    )
-    return mat.astype(object), cols, inv_num, den
-
-
 def bundle_rank(bundle: BasisBundle, target: int | None = None) -> int:
-    """Certified rank of the bundle: the pivot block has a nonzero determinant.
+    """Certified rank of the bundle: its pivot rows modulo a prime.
 
-    With `target`, a known upper bound on the rank, the search for pivots
-    stops once it is reached.
+    Rows independent modulo p are independent over Q (their pivot block has
+    a determinant that is nonzero mod p, so a nonzero integer).  With
+    `target`, a known upper bound on the rank, the search for pivots stops
+    once it is reached.
     """
-    return len(bundle_pivots(bundle, target)[1])
+    return len(pivots(bundle.matrix(), target)[0])
+
+
+def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order and pivot columns that make the pivot block of the stacked
+    values (m, N, n) upper triangular with a nonzero diagonal.
+
+    A row's pivot is its shortest-support element (smallest table index on
+    ties) at that element's first nonzero coordinate; rows are ordered by
+    (length, index, coordinate), and columns index the flattened values.
+    Each row then vanishes at the pivots of the rows before it unless two
+    rows share a pivot or a row is zero, and the block test catches both.
+    Its nonzero diagonal proves the rows independent over Q.  Raises
+    RankDeficientError when the block is not triangular.
+    """
+    m, _, n = values.shape
+    by_length = np.argsort(group_table(n).lengths, kind="stable")  # (length, index) order
+    first = np.argmax(values.any(axis=2)[:, by_length], axis=1)
+    elems = by_length[first]
+    coords = np.argmax(values[np.arange(m), elems] != 0, axis=1)
+    rows = np.argsort(first * n + coords, kind="stable")
+    elems, coords = elems[rows], coords[rows]
+    block = values[rows[:, None], elems, coords]
+    if np.tril(block, -1).any() or not np.diag(block).all():
+        raise RankDeficientError(
+            "no triangular pivot block: it is not upper triangular with a nonzero diagonal"
+        )
+    return rows, elems * n + coords
 
 
 def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
     """Exact coefficients of rho in the bundle; raises if not in the span.
 
-    The full residual is checked, so a successful return is a proof of
-    membership.
+    The coefficients c solve c P = rho at the pivot columns of
+    `triangular_pivots` by forward substitution.  The full residual is then
+    checked, so a successful return is a proof of membership.
     """
-    mat, cols, inv_num, den = bundle_pivot_data(bundle)
-    # coefficients times den * rho.den, read off the pivot coordinates
-    scaled = rho.num.ravel()[cols].astype(object) @ inv_num
-    resid = scaled @ mat - den * rho.num.ravel().astype(object)
-    if any(resid):
+    mat = bundle.matrix()
+    rows, cols = triangular_pivots(mat.reshape(len(bundle), -1, bundle.n))
+    block = mat[np.ix_(rows, cols)].tolist()
+    target = rho.num.ravel()[cols].tolist()
+    order, coeffs = rows.tolist(), [Fraction(0)] * len(bundle)
+    for j, r in enumerate(order):
+        s = target[j] - sum(coeffs[order[i]] * block[i][j] for i in range(j) if block[i][j])
+        coeffs[r] = Fraction(s) / block[j][j]
+    den = math.lcm(1, *(c.denominator for c in coeffs))
+    scaled = np.array([int(c * den) for c in coeffs], dtype=object)
+    if (scaled @ mat.astype(object) != den * rho.num.ravel().astype(object)).any():
         raise ValueError("spline is not in the span of the bundle")
-    return tuple(Fraction(int(x), den * rho.den) for x in scaled)
+    return tuple(c / rho.den for c in coeffs)
 
 
 def reconstruct(coeffs, bundle: BasisBundle) -> Spline:
@@ -815,24 +806,20 @@ def support_minimal_witnesses(space: HessenbergSpace) -> dict[SignedPerm, Spline
     }
 
 
-def witness_basis(space: HessenbergSpace) -> tuple[BasisBundle, tuple[int, ...]]:
-    """t_1..t_n, then the support-minimal witnesses by (length, table index),
-    with the pivot column of each row in the flattened values.
+def witness_basis(space: HessenbergSpace) -> BasisBundle:
+    """t_1..t_n, then the support-minimal witnesses by (length, table index).
 
-    The pivot of t_i is coordinate i at e, that of rho_w the first nonzero
-    coordinate of rho_w(w).  A witness vanishes at e and at every other
-    element no longer than its own, so the pivot block is upper triangular.
-    The h witness, with denominator 2, is scaled to integers.
+    This is the order `triangular_pivots` gives: the pivot of t_i is
+    coordinate i at e, that of rho_w the first nonzero coordinate of
+    rho_w(w), and a witness vanishes at e and at every other element no
+    longer than its own.  The h witness, with denominator 2, is scaled to
+    integers.
     """
     n, table = space.n, group_table(space.n)
-    e = table.index_of(SignedPerm.identity(n))
     items = [(t_spline(i, n), f"t{i}") for i in range(1, n + 1)]
-    cols = [e * n + k for k in range(n)]
     witnesses = support_minimal_witnesses(space)
     index = {w: table.index_of(w) for w in witnesses}
     for w in sorted(witnesses, key=lambda w: (table.lengths[index[w]], index[w])):
-        k, rho = index[w], witnesses[w].scale(witnesses[w].den)
+        rho = witnesses[w].scale(witnesses[w].den)
         items.append((rho, "rho_" + ",".join(map(str, w.window))))
-        cols.append(k * n + int(np.argmax(rho.num[k] != 0)))
-    bundle = BasisBundle(n, "witness", tuple(s for s, _ in items), tuple(l for _, l in items))
-    return bundle, tuple(cols)
+    return BasisBundle(n, "witness", tuple(s for s, _ in items), tuple(l for _, l in items))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import product
 
 from .characters import ClassFunction
-from .group import Partition
+from .group import Partition, cycle_type_str
 
 
 def partitions(k: int) -> tuple[Partition, ...]:
@@ -138,19 +138,6 @@ def p_in_h(lam: Partition) -> dict[Partition, Fraction]:
 Key = tuple[Partition, Partition]
 
 
-def key_str(key: Key) -> str:
-    lam, mu = key
-    return ",".join(map(str, lam)) + "|" + ",".join(map(str, mu))
-
-
-def parse_key(s: str) -> Key:
-    left, _, right = s.partition("|")
-    return (
-        tuple(int(p) for p in left.split(",") if p),
-        tuple(int(p) for p in right.split(",") if p),
-    )
-
-
 class BCSymFunc:
     """An element of degree-n type B/C symmetric functions in one basis."""
 
@@ -163,7 +150,7 @@ class BCSymFunc:
         for (lam, mu), c in coeffs.items():
             c = Fraction(c)
             if sum(lam) + sum(mu) != degree:
-                raise ValueError(f"key {key_str((lam, mu))} has wrong degree")
+                raise ValueError(f"key {cycle_type_str(lam, mu)} has wrong degree")
             if c:
                 clean[(tuple(lam), tuple(mu))] = c
         self.degree = degree
@@ -217,7 +204,7 @@ class BCSymFunc:
         return {
             "basis": self.basis,
             "terms": [
-                {"key": key_str(k), "coeff": str(c)} for k, c in self.items_sorted()
+                {"key": cycle_type_str(*k), "coeff": str(c)} for k, c in self.items_sorted()
             ],
         }
 

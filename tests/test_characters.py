@@ -45,6 +45,7 @@ from bcsplines.splines import (
     r_spline,
     spline_space_basis,
     t_spline,
+    triangular_pivots,
     unbalanced_sets,
     witness_basis,
     y_spline,
@@ -349,7 +350,7 @@ class TestComputedCharacters:
 
         def recording(space):
             out = witness_basis(space)
-            built.append((space, out[0]))
+            built.append((space, out))
             return out
 
         monkeypatch.setattr(characters, "witness_basis", recording)
@@ -362,7 +363,7 @@ class TestComputedCharacters:
             assert built_space == space
             assert bundle.role == "witness"
             assert bundle.labels[:3] == ("t1", "t2", "t3")
-            assert bundle == witness_basis(space)[0]
+            assert bundle == witness_basis(space)
             built.clear()
 
     def test_no_witness_bundle_outlives_the_pass(self, monkeypatch):
@@ -370,7 +371,7 @@ class TestComputedCharacters:
 
         def recording(space):
             out = witness_basis(space)
-            refs.append(weakref.ref(out[0]))
+            refs.append(weakref.ref(out))
             return out
 
         monkeypatch.setattr(characters, "witness_basis", recording)
@@ -420,9 +421,7 @@ class TestComputedCharacters:
         table = group_table(n)
         for ts in (frozenset(), frozenset({1}), frozenset({n})):
             space = realize_tset(ts, n, B)
-            bundle = (
-                permutohedral_basis(n) if not ts else spline_space_basis(space)
-            )
+            bundle = witness_basis(space)
             for cl in conjugacy_classes(n):
                 if cl.size < 2:
                     continue
@@ -454,14 +453,14 @@ class TestModularTraces:
     def test_bundle_is_certified_witness_basis(self, n, ts):
         space = from_tset(ts, n, C)
         assert _trace_data(space)
-        bundle = witness_basis(space)[0]
-        # the Bareiss route of the closed-form bundles agrees on the rank
+        bundle = witness_basis(space)
+        # the modular pivots that certify the closed-form bundles agree on the rank
         assert bundle_rank(bundle) == len(bundle) == dim_degree_one(space)
 
     @pytest.mark.parametrize("n,ts", CELLS)
     def test_traces_equal_exact_expansion(self, n, ts):
         space = realize_tset(ts, n, B)
-        bundle = witness_basis(space)[0]
+        bundle = witness_basis(space)
         for cl, tr in zip(conjugacy_classes(n), _trace_data(space)):
             exact = sum(
                 (
@@ -488,8 +487,10 @@ class TestWitnessCertificate:
         ids=lambda sp: f"{sp.lie_type.name}{sp.n}-{{{','.join(f't{i}' for i in sorted(t_set(sp)))}}}",
     )
     def test_pivot_block_is_triangular(self, space):
-        bundle, cols = witness_basis(space)
-        assert len(bundle) == len(cols) == dim_degree_one(space)
+        bundle = witness_basis(space)
+        rows, cols = triangular_pivots(bundle.matrix().reshape(len(bundle), -1, space.n))
+        # the basis is already in pivot order
+        assert rows.tolist() == list(range(len(bundle))) == list(range(dim_degree_one(space)))
         block = bundle.matrix()[:, cols]
         assert not np.tril(block, -1).any()
         assert set(np.abs(np.diag(block)).tolist()) <= {1, 2}
@@ -498,14 +499,14 @@ class TestWitnessCertificate:
     def tampered(self, monkeypatch):
         """Have the certificate read a modified witness basis of C3 {t3}."""
         space = from_tset(frozenset({3}), 3, C)
-        bundle, cols = witness_basis(space)
+        bundle = witness_basis(space)
+        cols = triangular_pivots(bundle.matrix().reshape(len(bundle), -1, 3))[1].tolist()
         _trace_data.cache_clear()
 
-        def install(splines, new_cols):
+        def install(splines):
             fake = BasisBundle(3, bundle.role, tuple(splines), bundle.labels)
-            monkeypatch.setattr(
-                characters, "witness_basis", lambda sp: (fake, tuple(new_cols))
-            )
+            monkeypatch.setattr(characters, "witness_basis", lambda sp: fake)
+            _trace_data.cache_clear()
             return space
 
         yield bundle, cols, install
@@ -513,7 +514,7 @@ class TestWitnessCertificate:
 
     def test_untampered_bundle_passes(self, tampered):
         bundle, cols, install = tampered
-        assert len(_trace_data(install(bundle.splines, cols))) == len(conjugacy_classes(3))
+        assert len(_trace_data(install(bundle.splines))) == len(conjugacy_classes(3))
 
     def test_zero_at_a_pivot_raises(self, tampered):
         bundle, cols, install = tampered
@@ -522,8 +523,12 @@ class TestWitnessCertificate:
         num = splines[r].num.copy()
         num.flat[cols[r]] = 0
         splines[r] = Spline(splines[r].table, num)
+        # the pivot moves to the next nonzero coordinate, off the edge conditions
+        with pytest.raises(AssertionError, match="bundle element violates an edge condition"):
+            _trace_data(install(splines))
+        splines[r] = Spline.zero(3)  # zero everywhere: no pivot at all
         with pytest.raises(RankDeficientError, match="upper triangular"):
-            _trace_data(install(splines, cols))
+            _trace_data(install(splines))
 
     def test_witness_off_an_edge_raises(self, tampered):
         bundle, cols, install = tampered
@@ -533,25 +538,20 @@ class TestWitnessCertificate:
         num.flat[max(set(range(num.size)) - set(cols))] += 1  # off every pivot column
         splines[r] = Spline(splines[r].table, num)
         with pytest.raises(AssertionError, match="bundle element violates an edge condition"):
-            _trace_data(install(splines, cols))
+            _trace_data(install(splines))
 
-    def test_swapped_witnesses_raise(self, tampered):
+    def test_duplicated_witness_raises(self, tampered):
         bundle, cols, install = tampered
-        block = bundle.matrix()[:, cols]
-        lengths = group_table(3).lengths[np.array(cols) // 3]
-        # a shorter witness that is nonzero at the pivot of a longer one
-        r, s = next(
-            (r, s)
-            for r in range(3, len(cols))
-            for s in range(r + 1, len(cols))
-            if lengths[r] < lengths[s] and block[r, s]
-        )
+        want = _trace_data(install(bundle.splines))
+        # the certificate orders the rows itself: a swapped pair is sorted back
         order = list(range(len(cols)))
-        order[r], order[s] = s, r
+        order[3], order[-1] = order[-1], order[3]
+        assert _trace_data(install([bundle.splines[k] for k in order])) == want
+        # a witness in place of another shares its pivot
+        splines = list(bundle.splines)
+        splines[-1] = splines[3]
         with pytest.raises(RankDeficientError, match="upper triangular"):
-            _trace_data(
-                install([bundle.splines[k] for k in order], [cols[k] for k in order])
-            )
+            _trace_data(install(splines))
 
 
 class TestLabelEquivariance:

@@ -164,6 +164,23 @@ class TestChar:
             r = run_cli(cmd, "--n", "6", *extra, "--level", "full")
             assert r.returncode == 1 and "needs n <= 5" in r.stderr
 
+    def test_negative_h_terms_use_the_cycle_type_key(self, monkeypatch, capsys):
+        from fractions import Fraction
+
+        from bcsplines import symfunc
+
+        witness = [(((2, 1), ()), Fraction(-1))]
+        monkeypatch.setattr(symfunc, "h_positivity", lambda f: (False, witness))
+        assert cli.main(["char", "--n", "3", "--tset", "t1", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["left_h_negative_terms"] == [{"key": "2,1|", "coeff": "-1"}]
+
+    def test_tsv_is_a_table_format_only(self):
+        for args in (("char", "--n", "2", "--tset", "t1"), ("verify", "--n", "2")):
+            r = run_cli(*args, "--format", "tsv")
+            assert r.returncode == 1 and r.stdout == ""
+            assert "invalid choice: 'tsv'" in r.stderr
+
     def test_formula_only_large_rank(self):
         r = run_cli("char", "--n", "8", "--tset", "t2,t5,t6,t8")
         assert r.returncode == 0

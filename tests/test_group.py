@@ -77,6 +77,26 @@ class TestArithmetic:
         assert (s2 * s1 * s2).window == (-2, -1)
         assert (s1 * s2 * s1 * s2).window == (-1, -2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_from_word_equals_product_of_simples(self, n):
+        gens = [SignedPerm.transposition(i, i + 1, n) for i in range(1, n)]
+        gens.append(SignedPerm.transposition(n, -n, n))
+        assert [SignedPerm.simple(i, n) for i in range(1, n + 1)] == gens
+        rng = random.Random(40 + n)
+        for _ in range(50):
+            word = [rng.randint(1, n) for _ in range(rng.randint(0, 12))]
+            product = SignedPerm.identity(n)
+            for i in word:
+                product = product * gens[i - 1]
+            assert SignedPerm.from_word(word, n) == product
+
+    @pytest.mark.parametrize("word", [[0], [-1], [1, 4], [2, 1, 3, 5]])
+    def test_from_word_rejects_bad_letters(self, word):
+        with pytest.raises(ValueError, match="out of range"):
+            SignedPerm.from_word(word, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            SignedPerm.simple(word[-1], 3)
+
     def test_compose_identity(self):
         e = SignedPerm.identity(3)
         for w in group_table(3).elements[:10]:
@@ -134,7 +154,7 @@ class TestLength:
     def test_against_word_length_oracle(self, n):
         table = group_table(n)
         dist = bfs_lengths(n)
-        assert table.lengths.tolist() == [dist[win] for win in table.windows]
+        assert table.lengths.tolist() == [dist[tuple(win)] for win in table.windows_array.tolist()]
         for w in table.elements:
             assert length(w) == dist[w.window]
 
@@ -163,7 +183,7 @@ class TestArrayKernels:
     def test_exhaustive_small_ranks(self, n):
         table = group_table(n)
         win, els = table.windows_array, table.elements
-        index = {w: k for k, w in enumerate(table.windows)}
+        index = {tuple(w): k for k, w in enumerate(table.windows_array.tolist())}
         assert table.indices_of(win).tolist() == list(range(table.size))
         inv = invert(win)
         assert [tuple(r) for r in inv.tolist()] == [w.inverse().window for w in els]
@@ -174,7 +194,7 @@ class TestArrayKernels:
 
     def test_seeded_pairs_rank_six(self):
         table = group_table(6)
-        index = {w: k for k, w in enumerate(table.windows)}
+        index = {tuple(w): k for k, w in enumerate(table.windows_array.tolist())}
         rng = random.Random(6)
         pairs = [(rng.randrange(table.size), rng.randrange(table.size)) for _ in range(2000)]
         a = table.windows_array[[i for i, _ in pairs]]
@@ -182,7 +202,7 @@ class TestArrayKernels:
         prod, inv = compose(a, b), invert(a)
         idx = table.indices_of(prod)
         for k, (i, j) in enumerate(pairs):
-            x, y = SignedPerm(table.windows[i]), SignedPerm(table.windows[j])
+            x, y = (SignedPerm(table.windows_array[k].tolist()) for k in (i, j))
             assert tuple(prod[k].tolist()) == (x * y).window
             assert tuple(inv[k].tolist()) == x.inverse().window
             assert idx[k] == index[(x * y).window]
@@ -211,9 +231,10 @@ class TestArrayKernels:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_min_coset_reps_match_frozenset_filter(self, n):
         table = group_table(n)
-        descents = [loop_descent_set(win) for win in table.windows]
+        windows = [tuple(w) for w in table.windows_array.tolist()]
+        descents = [loop_descent_set(win) for win in windows]
         for i in range(1, n + 1):
-            expected = [win for win, des in zip(table.windows, descents) if des <= {i}]
+            expected = [win for win, des in zip(windows, descents) if des <= {i}]
             assert [w.window for w in min_coset_reps(n, i)] == expected
 
 

@@ -29,6 +29,7 @@ from bcsplines.roots import (
     simple_roots,
 )
 from bcsplines.splines import (
+    BasisBundle,
     LinearPoly,
     Spline,
     bundle_rank,
@@ -53,6 +54,7 @@ from bcsplines.splines import (
     support_minimal_witnesses,
     t_spline,
     telescoping_identity,
+    triangular_pivots,
     unbalanced_sets,
     witness_basis,
     y_spline,
@@ -211,7 +213,7 @@ class TestBatchedEdgeTest:
     @pytest.mark.parametrize("space", REALIZABLE_CELLS, ids=cell_id)
     def test_batch_equals_reference_per_spline(self, space):
         n = space.n
-        bundle, _ = witness_basis(space)
+        bundle = witness_basis(space)
         splines = list(bundle.splines)
         splines += [f_spline(n - 1, a, n) for a in unbalanced_sets(n - 1, n)]
         splines += [y_spline(1, k, n) for k in range(-n, n + 1) if k]
@@ -282,7 +284,7 @@ class TestFamilyValues:
         table = group_table(n)
         for i in range(1, n + 1):
             for a in unbalanced_sets(i, n):
-                want = [frozenset(win[:i]) == frozenset(a) for win in table.windows]
+                want = [frozenset(win[:i]) == frozenset(a) for win in table.windows_array.tolist()]
                 assert np.any(f_spline(i, a, n).num, axis=1).tolist() == want
 
     def test_window_family_signs(self):
@@ -559,10 +561,9 @@ class TestBundles:
                 lb, rb = left_basis(space), right_basis(space)
                 dim = dim_degree_one(space)
                 assert len(lb) == len(rb) == dim
-                assert bundle_rank(lb) == bundle_rank(rb) == dim
-                # same span: every left element expands exactly in the right basis
-                for s in lb.splines:
-                    assert reconstruct(expand(s, rb), rb) == s
+                # same span: every element is a spline, and the union has the rank of each
+                union = BasisBundle(n, "union", lb.splines + rb.splines, lb.labels + rb.labels)
+                assert bundle_rank(union) == bundle_rank(lb) == bundle_rank(rb) == dim
 
     def test_rank_deficient_cell_raises(self):
         space = from_tset(frozenset({3}), 3, C)
@@ -592,18 +593,16 @@ class TestBundles:
 
 class TestExpand:
     def test_basis_member_gives_unit_vector(self):
-        space = from_tset(frozenset({1}), 2, B)
-        lb = left_basis(space)
-        coeffs = expand(lb.splines[0], lb)
-        assert coeffs[0] == 1 and not any(coeffs[1:])
+        wb = witness_basis(from_tset(frozenset({1}), 2, B))
+        for j, s in enumerate(wb.splines):
+            assert expand(s, wb) == tuple(int(k == j) for k in range(len(wb)))
 
     def test_zero_expands_to_zero(self):
         pb = permutohedral_basis(2)
         assert not any(expand(Spline.zero(2), pb))
 
     def test_not_in_span_raises(self):
-        space = from_tset(frozenset({1, 2}), 2, B)
-        bundle = left_basis(space)
+        bundle = witness_basis(from_tset(frozenset({1, 2}), 2, B))
         with pytest.raises(ValueError, match="span"):
             expand(f_spline(1, (2,), 2), bundle)
 
@@ -624,6 +623,35 @@ class TestExpand:
         assert all(
             by_label[l] == (1 if l.startswith("f1") else 0) for l in pb.labels
         )
+
+
+class TestTriangularPivots:
+    """The certificate of the bundles that `expand` accepts."""
+
+    @staticmethod
+    def values(splines):
+        return np.stack([s.num for s in splines])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_permutohedral_block_is_triangular(self, n):
+        pb = permutohedral_basis(n)
+        rows, cols = triangular_pivots(self.values(pb.splines))
+        assert sorted(rows.tolist()) == list(range(len(pb)))
+        block = pb.matrix()[np.ix_(rows, cols)]
+        assert not np.tril(block, -1).any() and np.diag(block).all()
+
+    @pytest.mark.parametrize("bad", ["zero", "duplicate"])
+    def test_zero_or_duplicated_row_raises(self, bad):
+        splines = list(witness_basis(from_tset(frozenset({3}), 3, C)).splines)
+        triangular_pivots(self.values(splines))
+        extra = Spline.zero(3) if bad == "zero" else splines[5]
+        with pytest.raises(RankDeficientError, match="no triangular pivot block"):
+            triangular_pivots(self.values(splines[:7] + [extra] + splines[7:]))
+
+    def test_closed_form_bases_are_not_expanded(self):
+        lb = left_basis(from_tset(frozenset({1}), 2, B))
+        with pytest.raises(RankDeficientError, match="no triangular pivot block"):
+            expand(lb.splines[0], lb)
 
 
 def _fits_int64(values) -> bool:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bcsplines.characters import named_char
-from bcsplines.group import conjugacy_classes
+from bcsplines.group import conjugacy_classes, parse_cycle_type
 from bcsplines.symfunc import (
     BCSymFunc,
     coset_action_h_expansion,
@@ -17,11 +17,9 @@ from bcsplines.symfunc import (
     h_positivity,
     h_product,
     h_to_s,
-    key_str,
     kostka,
     p_in_h,
     p_to_h,
-    parse_key,
     partitions,
     s_basis,
     verify_table_rows,
@@ -325,9 +323,10 @@ class TestHPositivity:
 
 class TestSerialization:
     def test_key_round_trip(self):
-        assert key_str(((2, 1), (3,))) == "2,1|3"
-        assert parse_key("2,1|3") == ((2, 1), (3,))
-        assert parse_key("|") == ((), ())
+        (term,) = h_elem((2, 1), (3,)).to_json_dict()["terms"]
+        assert term["key"] == "2,1|3"
+        assert parse_cycle_type(term["key"]) == ((2, 1), (3,))
+        assert parse_cycle_type("|") == ((), ())
 
     def test_pretty(self):
         f = h_elem((2, 1), ()) + h_elem((1,), (1, 1)).scale(2)
