@@ -38,18 +38,14 @@ from .hessenberg import (
     enumerate_hessenberg,
     h_descent_formula,
     h_descent_oracle,
-    h_inversions,
     on_divergent_branch,
     published_descent_formula,
     realize_tset,
-    reflections,
     t_set,
 )
 from .splines import (
     BasisBundle,
-    LinearPoly,
     Spline,
-    edge_label,
     edges_ok,
     expand,
     f_spline,
@@ -62,7 +58,6 @@ from .splines import (
     phi_spline,
     r_spline,
     right_basis,
-    shortest_support,
     spline_space_basis,
     t_spline,
     y_spline,

@@ -82,11 +82,13 @@ def _rank(top: int | None = None):
     return rank
 
 
+def _in_order(tsets) -> list[frozenset[int]]:
+    """t-sets by size, then by their sorted entries: the order of every listing."""
+    return sorted(tsets, key=lambda s: (len(s), sorted(s)))
+
+
 def _all_tsets(n: int) -> list[frozenset[int]]:
-    out = [
-        frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(2**n)
-    ]
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return _in_order(frozenset(i + 1 for i in range(n) if mask >> i & 1) for mask in range(2**n))
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +294,7 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
     if level == "full":
         spaces = enumerate_hessenberg(lie_type, n)
     else:
-        spaces = [
-            from_tset(ts, n, lie_type) for ts in sorted(
-                realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s))
-            )
-        ]
+        spaces = [from_tset(ts, n, lie_type) for ts in _in_order(realizable_tsets(lie_type, n))]
     bad = []
     for space in spaces:
         ts = t_set(space)
@@ -365,7 +363,7 @@ def _suite_bases(n: int, lie_type: LieType):
     from .splines import bundle_rank, generating_set, left_basis, permutohedral_basis, right_basis
 
     deficient = []
-    for ts in sorted(realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s))):
+    for ts in _in_order(realizable_tsets(lie_type, n)):
         space = from_tset(ts, n, lie_type)
         dim = dim_degree_one(space)
         if bundle_rank(generating_set(space), target=dim) != dim:
@@ -388,7 +386,7 @@ def _suite_bases(n: int, lie_type: LieType):
 def _suite_characters(n: int, lie_type: LieType):
     from .characters import computed_char, published_formula_char
 
-    tsets = sorted(realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s)))
+    tsets = _in_order(realizable_tsets(lie_type, n))
     bad = []
     for ts in tsets:
         space = from_tset(ts, n, lie_type)
@@ -416,7 +414,7 @@ def _suite_h_positivity(n: int, lie_type: LieType):
     from .symfunc import h_basis, h_positivity
 
     bad = []
-    for ts in sorted(realizable_tsets(lie_type, n), key=lambda s: (len(s), sorted(s))):
+    for ts in _in_order(realizable_tsets(lie_type, n)):
         space = from_tset(ts, n, lie_type)
         ok, witness = h_positivity(h_basis(computed_char(space, "left")))
         if not ok:

@@ -29,7 +29,6 @@ are safe to share.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -170,15 +169,9 @@ class SignedPerm:
         neg.sort(reverse=True)
         return tuple(pos), tuple(neg)
 
-    def to_string(self) -> str:
-        return ",".join(str(x) for x in self.window)
-
     @classmethod
     def from_string(cls, s: str) -> "SignedPerm":
         return cls(int(p) for p in s.split(","))
-
-    def sort_key(self) -> tuple[int, ...]:
-        return tuple(order_key(x, self.n) for x in self.window)
 
     def __eq__(self, other):
         return isinstance(other, SignedPerm) and self.window == other.window
@@ -283,13 +276,6 @@ class ConjClass:
 def cycle_type_str(lam: Partition, mu: Partition) -> str:
     """Serialize a signed cycle type as "lambda|mu", e.g. "2|1"."""
     return ",".join(map(str, lam)) + "|" + ",".join(map(str, mu))
-
-
-def parse_cycle_type(s: str) -> tuple[Partition, Partition]:
-    left, _, right = s.partition("|")
-    lam = tuple(int(p) for p in left.split(",") if p)
-    mu = tuple(int(p) for p in right.split(",") if p)
-    return lam, mu
 
 
 class GroupTable:
@@ -424,24 +410,6 @@ def _conjugacy_classes_cached(n: int) -> tuple[ConjClass, ...]:
     return tuple(out)
 
 
-def class_size_formula(lam: Partition, mu: Partition) -> int:
-    """Closed-form class size 2^n n! / (z_lam 2^l(lam) z_mu 2^l(mu)).
-
-    Cross-check only; the scan-based sizes are authoritative.
-    """
-    n = sum(lam) + sum(mu)
-
-    def z(p: Partition) -> int:
-        out = 1
-        for part in set(p):
-            m = p.count(part)
-            out *= part**m * math.factorial(m)
-        return out
-
-    order = 2**n * math.factorial(n)
-    return order // (z(lam) * 2 ** len(lam) * z(mu) * 2 ** len(mu))
-
-
 @lru_cache(maxsize=None)
 def min_coset_reps(n: int, i: int) -> tuple[SignedPerm, ...]:
     """Shortest representatives of cosets of S_i x W_{n-i} in W_n.
@@ -455,8 +423,3 @@ def min_coset_reps(n: int, i: int) -> tuple[SignedPerm, ...]:
     table = group_table(n)
     keep = np.flatnonzero((table.descents & ~(1 << (i - 1))) == 0)
     return tuple(SignedPerm(w) for w in table.windows_array[keep].tolist())
-
-
-def in_young_subgroup(w: SignedPerm, i: int) -> bool:
-    """Membership in S_i x W_{n-i}: w permutes [i] positively among itself."""
-    return all(w(k) in range(1, i + 1) for k in range(1, i + 1))

@@ -31,7 +31,6 @@ from .roots import (
     parse_root,
     poset_leq,
     positive_roots,
-    root_to_reflection,
     simple_root,
     simple_roots,
 )
@@ -115,11 +114,6 @@ def _enumerate_cached(lie_type: LieType, n: int) -> tuple[HessenbergSpace, ...]:
     return tuple(HessenbergSpace(lie_type, n, ideal | delta) for ideal in ideals)
 
 
-def reflections(space: HessenbergSpace) -> frozenset[SignedPerm]:
-    """S(H): the reflections of the roots in H."""
-    return frozenset(root_to_reflection(r) for r in space.roots)
-
-
 def t_root(i: int, n: int, lie_type: LieType) -> Root:
     """The root corresponding to t_i in the given type (n >= 2)."""
     if n < 2 or not 1 <= i <= n:
@@ -134,15 +128,6 @@ def t_root(i: int, n: int, lie_type: LieType) -> Root:
         coords[n - 2] = 1
         coords[n - 1] = 2 if lie_type is LieType.B else 1
     return Root(tuple(coords), lie_type)
-
-
-def t_element(i: int, n: int) -> SignedPerm:
-    """The transposition t_i itself: (i, i+2), (n-1, -(n-1)) or (n-1, -n)."""
-    if i <= n - 2:
-        return SignedPerm.transposition(i, i + 2, n)
-    if i == n - 1:
-        return SignedPerm.transposition(n - 1, -(n - 1), n)
-    return SignedPerm.transposition(n - 1, -n, n)
 
 
 def t_set(space: HessenbergSpace) -> frozenset[int]:
@@ -214,44 +199,9 @@ def realize_tset(tset, n: int, preferred: LieType = LieType.B) -> HessenbergSpac
         return from_tset(tset, n, other)
 
 
-def maximal_ideal_for_tset(tset, n: int, lie_type: LieType) -> HessenbergSpace:
-    """Largest ideal of the given type whose t-set is exactly `tset`."""
-    tset = frozenset(tset)
-    missing = [t_root(i, n, lie_type) for i in range(1, n + 1) if i not in tset]
-    keep = [
-        r
-        for r in positive_roots(lie_type, n)
-        if not any(poset_leq(m, r) for m in missing)
-    ]
-    space = HessenbergSpace(lie_type, n, frozenset(keep) | set(simple_roots(lie_type, n)))
-    if t_set(space) != tset:
-        raise ValueError(
-            f"t-set {{{tset_str(tset)}}} is not realizable in type {lie_type} at n={n}"
-        )
-    return space
-
-
-def essential_reduction(space: HessenbergSpace) -> HessenbergSpace:
-    """Intersect H with the simple roots and the t-roots.
-
-    The degree-one spline space is unchanged by this reduction.
-    """
-    keep = set(simple_roots(space.lie_type, space.n))
-    for i in range(1, space.n + 1):
-        r = t_root(i, space.n, space.lie_type)
-        if r in space.roots:
-            keep.add(r)
-    return HessenbergSpace(space.lie_type, space.n, frozenset(keep))
-
-
 # ---------------------------------------------------------------------------
 # H-inversions and the brute-force descent oracle
 # ---------------------------------------------------------------------------
-
-
-def h_inversions(w: SignedPerm, space: HessenbergSpace) -> frozenset[Root]:
-    """Roots alpha in H with w(alpha) negative."""
-    return frozenset(r for r in space.roots if not is_positive(act(w, r)))
 
 
 @lru_cache(maxsize=None)

@@ -42,69 +42,7 @@ from .hessenberg import (
     t_set,
 )
 from .linalg import RankDeficientError, pivots, sparse_kernel_basis
-from .roots import Root, act, label_matrix, positive_roots, root_to_reflection
-
-
-@dataclass(frozen=True)
-class LinearPoly:
-    """A homogeneous linear polynomial with rational coefficients."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def zero(cls, n: int) -> "LinearPoly":
-        return cls((Fraction(0),) * n)
-
-    @classmethod
-    def variable(cls, k: int, n: int) -> "LinearPoly":
-        """x_k, with x_{-i} = -x_i."""
-        if k == 0 or abs(k) > n:
-            raise ValueError(f"variable index {k} out of range")
-        c = [Fraction(0)] * n
-        c[abs(k) - 1] = Fraction(1 if k > 0 else -1)
-        return cls(tuple(c))
-
-    @classmethod
-    def from_ints(cls, vec) -> "LinearPoly":
-        return cls(tuple(Fraction(int(v)) for v in vec))
-
-    def __add__(self, other):
-        return LinearPoly(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        return LinearPoly(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return LinearPoly(tuple(-a for a in self.coeffs))
-
-    def scale(self, c) -> "LinearPoly":
-        c = Fraction(c)
-        return LinearPoly(tuple(c * a for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def proportional_to(self, other: "LinearPoly") -> bool:
-        """True iff one is a rational multiple of the other."""
-        for (a, b) in combinations(range(len(self.coeffs)), 2):
-            if self.coeffs[a] * other.coeffs[b] != self.coeffs[b] * other.coeffs[a]:
-                return False
-        # a zero polynomial is proportional to anything; otherwise supports match
-        if self.is_zero() or other.is_zero():
-            return True
-        return all((a == 0) == (b == 0) for a, b in zip(self.coeffs, other.coeffs))
-
-    def __str__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs, start=1):
-            if c == 0:
-                continue
-            mag = f"{abs(c)}*x{i}"
-            if not terms:
-                terms.append(mag if c > 0 else f"-{mag}")
-            else:
-                terms.append(f"+ {mag}" if c > 0 else f"- {mag}")
-        return " ".join(terms) if terms else "0"
+from .roots import Root, label_matrix, positive_roots, root_to_reflection
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -162,20 +100,6 @@ class Spline:
         table = group_table(n)
         return cls(table, np.zeros((table.size, table.n), dtype=np.int64))
 
-    @classmethod
-    def from_values(cls, n: int, values: dict) -> "Spline":
-        """Build from a mapping of windows (or SignedPerms) to coefficient rows."""
-        table = group_table(n)
-        num = np.zeros((table.size, n), dtype=np.int64)
-        wins = [key.window if isinstance(key, SignedPerm) else tuple(key) for key in values]
-        if wins:
-            num[table.indices_of(wins)] = list(values.values())
-        return cls(table, num)
-
-    def value_at(self, w) -> LinearPoly:
-        idx = w if isinstance(w, int) else self.table.index_of(w)
-        return LinearPoly(tuple(Fraction(int(v), self.den) for v in self.num[idx]))
-
     def is_zero(self) -> bool:
         return not self.num.any()
 
@@ -213,27 +137,27 @@ class Spline:
         if self.n != other.n:
             raise ValueError("rank mismatch")
 
-    def flat_fractions(self) -> list[Fraction]:
-        return [Fraction(int(v), self.den) for v in self.num.ravel()]
-
     def dump(self) -> str:
-        """One line per group element: "window TAB polynomial"."""
+        """One line per group element: "window TAB polynomial", the
+        polynomial written like "1/2*x1 - 1*x3" ("0" when it vanishes)."""
         lines = []
-        for idx, win in enumerate(self.table.windows_array.tolist()):
-            lines.append(
-                ",".join(map(str, win)) + "\t" + str(self.value_at(idx))
-            )
+        for win, row in zip(self.table.windows_array.tolist(), self.num.tolist()):
+            terms = []
+            for i, v in enumerate(row, start=1):
+                if not v:
+                    continue
+                c = Fraction(v, self.den)
+                if terms:
+                    terms.append(f"{'-' if c < 0 else '+'} {abs(c)}*x{i}")
+                else:
+                    terms.append(f"{c}*x{i}")
+            lines.append(",".join(map(str, win)) + "\t" + (" ".join(terms) or "0"))
         return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
 # Edge labels and the spline predicate
 # ---------------------------------------------------------------------------
-
-
-def edge_label(w: SignedPerm, root: Root) -> LinearPoly:
-    """Label of the edge (w, w s_alpha): the image w(alpha) read as a polynomial."""
-    return LinearPoly.from_ints(act(w, root))
 
 
 @lru_cache(maxsize=None)
@@ -492,16 +416,6 @@ def y_f_g_identity(p: int, k: int, n: int) -> bool:
     return total.is_zero()
 
 
-def shortest_support(rho: Spline) -> frozenset[SignedPerm]:
-    """Support elements of minimal Coxeter length."""
-    if rho.is_zero():
-        raise ValueError("zero spline has no support")
-    rows = np.flatnonzero(np.any(rho.num, axis=1))
-    lens = rho.table.lengths[rows]
-    best = rows[lens == lens.min()]
-    return frozenset(rho.table.elements[int(r)] for r in best)
-
-
 # ---------------------------------------------------------------------------
 # Bundles: generating sets and bases
 # ---------------------------------------------------------------------------
@@ -702,14 +616,7 @@ def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
     return tuple(c / rho.den for c in coeffs)
 
 
-def reconstruct(coeffs, bundle: BasisBundle) -> Spline:
-    out = Spline.zero(bundle.n)
-    for c, s in zip(coeffs, bundle.splines):
-        if c:
-            out = out + s.scale(c)
-    return out
-
-
+@lru_cache(maxsize=None)
 def spline_space_basis(space: HessenbergSpace) -> BasisBundle:
     """A basis of the degree-one spline space from the edge conditions alone.
 
@@ -718,11 +625,6 @@ def spline_space_basis(space: HessenbergSpace) -> BasisBundle:
     dimension; independence is certified by `bundle_rank`).  The tests use
     it as the reference that reads the definition directly.
     """
-    return _kernel_basis_cached(space)
-
-
-@lru_cache(maxsize=None)
-def _kernel_basis_cached(space: HessenbergSpace) -> BasisBundle:
     n = space.n
     table = group_table(n)
     rows: list[dict[int, int]] = []

@@ -19,7 +19,6 @@ the monomial basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -28,13 +27,9 @@ from .characters import ClassFunction
 from .group import Partition, cycle_type_str
 
 
+@lru_cache(maxsize=None)
 def partitions(k: int) -> tuple[Partition, ...]:
     """All partitions of k, parts weakly decreasing."""
-    return _partitions_cached(k)
-
-
-@lru_cache(maxsize=None)
-def _partitions_cached(k: int) -> tuple[Partition, ...]:
     if k == 0:
         return ((),)
     out = []
@@ -200,14 +195,6 @@ class BCSymFunc:
                 parts.append(f"{c} {term}")
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "terms": [
-                {"key": cycle_type_str(*k), "coeff": str(c)} for k, c in self.items_sorted()
-            ],
-        }
-
 
 def frobenius_bc(f: ClassFunction) -> BCSymFunc:
     """The two-variable Frobenius characteristic, in the P basis.
@@ -273,33 +260,12 @@ def h_basis(f: ClassFunction) -> BCSymFunc:
     return p_to_h(frobenius_bc(f))
 
 
-def s_basis(f: ClassFunction) -> BCSymFunc:
-    return h_to_s(h_basis(f))
-
-
 def h_positivity(f: BCSymFunc) -> tuple[bool, list[tuple[Key, Fraction]]]:
     """Whether all H-basis coefficients are nonnegative; witnesses otherwise."""
     if f.basis != "H":
         raise ValueError("expected an H-basis element")
     witness = [(k, c) for k, c in f.items_sorted() if c < 0]
     return (not witness, witness)
-
-
-def h_product(*factors: BCSymFunc) -> BCSymFunc:
-    """Product in the H basis (multiplicative: keys concatenate)."""
-    out: dict[Key, Fraction] = {((), ()): Fraction(1)}
-    degree = 0
-    for f in factors:
-        if f.basis != "H":
-            raise ValueError("expected H-basis elements")
-        degree += f.degree
-        nxt: dict[Key, Fraction] = {}
-        for (l1, m1), c1 in out.items():
-            for (l2, m2), c2 in f.coeffs.items():
-                key = (_merge(l1, l2), _merge(m1, m2))
-                nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-        out = nxt
-    return BCSymFunc(degree, "H", out)
 
 
 def h_elem(lam: Partition, mu: Partition) -> BCSymFunc:

@@ -144,7 +144,7 @@ def test_criterion_01_reference_table_rank_four():
     import bcsplines.splines as spl
 
     chars._trace_data.cache_clear()
-    spl._kernel_basis_cached.cache_clear()
+    spl.spline_space_basis.cache_clear()
     start = time.monotonic()
     unverified = []
     for ts in all_tsets(n):

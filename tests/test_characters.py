@@ -59,9 +59,14 @@ B, C = LieType.B, LieType.C
 DEFECT_TSETS = {(3, frozenset({3})), (4, frozenset({4})), (4, frozenset({1, 4}))}
 
 
+def rank_two_spline(values) -> Spline:
+    """The spline with the given coefficient row at each window of W_2."""
+    table = group_table(2)
+    return Spline(table, [values[w] for w in map(tuple, table.windows_array.tolist())])
+
+
 def fig_spline():
-    return Spline.from_values(
-        2,
+    return rank_two_spline(
         {
             (1, 2): (0, 0),
             (2, 1): (1, -1),
@@ -78,8 +83,7 @@ def fig_spline():
 class TestDotAction:
     def test_rank_two_worked_example(self):
         w = SignedPerm.transposition(1, -2, 2)
-        expected = Spline.from_values(
-            2,
+        expected = rank_two_spline(
             {
                 (1, 2): (0, -1),
                 (2, 1): (-1, 0),

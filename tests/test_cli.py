@@ -321,6 +321,21 @@ class TestDumpSpline:
         assert lines["1,2"] == "0"
         assert lines["1,-2"] == "-1*x2"
 
+    @pytest.mark.parametrize(
+        "act,rows",
+        [
+            (None, {"-2,-1": "1*x1 - 1*x2", "-2,1": "-1*x1 - 1*x2"}),
+            ("--act=-2,1", {"-1,-2": "-1*x1 + 1*x2", "-1,2": "-1*x1 - 1*x2"}),
+        ],
+    )
+    def test_multi_term_text(self, act, rows):
+        # the full output of y_{1,-2}, alone and acted on by (-2, 1)
+        args = ["dump-spline", "--n", "2", "--family", "y", "--index", "1", "--k", "-2"]
+        r = run_cli(*args, *([act] if act else []))
+        assert r.returncode == 0
+        windows = ["-2,-1", "-2,1", "-1,-2", "-1,2", "1,-2", "1,2", "2,-1", "2,1"]
+        assert r.stdout == "".join(f"{w}\t{rows.get(w, '0')}\n" for w in windows)
+
     def test_missing_parameters(self):
         assert run_cli("dump-spline", "--n", "2", "--family", "f").returncode == 1
         assert run_cli("dump-spline", "--n", "2", "--family", "y").returncode == 1

@@ -1,6 +1,7 @@
 """Signed permutation group: arithmetic, length, cosets, conjugacy."""
 
 import itertools
+import math
 import random
 from collections import deque
 
@@ -11,16 +12,13 @@ from bcsplines import group
 from bcsplines.group import (
     ConjClass,
     SignedPerm,
-    class_size_formula,
     compose,
     conjugacy_classes,
     descent_set,
     group_table,
-    in_young_subgroup,
     invert,
     length,
     min_coset_reps,
-    parse_cycle_type,
     cycle_type_str,
 )
 
@@ -139,9 +137,7 @@ class TestArithmetic:
             assert (a * b) * c == a * (b * c)
 
     def test_serialization(self):
-        w = SignedPerm([2, -1])
-        assert w.to_string() == "2,-1"
-        assert SignedPerm.from_string("2,-1") == w
+        assert SignedPerm.from_string("2,-1") == SignedPerm([2, -1])
 
 
 class TestLength:
@@ -251,8 +247,8 @@ class TestCycleTypes:
 
     def test_serialization(self):
         assert cycle_type_str((2,), (1,)) == "2|1"
-        assert parse_cycle_type("2,1|") == ((2, 1), ())
-        assert parse_cycle_type("|1,1") == ((), (1, 1))
+        assert cycle_type_str((2, 1), ()) == "2,1|"
+        assert cycle_type_str((), (1, 1)) == "|1,1"
 
 
 class TestConjugacyClasses:
@@ -281,8 +277,13 @@ class TestConjugacyClasses:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_scan_sizes_match_closed_form(self, n):
+        # |W_n| / (z_lam 2^l(lam) z_mu 2^l(mu)), z_p = prod_k k^m_k m_k!
+        def z(p):
+            return math.prod(k ** p.count(k) * math.factorial(p.count(k)) for k in set(p))
+
+        order = 2**n * math.factorial(n)
         for c in conjugacy_classes(n):
-            assert c.size == class_size_formula(c.lam, c.mu)
+            assert c.size == order // (z(c.lam) * 2 ** len(c.lam) * z(c.mu) * 2 ** len(c.mu))
 
     def test_representative_is_lex_least(self):
         for n in (1, 2, 3, 4):
@@ -293,7 +294,8 @@ class TestConjugacyClasses:
                     for w in table.elements
                     if w.signed_cycle_type() == (c.lam, c.mu)
                 ]
-                assert c.rep == min(members, key=lambda w: w.sort_key())
+                lex = min(members, key=lambda w: [group.order_key(x, n) for x in w.window])
+                assert c.rep == lex
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_bucket_scan(self, n):
@@ -357,7 +359,8 @@ class TestCosets:
                 members = [SignedPerm(win) for win in block]
                 v0 = members[0]
                 for v in members[1:]:
-                    assert in_young_subgroup(v0.inverse() * v, i)
+                    # v0^-1 v lies in S_i x W_{n-i}: it permutes [i] positively
+                    assert set((v0.inverse() * v).window[:i]) == set(range(1, i + 1))
             # distinct blocks are genuinely distinct cosets
             assert len(by_image) == 2**i * len(
                 list(itertools.combinations(range(n), i))

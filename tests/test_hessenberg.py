@@ -4,25 +4,22 @@ import itertools
 
 import pytest
 
-from bcsplines.group import SignedPerm, group_table, length
+from bcsplines.group import SignedPerm, descent_set, group_table, length
 from bcsplines.hessenberg import (
     HessenbergSpace,
+    _inversion_counts,
+    _root_negativity,
     classify,
     dim_degree_one,
     enumerate_hessenberg,
-    essential_reduction,
     from_tset,
     h_descent_formula,
     h_descent_oracle,
-    h_inversions,
-    maximal_ideal_for_tset,
     on_divergent_branch,
     parse_tset,
     published_descent_formula,
     realizable_tsets,
     realize_tset,
-    reflections,
-    t_element,
     t_root,
     t_set,
     tset_str,
@@ -35,6 +32,7 @@ from bcsplines.roots import (
     poset_leq,
     positive_roots,
     root_to_reflection,
+    simple_root,
     simple_roots,
 )
 
@@ -123,21 +121,19 @@ class TestTSets:
         assert 3 in t_set(H2)
 
     def test_t_elements(self):
-        assert t_element(1, 4) == SignedPerm.transposition(1, 3, 4)
-        assert t_element(3, 4) == SignedPerm.transposition(3, -3, 4)
-        assert t_element(4, 4) == SignedPerm.transposition(3, -4, 4)
-        # the t-roots map onto the t-elements under the correspondence
+        # the t-roots map onto the transpositions (i, i+2), (n-1, -(n-1)), (n-1, -n)
         for lt in (B, C):
-            for n in (2, 3, 4):
-                for i in range(1, n + 1):
-                    assert root_to_reflection(t_root(i, n, lt)) == t_element(i, n)
+            assert root_to_reflection(t_root(1, 4, lt)) == SignedPerm.transposition(1, 3, 4)
+            assert root_to_reflection(t_root(3, 4, lt)) == SignedPerm.transposition(3, -3, 4)
+            assert root_to_reflection(t_root(4, 4, lt)) == SignedPerm.transposition(3, -4, 4)
 
     def test_words_for_t_elements(self):
-        for n in (2, 3, 4):
-            for i in range(1, n - 1):
-                assert t_element(i, n) == SignedPerm.from_word([i, i + 1, i], n)
-            assert t_element(n - 1, n) == SignedPerm.from_word([n - 1, n, n - 1], n)
-            assert t_element(n, n) == SignedPerm.from_word([n, n - 1, n], n)
+        for lt in (B, C):
+            for n in (2, 3, 4):
+                words = [[i, i + 1, i] for i in range(1, n - 1)]
+                words += [[n - 1, n, n - 1], [n, n - 1, n]]
+                for i, word in enumerate(words, start=1):
+                    assert root_to_reflection(t_root(i, n, lt)) == SignedPerm.from_word(word, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_subset_realizable_in_some_type(self, n):
@@ -173,10 +169,17 @@ class TestTSets:
         assert realize_tset(frozenset({1}), 2, C).lie_type is B
 
     def test_maximal_ideal(self):
-        Hmax = maximal_ideal_for_tset(frozenset({4}), 4, C)
+        # the ideals with a given t-set lie between from_tset's and their union
+        ideals = [H for H in enumerate_hessenberg(C, 4) if t_set(H) == {4}]
         Hmin = from_tset(frozenset({4}), 4, C)
-        assert Hmin.roots <= Hmax.roots
-        assert t_set(Hmax) == frozenset({4})
+        Hmax = HessenbergSpace(C, 4, frozenset().union(*(H.roots for H in ideals)))
+        assert Hmin in ideals and Hmax in ideals
+        assert all(Hmin.roots <= H.roots for H in ideals)
+
+
+def reflections(space):
+    """S(H): the reflections of the roots in H."""
+    return frozenset(root_to_reflection(r) for r in space.roots)
 
 
 class TestReflections:
@@ -194,23 +197,27 @@ class TestReflections:
 
 
 class TestHInversions:
+    """The per-element H-inversion scan behind `dim_degree_one` and the oracle."""
+
     def test_identity_has_none(self):
         H = realize_tset(frozenset({1}), 3, B)
-        assert h_inversions(SignedPerm.identity(3), H) == frozenset()
+        assert _inversion_counts(H)[group_table(3).index_of(SignedPerm.identity(3))] == 0
 
     @pytest.mark.parametrize("lt", [B, C])
     def test_full_space_counts_length(self, lt):
         H = HessenbergSpace(lt, 3, frozenset(positive_roots(lt, 3)))
-        for w in group_table(3).elements:
-            assert len(h_inversions(w, H)) == length(w)
+        counts = _inversion_counts(H)
+        for k, w in enumerate(group_table(3).elements):
+            assert counts[k] == length(w)
 
     def test_simples_give_descents(self):
-        from bcsplines.group import descent_set
-
-        H = HessenbergSpace(B, 3, frozenset(simple_roots(B, 3)))
-        for w in group_table(3).elements:
-            got = {r.coords.index(1) + 1 for r in h_inversions(w, H)}
-            assert got == descent_set(w)
+        for lt in (B, C):
+            neg = _root_negativity(lt, 3)
+            counts = _inversion_counts(HessenbergSpace(lt, 3, frozenset(simple_roots(lt, 3))))
+            for k, w in enumerate(group_table(3).elements):
+                got = {i for i in range(1, 4) if neg[simple_root(i, lt, 3)][k]}
+                assert got == descent_set(w)
+                assert counts[k] == len(got)
 
     @pytest.mark.parametrize("lt", [B, C])
     def test_root_and_reflection_formulations_agree(self, lt):
@@ -340,8 +347,10 @@ class TestDescentSets:
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reduction_preserves_descents(self, lt, n):
+        # the smallest ideal with the same t-set: the simples and the t-roots
         for H in enumerate_hessenberg(lt, n):
-            reduced = essential_reduction(H)
+            reduced = from_tset(t_set(H), n, lt)
+            assert reduced.roots <= H.roots
             for i in range(1, n + 1):
                 assert h_descent_oracle(H, i) == h_descent_oracle(reduced, i)
 
