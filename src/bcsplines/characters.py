@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -72,7 +71,7 @@ def dot_action(w: SignedPerm, rho: Spline) -> Spline:
         raise ValueError("rank mismatch")
     table = rho.table
     src = table.left_mult_indices(w.inverse())
-    return Spline(table, rho.num[src] @ poly_action_matrix(w).T, rho.den)
+    return Spline(table, rho.num[src] @ poly_action_matrix(w).T)
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +81,10 @@ def dot_action(w: SignedPerm, rho: Spline) -> Spline:
 
 @dataclass(frozen=True)
 class ClassFunction:
-    """Rational values indexed by the conjugacy classes of W_n."""
+    """Integer values indexed by the conjugacy classes of W_n."""
 
     n: int
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.values) != len(conjugacy_classes(self.n)):
@@ -93,9 +92,9 @@ class ClassFunction:
 
     @classmethod
     def from_callable(cls, n: int, fn) -> "ClassFunction":
-        return cls(n, tuple(Fraction(fn(c.rep)) for c in conjugacy_classes(n)))
+        return cls(n, tuple(fn(c.rep) for c in conjugacy_classes(n)))
 
-    def dimension(self) -> Fraction:
+    def dimension(self) -> int:
         for c, v in zip(conjugacy_classes(self.n), self.values):
             if c.rep == SignedPerm.identity(self.n):
                 return v
@@ -107,8 +106,7 @@ class ClassFunction:
     def __sub__(self, other):
         return ClassFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
 
-    def scale(self, c) -> "ClassFunction":
-        c = Fraction(c)
+    def scale(self, c: int) -> "ClassFunction":
         return ClassFunction(self.n, tuple(c * v for v in self.values))
 
     def items(self):
@@ -375,7 +373,7 @@ def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
     values = []
     for cl, tr in zip(conjugacy_classes(n), _trace_data(space)):
         if side == "left":
-            values.append(Fraction(tr - defining_char_value(cl.rep)))
+            values.append(tr - defining_char_value(cl.rep))
         else:
-            values.append(Fraction(tr - n))
+            values.append(tr - n)
     return ClassFunction(n, tuple(values))

@@ -277,7 +277,7 @@ def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
         ("f", i, A)      f_i^A
         ("g", k)         g_k
         ("phi", B)       phi^B
-        ("h",)           h - 1/2 sum_{j<=n} (r_j - t_j)
+        ("h",)           h + g_1 + ... + g_n
 
     t_0 is treated as absent from every t-set.
     """

@@ -3,10 +3,10 @@ Degree-one splines on W_n.
 
 A spline assigns to every group element a homogeneous linear polynomial
 so that along each edge (w, w s_alpha) with alpha in H the difference of
-values is a scalar multiple of the edge label w(alpha).  Values are kept
-as an integer matrix over a common positive denominator, so everything is
-exact; the identification x_{-i} = -x_i is applied when polynomials are
-built, never stored.
+values is a scalar multiple of the edge label w(alpha).  Every spline
+built here has integer coefficients, so values are kept as an integer
+matrix and everything is exact; the identification x_{-i} = -x_i is
+applied when polynomials are built, never stored.
 
 The named families:
 
@@ -25,6 +25,7 @@ over those of size n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,35 +62,28 @@ def _widened(num: np.ndarray, bound: int) -> np.ndarray:
 class Spline:
     """A map from W_n to linear polynomials, dense over the group table.
 
-    Values are stored in int64; arithmetic that could leave that range runs
-    on Python integers, and a reduced result that does not fit back raises
-    OverflowError instead of wrapping.
+    Values are integers stored in int64; arithmetic that could leave that
+    range runs on Python integers, and a result that does not fit back
+    raises OverflowError instead of wrapping.
     """
 
-    __slots__ = ("table", "num", "den")
+    __slots__ = ("table", "num")
 
-    def __init__(self, table: GroupTable, num: np.ndarray, den: int = 1):
+    def __init__(self, table: GroupTable, num: np.ndarray):
         num = np.asarray(num)
-        if num.dtype != object:
-            num = np.asarray(num, dtype=np.int64)
+        if num.dtype == object:
+            if not all(type(v) is int for v in num.flat):
+                raise TypeError("object-array spline values must be Python integers")
+        elif num.dtype.kind not in "iu":
+            raise TypeError(f"spline values must be integers, got dtype {num.dtype}")
+        if num.dtype.kind != "i" and _peak(num) > _INT64_MAX:
+            raise OverflowError("spline values do not fit in int64")
         if num.shape != (table.size, table.n):
             raise ValueError("value matrix has wrong shape")
-        if den == 0:
-            raise ValueError("zero denominator")
-        if den < 0:
-            num, den = -_widened(num, _peak(num)), -den
-        g = int(np.gcd.reduce(np.abs(num), axis=None))
-        g = math.gcd(g, den)
-        if g > 1:
-            num, den = num // g, den // g
-        if num.dtype == object:
-            if _peak(num) > _INT64_MAX:
-                raise OverflowError("spline values do not fit in int64")
-            num = num.astype(np.int64)
+        num = num.astype(np.int64)
         num.setflags(write=False)
         self.table = table
         self.num = num
-        self.den = den
 
     @property
     def n(self) -> int:
@@ -105,33 +99,27 @@ class Spline:
 
     def __add__(self, other: "Spline") -> "Spline":
         self._check(other)
-        den = self.den * other.den // math.gcd(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        bound = _peak(self.num) * fa + _peak(other.num) * fb
-        return Spline(
-            self.table,
-            _widened(self.num, bound) * fa + _widened(other.num, bound) * fb,
-            den,
-        )
+        bound = _peak(self.num) + _peak(other.num)
+        return Spline(self.table, _widened(self.num, bound) + _widened(other.num, bound))
 
     def __sub__(self, other: "Spline") -> "Spline":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Spline":
-        c = Fraction(c)
-        num = _widened(self.num, _peak(self.num) * abs(c.numerator))
-        return Spline(self.table, num * c.numerator, self.den * c.denominator)
+        c = operator.index(c)
+        # the bound covers c itself, which numpy cannot mix with int64 past that range
+        num = _widened(self.num, max(_peak(self.num), 1) * abs(c))
+        return Spline(self.table, num * c)
 
     def __eq__(self, other):
         return (
             isinstance(other, Spline)
             and self.n == other.n
-            and self.den == other.den
             and np.array_equal(self.num, other.num)
         )
 
     def __hash__(self):
-        return hash((self.n, self.den, self.num.tobytes()))
+        return hash((self.n, self.num.tobytes()))
 
     def _check(self, other):
         if self.n != other.n:
@@ -139,14 +127,13 @@ class Spline:
 
     def dump(self) -> str:
         """One line per group element: "window TAB polynomial", the
-        polynomial written like "1/2*x1 - 1*x3" ("0" when it vanishes)."""
+        polynomial written like "2*x1 - 1*x3" ("0" when it vanishes)."""
         lines = []
         for win, row in zip(self.table.windows_array.tolist(), self.num.tolist()):
             terms = []
-            for i, v in enumerate(row, start=1):
-                if not v:
+            for i, c in enumerate(row, start=1):
+                if not c:
                     continue
-                c = Fraction(v, self.den)
                 if terms:
                     terms.append(f"{'-' if c < 0 else '+'} {abs(c)}*x{i}")
                 else:
@@ -231,7 +218,7 @@ def is_spline(rho: Spline, space: HessenbergSpace, witness: bool = False):
         if not rows_ok.all():
             if witness:
                 bad = int(lo[np.argmin(rows_ok[0])])
-                return False, (rho.table.elements[bad], root)
+                return False, (SignedPerm(rho.table.windows_array[bad]), root)
             return False
     return (True, None) if witness else True
 
@@ -434,10 +421,7 @@ class BasisBundle:
         return len(self.splines)
 
     def matrix(self) -> np.ndarray:
-        """Stacked flattened values; rows are integral (denominator one)."""
-        for s in self.splines:
-            if s.den != 1:
-                raise ValueError("bundle splines must have integral values")
+        """Stacked flattened values, one row per spline."""
         return np.stack([s.num.ravel() for s in self.splines])
 
 
@@ -613,7 +597,7 @@ def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
     scaled = np.array([int(c * den) for c in coeffs], dtype=object)
     if (scaled @ mat.astype(object) != den * rho.num.ravel().astype(object)).any():
         raise ValueError("spline is not in the span of the bundle")
-    return tuple(c / rho.den for c in coeffs)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -698,7 +682,7 @@ def support_minimal_witnesses(space: HessenbergSpace) -> dict[SignedPerm, Spline
         "f": lambda i, a: f_spline(i, a, n),
         "g": lambda k: g_spline(k, n),
         "phi": lambda b: phi_spline(b, n),
-        "h": lambda: h_spline(n) - r_minus_t_partial(n, n).scale(Fraction(1, 2)),
+        "h": lambda: sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n)),
     }
     tset = t_set(space)
     return {
@@ -714,14 +698,12 @@ def witness_basis(space: HessenbergSpace) -> BasisBundle:
     This is the order `triangular_pivots` gives: the pivot of t_i is
     coordinate i at e, that of rho_w the first nonzero coordinate of
     rho_w(w), and a witness vanishes at e and at every other element no
-    longer than its own.  The h witness, with denominator 2, is scaled to
-    integers.
+    longer than its own.
     """
     n, table = space.n, group_table(space.n)
     items = [(t_spline(i, n), f"t{i}") for i in range(1, n + 1)]
     witnesses = support_minimal_witnesses(space)
     index = {w: table.index_of(w) for w in witnesses}
     for w in sorted(witnesses, key=lambda w: (table.lengths[index[w]], index[w])):
-        rho = witnesses[w].scale(witnesses[w].den)
-        items.append((rho, "rho_" + ",".join(map(str, w.window))))
+        items.append((witnesses[w], "rho_" + ",".join(map(str, w.window))))
     return BasisBundle(n, "witness", tuple(s for s, _ in items), tuple(l for _, l in items))

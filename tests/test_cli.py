@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,11 +27,18 @@ def _rank_six_references():
     )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args):
+    # the package source goes first on the child's path, so the CLI under
+    # test is this checkout's with or without an install
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "bcsplines.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -335,6 +343,11 @@ class TestDumpSpline:
         assert r.returncode == 0
         windows = ["-2,-1", "-2,1", "-1,-2", "-1,2", "1,-2", "1,2", "2,-1", "2,1"]
         assert r.stdout == "".join(f"{w}\t{rows.get(w, '0')}\n" for w in windows)
+
+    def test_parity_family_rank_three_matches_golden(self):
+        r = run_cli("dump-spline", "--n", "3", "--family", "h")
+        assert r.returncode == 0
+        assert r.stdout == (GOLDEN / "dump_spline_n3_h.txt").read_text()
 
     def test_missing_parameters(self):
         assert run_cli("dump-spline", "--n", "2", "--family", "f").returncode == 1

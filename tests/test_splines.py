@@ -1,6 +1,5 @@
 """Degree-one splines: labels, families, relations, bases, expansion."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 from bcsplines.group import SignedPerm, group_table, min_coset_reps, descent_set
 from bcsplines.hessenberg import (
     HessenbergSpace,
+    descent_cases,
     dim_degree_one,
     enumerate_hessenberg,
     from_tset,
@@ -85,9 +85,9 @@ def fig_spline() -> Spline:
     return spline_from_values(2, FIG_SPLINE_VALUES)
 
 
-def value(rho, w) -> list[Fraction]:
+def value(rho, w) -> list[int]:
     """rho(w) as its coefficients of x_1..x_n."""
-    return [Fraction(int(v), rho.den) for v in rho.num[rho.table.index_of(w)]]
+    return rho.num[rho.table.index_of(w)].tolist()
 
 
 def var(k, n) -> np.ndarray:
@@ -361,13 +361,13 @@ class TestFamilyValues:
         assert t_spline(1, 2).dump() == t_spline(1, 2).dump()
 
     def test_poly_str(self):
-        # each row is written over the spline's denominator; a zero row reads 0
-        half = t_spline(1, 2).scale(Fraction(1, 2))
-        assert {line.split("\t")[1] for line in half.dump().splitlines()} == {"1/2*x1"}
-        rho = t_spline(2, 2).scale(Fraction(1, 2)) - t_spline(1, 2)
-        assert rho.dump().splitlines()[0] == "-2,-1\t-1*x1 + 1/2*x2"
-        rho = t_spline(1, 2) - t_spline(2, 2).scale(Fraction(3, 2))
-        assert rho.dump().splitlines()[0] == "-2,-1\t1*x1 - 3/2*x2"
+        # every coefficient is written with its sign and value; a zero row reads 0
+        double = t_spline(1, 2).scale(2)
+        assert {line.split("\t")[1] for line in double.dump().splitlines()} == {"2*x1"}
+        rho = t_spline(2, 2).scale(3) - t_spline(1, 2)
+        assert rho.dump().splitlines()[0] == "-2,-1\t-1*x1 + 3*x2"
+        rho = t_spline(1, 2) - t_spline(2, 2).scale(2)
+        assert rho.dump().splitlines()[0] == "-2,-1\t1*x1 - 2*x2"
         assert Spline.zero(2).dump().splitlines()[-1] == "2,1\t0"
 
 
@@ -454,17 +454,16 @@ class TestRelations:
         assert y_f_g_identity(1, -2, 3)
         assert y_f_g_identity(1, 1, 3)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_signed_family_relations(self, n):
         for i in range(1, n + 1):
             assert g_spline(i, n) - g_spline(-i, n) == t_spline(i, n)
+        # sum_j (r_j - t_j) = -2 sum_k g_k: the coefficient of x_k at w is
+        # eps_k - 1, which is -2 where w^{-1}(k) < 0 and 0 elsewhere
         total = Spline.zero(n)
         for j in range(1, n + 1):
             total = total + g_spline(j, n)
-        rhs = Spline.zero(n)
-        for j in range(1, n + 1):
-            rhs = rhs + t_spline(j, n) - r_spline(j, n)
-        assert total.scale(2) == rhs
+        assert r_minus_t_partial(n, n) == total.scale(-2)
 
 
 class TestPhiFamily:
@@ -550,7 +549,7 @@ class TestShortestSupports:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_parity_combination(self, n):
-        combo = h_spline(n) - r_minus_t_partial(n, n).scale(Fraction(1, 2))
+        combo = sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n))
         assert shortest_support(combo) == {SignedPerm.from_word([n, n - 1], n)}
 
 
@@ -635,7 +634,9 @@ class TestExpand:
         coeffs = expand(sigma, pb)
         nonzero = {l: c for l, c in zip(pb.labels, coeffs) if c}
         assert nonzero == {"f1^{2}": -1, "f2^{-2,-1}": -1}
-        assert sum((s.scale(c) for c, s in zip(coeffs, pb.splines)), Spline.zero(2)) == sigma
+        assert all(c.denominator == 1 for c in coeffs)
+        combo = (s.scale(c.numerator) for c, s in zip(coeffs, pb.splines))
+        assert sum(combo, Spline.zero(2)) == sigma
 
     def test_coset_sum_expansion(self):
         # the coset-family sum r_1 - r_2 expands with unit coefficients
@@ -677,22 +678,18 @@ class TestTriangularPivots:
             expand(lb.splines[0], lb)
 
 
-def fractions(rho) -> list[Fraction]:
-    """Every value coefficient of rho, row by row."""
-    return [Fraction(int(v), rho.den) for v in rho.num.ravel()]
-
-
 def _fits_int64(values) -> bool:
-    """Whether exact values stored over their least common denominator fit in int64."""
-    lcd = math.lcm(1, *(v.denominator for v in values))
-    return all(abs(v * lcd) <= np.iinfo(np.int64).max for v in values)
+    return all(abs(v) <= np.iinfo(np.int64).max for v in values)
 
 
 class TestInt64Guard:
     """Spline arithmetic is exact or raises OverflowError; it never wraps."""
 
-    NUMERATORS = st.integers(-(2**70), 2**70)
-    DENOMINATORS = st.integers(1, 2**70)
+    # the whole range, and the values next to 2^62 and 2^63 where sums and
+    # doublings of fig_spline values first leave int64
+    SCALARS = st.integers(-(2**70), 2**70) | st.sampled_from(
+        [s * (2**k + d) for s in (1, -1) for k in (62, 63) for d in (-1, 0, 1)]
+    )
 
     def test_repeated_scaling_raises(self):
         with pytest.raises(OverflowError):
@@ -700,19 +697,22 @@ class TestInt64Guard:
 
     def test_sum_past_int64_raises(self):
         with pytest.raises(OverflowError):
-            t_spline(1, 2).scale(Fraction(1, 3)) + t_spline(2, 2).scale(Fraction(2**62, 5))
+            t_spline(1, 2).scale(2**62) + t_spline(1, 2).scale(2**62)
+
+    def test_zero_scaled_past_int64_is_zero(self):
+        assert Spline.zero(2).scale(2**63).is_zero()
 
     def test_cancelling_sum_of_large_values(self):
-        big = Fraction(3 * 2**61, 7)
+        # 2 * big leaves int64, so the sum runs on Python integers
+        big = 3 * 2**61
         assert (t_spline(1, 2).scale(big) - t_spline(1, 2).scale(big)).is_zero()
 
     @settings(max_examples=200, deadline=None)
-    @given(a=NUMERATORS, b=DENOMINATORS, c=NUMERATORS, d=DENOMINATORS)
-    def test_sum_of_scaled_splines(self, a, b, c, d):
+    @given(x=SCALARS, y=SCALARS)
+    def test_sum_of_scaled_splines(self, x, y):
         u, v = fig_spline(), r_spline(1, 2)
-        x, y = Fraction(a, b), Fraction(c, d)
-        ux = [x * e for e in fractions(u)]
-        vy = [y * e for e in fractions(v)]
+        ux = [x * e for e in u.num.ravel().tolist()]
+        vy = [y * e for e in v.num.ravel().tolist()]
         expected = [p + q for p, q in zip(ux, vy)]
         try:
             out = u.scale(x) + v.scale(y)
@@ -720,14 +720,13 @@ class TestInt64Guard:
             assert not (_fits_int64(ux) and _fits_int64(vy) and _fits_int64(expected))
         else:
             assert out.num.dtype == np.int64
-            assert fractions(out) == expected
+            assert out.num.ravel().tolist() == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(a=NUMERATORS, b=DENOMINATORS, c=NUMERATORS, d=DENOMINATORS)
-    def test_repeated_scaling(self, a, b, c, d):
-        x, y = Fraction(a, b), Fraction(c, d)
+    @given(x=SCALARS, y=SCALARS)
+    def test_repeated_scaling(self, x, y):
         u = fig_spline()
-        once = [x * e for e in fractions(u)]
+        once = [x * e for e in u.num.ravel().tolist()]
         expected = [y * e for e in once]
         try:
             out = u.scale(x).scale(y)
@@ -735,7 +734,54 @@ class TestInt64Guard:
             assert not (_fits_int64(once) and _fits_int64(expected))
         else:
             assert out.num.dtype == np.int64
-            assert fractions(out) == expected
+            assert out.num.ravel().tolist() == expected
+
+
+class TestIntegerValues:
+    """Spline values are integers; nothing else is accepted or truncated."""
+
+    @pytest.mark.parametrize(
+        "num",
+        [
+            np.full((8, 2), 0.5),
+            np.full((8, 2), 2.7),
+            np.full((8, 2), Fraction(1, 2), dtype=object),
+            np.full((8, 2), Fraction(2), dtype=object),
+            np.ones((8, 2), dtype=bool),
+        ],
+        ids=["half", "float", "fraction", "integral-fraction", "bool"],
+    )
+    def test_non_integer_values_raise(self, num):
+        with pytest.raises(TypeError):
+            Spline(group_table(2), num)
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), 0.5, 2.0])
+    def test_non_integer_scale_raises(self, c):
+        with pytest.raises(TypeError):
+            t_spline(1, 2).scale(c)
+
+    @pytest.mark.parametrize(
+        "num",
+        [
+            np.full((8, 2), 3, dtype=np.int8),
+            np.full((8, 2), 3, dtype=np.uint16),
+            np.full((8, 2), 3, dtype=object),
+        ],
+        ids=["int8", "uint16", "python-int"],
+    )
+    def test_integer_values_are_kept(self, num):
+        rho = Spline(group_table(2), num)
+        assert rho.num.dtype == np.int64 and (rho.num == 3).all()
+        assert rho == t_spline(1, 2).scale(3) + t_spline(2, 2).scale(3)
+
+    @pytest.mark.parametrize(
+        "num",
+        [np.full((8, 2), 2**63, dtype=np.uint64), np.full((8, 2), 2**63, dtype=object)],
+        ids=["uint64", "python-int"],
+    )
+    def test_values_past_int64_raise(self, num):
+        with pytest.raises(OverflowError):
+            Spline(group_table(2), num)
 
 
 class TestSupportMinimalWitnesses:
@@ -755,6 +801,33 @@ class TestSupportMinimalWitnesses:
                     lab = label_matrix(n, alpha)[idx]
                     assert outer_rows_proportional(rho.num[idx][None], lab[None]).all()
                     assert descent_set(w) == {i}
+
+
+class TestParityWitness:
+    """The ("h",) witness is the integer spline h + g_1 + ... + g_n."""
+
+    CELLS = [
+        space
+        for space in REALIZABLE_CELLS
+        if any(
+            tag == ("h",)
+            for i in range(1, space.n + 1)
+            for tag in descent_cases(t_set(space), space.n, i).values()
+        )
+    ]
+
+    def test_some_type_c_cells_use_it(self):
+        assert self.CELLS and all(space.lie_type == C for space in self.CELLS)
+
+    @pytest.mark.parametrize("space", CELLS, ids=cell_id)
+    def test_witness_row(self, space):
+        n = space.n
+        w = SignedPerm.from_word([n, n - 1], n)
+        assert descent_cases(t_set(space), n, n - 1)[w] == ("h",)
+        wb = witness_basis(space)
+        row = wb.splines[wb.labels.index("rho_" + ",".join(map(str, w.window)))]
+        assert row == sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n))
+        assert np.abs(row.num).max() == 1
 
 
 class TestDegreeZero:
