@@ -44,7 +44,6 @@ from .hessenberg import (
     t_set,
 )
 from .splines import (
-    BasisBundle,
     Spline,
     edges_ok,
     expand,

@@ -329,32 +329,31 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
     and pv holds the images of the basis at the pivot coordinates, both with
-    the rows in bundle order (a row permutation does not change the trace).
+    the rows in bundle order, the build order of `witness_basis` (a row
+    permutation does not change the trace).
     On a W_n-stable space of dimension m a trace is an integer of absolute
     value at most m < p/2, so its symmetric residue is exact.
     """
     n = space.n
-    bundle = witness_basis(space)
+    bundle = witness_basis(space)  # (m, N, n)
     m, p = len(bundle), PRIMES[0]
     if m != dim_degree_one(space):
         raise RankDeficientError("bundle does not span for this space")
-    mat = bundle.matrix()
-    tensor = mat.reshape(m, -1, n)  # (m, N, n)
-    _, cols = triangular_pivots(tensor)
-    if not edges_ok(tensor, space.roots).all():
+    _, cols = triangular_pivots(bundle)
+    if not edges_ok(bundle, space.roots).all():
         raise AssertionError("bundle element violates an edge condition")
     if not labels_pairwise_independent(space.lie_type, n):
         raise AssertionError("edge labels are not pairwise independent")
     if not _labels_equivariant(space.lie_type, n):
         raise AssertionError("dot action does not preserve the edge ideals")
-    inv = inverse_mod_p(mat[:, cols], p)
     piv_rows, piv_slots = np.divmod(cols, n)
+    inv = inverse_mod_p(bundle[:, piv_rows, piv_slots], p)
     table = group_table(n)
     traces = []
     for cl in conjugacy_classes(n):
         g = cl.rep
         src = table.left_mult_indices(g.inverse())
-        imgs = tensor[:, src[piv_rows], :] @ poly_action_matrix(g).T  # (m, m, n)
+        imgs = bundle[:, src[piv_rows], :] @ poly_action_matrix(g).T  # (m, m, n)
         pv = imgs[:, np.arange(m), piv_slots]  # (m, m): images at pivot coordinates
         traces.append(symmetric_lift(trace_product_mod_p(pv, inv, p), p, m))
     return tuple(traces)

@@ -310,10 +310,7 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
 
 def _suite_families(n: int, lie_type: LieType):
     from .hessenberg import classify
-    from .splines import unbalanced_sets
-
-    def stack(splines):
-        return np.stack([s.num for s in splines])
+    from .splines import stack, unbalanced_sets
 
     families = {
         ("g",): stack([g_spline(i, n) for i in range(1, n + 1)]),

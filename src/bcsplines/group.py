@@ -300,15 +300,8 @@ class GroupTable:
         self.windows_array: np.ndarray = arr
         self._codes = codes
         self.size = len(arr)
-        self._elements = None
         self._lengths = None
         self._descents = None
-
-    @property
-    def elements(self) -> tuple[SignedPerm, ...]:
-        if self._elements is None:
-            self._elements = tuple(SignedPerm(w) for w in self.windows_array.tolist())
-        return self._elements
 
     @property
     def lengths(self) -> np.ndarray:

@@ -20,13 +20,17 @@ The named families:
 
 with A ranging over unbalanced subsets (no pair {a, -a}) of size i and B
 over those of size n.
+
+A bundle (a generating set, a basis) is the stacked values of its splines:
+one read-only int64 array of shape (m, N, n), row j holding the values of
+the j-th spline in the documented build order.  Every certificate reads
+that layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -404,52 +408,37 @@ def y_f_g_identity(p: int, k: int, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Bundles: generating sets and bases
+# Bundles: generating sets and bases, as stacked values (m, N, n)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisBundle:
-    """An ordered set of splines with provenance tags."""
-
-    n: int
-    role: str  # generating | left | right | permutohedral | kernel | witness
-    splines: tuple[Spline, ...]
-    labels: tuple[str, ...]
-
-    def __len__(self):
-        return len(self.splines)
-
-    def matrix(self) -> np.ndarray:
-        """Stacked flattened values, one row per spline."""
-        return np.stack([s.num.ravel() for s in self.splines])
+def stack(splines) -> np.ndarray:
+    """The bundle of the given splines: their values stacked in order into
+    one read-only int64 array of shape (m, N, n)."""
+    values = np.stack([s.num for s in splines])
+    values.setflags(write=False)
+    return values
 
 
 def _family_splines(tset, n: int):
-    """The T/R/F/Y/G families determined by a t-set, with labels."""
+    """The T/R/F/Y/G families determined by a t-set."""
     cls = classify(tset, n)
-    t_part = [(t_spline(i, n), f"t{i}") for i in range(1, n + 1)]
-    r_part = [(r_spline(i, n), f"r{i}") for i in range(1, n + 1)]
-    f_part = [
-        (f_spline(i, a, n), f"f{i}^{{{','.join(map(str, a))}}}")
-        for i in sorted(cls.uncovered)
-        for a in unbalanced_sets(i, n)
-    ]
+    t_part = [t_spline(i, n) for i in range(1, n + 1)]
+    r_part = [r_spline(i, n) for i in range(1, n + 1)]
+    f_part = [f_spline(i, a, n) for i in sorted(cls.uncovered) for a in unbalanced_sets(i, n)]
     y_part = [
-        (y_spline(i, k, n), f"y{i},{k}")
-        for i in sorted(cls.surrounded)
-        for k in [x for x in range(-n, n + 1) if x != 0]
+        y_spline(i, k, n) for i in sorted(cls.surrounded) for k in range(-n, n + 1) if k
     ]
     if cls.c:
-        g_part = [(g_spline(i, n), f"g{i}") for i in range(1, n + 1)]
+        g_part = [g_spline(i, n) for i in range(1, n + 1)]
     elif cls.d:
-        g_part = [(h_spline(n), "h")]
+        g_part = [h_spline(n)]
     else:
         g_part = []
     return cls, t_part, r_part, f_part, y_part, g_part
 
 
-def generating_set(space: HessenbergSpace) -> BasisBundle:
+def generating_set(space: HessenbergSpace) -> np.ndarray:
     """T ∪ R ∪ F ∪ Y ∪ G as dictated by the t-set of H.
 
     On the divergent branch (see `on_divergent_branch`) these miss
@@ -459,21 +448,14 @@ def generating_set(space: HessenbergSpace) -> BasisBundle:
     n = space.n
     tset = t_set(space)
     _, t_part, r_part, f_part, y_part, g_part = _family_splines(tset, n)
-    items = t_part + r_part + f_part + y_part + g_part
+    splines = t_part + r_part + f_part + y_part + g_part
     if on_divergent_branch(tset, n):
-        items += [
-            (phi_spline(b, n), f"phi^{{{','.join(map(str, b))}}}")
-            for b in unbalanced_sets(n, n)
-        ]
-    return BasisBundle(
-        space.n, "generating", tuple(s for s, _ in items), tuple(l for _, l in items)
-    )
+        splines += [phi_spline(b, n) for b in unbalanced_sets(n, n)]
+    return stack(splines)
 
 
-def _sized_bundle(space: HessenbergSpace, role: str, items) -> BasisBundle:
-    bundle = BasisBundle(
-        space.n, role, tuple(s for s, _ in items), tuple(l for _, l in items)
-    )
+def _sized_bundle(space: HessenbergSpace, role: str, splines) -> np.ndarray:
+    bundle = stack(splines)
     dim = dim_degree_one(space)
     if len(bundle) != dim:
         raise RankDeficientError(
@@ -484,7 +466,7 @@ def _sized_bundle(space: HessenbergSpace, role: str, items) -> BasisBundle:
     return bundle
 
 
-def left_basis(space: HessenbergSpace) -> BasisBundle:
+def left_basis(space: HessenbergSpace) -> np.ndarray:
     """T ∪ {r_i : i shaded} ∪ F ∪ Y ∪ G; needs a nonempty t-set."""
     tset = t_set(space)
     if not tset:
@@ -494,45 +476,35 @@ def left_basis(space: HessenbergSpace) -> BasisBundle:
     return _sized_bundle(space, "left", t_part + r_shaded + f_part + y_part + g_part)
 
 
-def right_basis(space: HessenbergSpace) -> BasisBundle:
+def right_basis(space: HessenbergSpace) -> np.ndarray:
     """T ∪ R ∪ consecutive differences of the F/Y/G families."""
     tset = t_set(space)
     if not tset:
         raise ValueError("right basis needs a space strictly larger than the simples")
     n = space.n
     cls, t_part, r_part, f_part, y_part, g_part = _family_splines(tset, n)
-    items = list(t_part + r_part)
+    splines = t_part + r_part
     for i in sorted(cls.uncovered):
         sets = unbalanced_sets(i, n)
         for m in range(len(sets) - 1):
-            items.append(
-                (
-                    f_spline(i, sets[m], n) - f_spline(i, sets[m + 1], n),
-                    f"f{i}^{{{','.join(map(str, sets[m]))}}}-next",
-                )
-            )
+            splines.append(f_spline(i, sets[m], n) - f_spline(i, sets[m + 1], n))
     for i in sorted(cls.surrounded):
         k = -n
         while k != n:
             nxt = successor(k, n)
-            items.append((y_spline(i, k, n) - y_spline(i, nxt, n), f"y{i},{k}-y{i},{nxt}"))
+            splines.append(y_spline(i, k, n) - y_spline(i, nxt, n))
             k = nxt
     if cls.c:
         for i in range(1, n):
-            items.append((g_spline(i, n) - g_spline(i + 1, n), f"g{i}-g{i+1}"))
+            splines.append(g_spline(i, n) - g_spline(i + 1, n))
     elif cls.d:
-        items.append((h_spline(n), "h"))
-    return _sized_bundle(space, "right", items)
+        splines.append(h_spline(n))
+    return _sized_bundle(space, "right", splines)
 
 
-def permutohedral_basis(n: int) -> BasisBundle:
+def permutohedral_basis(n: int) -> np.ndarray:
     """The full coset family F over every index; a basis when H is the simples."""
-    items = [
-        (f_spline(i, a, n), f"f{i}^{{{','.join(map(str, a))}}}")
-        for i in range(1, n + 1)
-        for a in unbalanced_sets(i, n)
-    ]
-    return BasisBundle(n, "permutohedral", tuple(s for s, _ in items), tuple(l for _, l in items))
+    return stack(f_spline(i, a, n) for i in range(1, n + 1) for a in unbalanced_sets(i, n))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +512,7 @@ def permutohedral_basis(n: int) -> BasisBundle:
 # ---------------------------------------------------------------------------
 
 
-def bundle_rank(bundle: BasisBundle, target: int | None = None) -> int:
+def bundle_rank(bundle: np.ndarray, target: int | None = None) -> int:
     """Certified rank of the bundle: its pivot rows modulo a prime.
 
     Rows independent modulo p are independent over Q (their pivot block has
@@ -548,7 +520,7 @@ def bundle_rank(bundle: BasisBundle, target: int | None = None) -> int:
     `target`, a known upper bound on the rank, the search for pivots stops
     once it is reached.
     """
-    return len(pivots(bundle.matrix(), target)[0])
+    return len(pivots(bundle.reshape(len(bundle), -1), target)[0])
 
 
 def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,15 +550,15 @@ def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, elems * n + coords
 
 
-def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
+def expand(rho: Spline, bundle: np.ndarray) -> tuple[Fraction, ...]:
     """Exact coefficients of rho in the bundle; raises if not in the span.
 
     The coefficients c solve c P = rho at the pivot columns of
     `triangular_pivots` by forward substitution.  The full residual is then
     checked, so a successful return is a proof of membership.
     """
-    mat = bundle.matrix()
-    rows, cols = triangular_pivots(mat.reshape(len(bundle), -1, bundle.n))
+    rows, cols = triangular_pivots(bundle)
+    mat = bundle.reshape(len(bundle), -1)
     block = mat[np.ix_(rows, cols)].tolist()
     target = rho.num.ravel()[cols].tolist()
     order, coeffs = rows.tolist(), [Fraction(0)] * len(bundle)
@@ -601,13 +573,14 @@ def expand(rho: Spline, bundle: BasisBundle) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def spline_space_basis(space: HessenbergSpace) -> BasisBundle:
+def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
     """A basis of the degree-one spline space from the edge conditions alone.
 
     Solves the proportionality constraints exactly and certifies the result
     (every vector passes the spline predicate; the count matches the scan
     dimension; independence is certified by `bundle_rank`).  The tests use
-    it as the reference that reads the definition directly.
+    it as the reference that reads the definition directly.  The result is
+    cached and shared, so it is read-only.
     """
     n = space.n
     table = group_table(n)
@@ -643,18 +616,13 @@ def spline_space_basis(space: HessenbergSpace) -> BasisBundle:
         for col, v in vec.items():
             num[divmod(col, n)] = int(v * den)
         splines.append(Spline(table, num))
-    if not edges_ok(np.stack([s.num for s in splines]), space.roots).all():
+    bundle = stack(splines)
+    if not edges_ok(bundle, space.roots).all():
         raise RankDeficientError("kernel vector fails the spline predicate")
-    if len(splines) != dim_degree_one(space):
+    if len(bundle) != dim_degree_one(space):
         raise RankDeficientError(
-            f"kernel dimension {len(splines)} does not match the scan dimension"
+            f"kernel dimension {len(bundle)} does not match the scan dimension"
         )
-    bundle = BasisBundle(
-        n,
-        "kernel",
-        tuple(splines),
-        tuple(f"k{j}" for j in range(len(splines))),
-    )
     if bundle_rank(bundle) != len(bundle):
         raise RankDeficientError("kernel vectors are not independent")
     return bundle
@@ -692,7 +660,7 @@ def support_minimal_witnesses(space: HessenbergSpace) -> dict[SignedPerm, Spline
     }
 
 
-def witness_basis(space: HessenbergSpace) -> BasisBundle:
+def witness_basis(space: HessenbergSpace) -> np.ndarray:
     """t_1..t_n, then the support-minimal witnesses by (length, table index).
 
     This is the order `triangular_pivots` gives: the pivot of t_i is
@@ -701,9 +669,8 @@ def witness_basis(space: HessenbergSpace) -> BasisBundle:
     longer than its own.
     """
     n, table = space.n, group_table(space.n)
-    items = [(t_spline(i, n), f"t{i}") for i in range(1, n + 1)]
     witnesses = support_minimal_witnesses(space)
-    index = {w: table.index_of(w) for w in witnesses}
-    for w in sorted(witnesses, key=lambda w: (table.lengths[index[w]], index[w])):
-        items.append((witnesses[w], "rho_" + ",".join(map(str, w.window))))
-    return BasisBundle(n, "witness", tuple(s for s, _ in items), tuple(l for _, l in items))
+    index = table.indices_of([w.window for w in witnesses])
+    rhos = list(witnesses.values())
+    order = np.lexsort((index, table.lengths[index]))
+    return stack([t_spline(i, n) for i in range(1, n + 1)] + [rhos[k] for k in order])

@@ -119,7 +119,8 @@ def test_rref_pivots_on_rank_five_generating_set():
     from bcsplines.roots import LieType
     from bcsplines.splines import generating_set
 
-    mat = generating_set(from_tset(frozenset({5}), 5, LieType.C)).matrix()
+    bundle = generating_set(from_tset(frozenset({5}), 5, LieType.C))
+    mat = bundle.reshape(len(bundle), -1)
     fast = linalg.rref_pivots_mod_p(mat, PRIMES[0])
     assert fast == rref_pivots_per_column(mat, PRIMES[0])
     assert len(fast[0]) < len(mat)  # the generating set has redundant rows

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcsplines.group import SignedPerm, group_table, min_coset_reps, descent_set
+from bcsplines.group import SignedPerm, descent_set, group_table, length, min_coset_reps
 from bcsplines.hessenberg import (
     HessenbergSpace,
     descent_cases,
@@ -29,7 +29,6 @@ from bcsplines.roots import (
     simple_roots,
 )
 from bcsplines.splines import (
-    BasisBundle,
     Spline,
     bundle_rank,
     edges_ok,
@@ -47,6 +46,7 @@ from bcsplines.splines import (
     r_spline,
     right_basis,
     spline_space_basis,
+    stack,
     support_minimal_witnesses,
     t_spline,
     telescoping_identity,
@@ -60,6 +60,18 @@ from bcsplines.splines import (
 )
 
 B, C = LieType.B, LieType.C
+
+
+def elements(table) -> list[SignedPerm]:
+    """Every element of the table, in table order."""
+    return [SignedPerm(w) for w in table.windows_array.tolist()]
+
+
+def splines_of(bundle) -> list[Spline]:
+    """The rows of a bundle (m, N, n) as splines, in bundle order."""
+    table = group_table(bundle.shape[-1])
+    return [Spline(table, values) for values in bundle]
+
 
 FIG_SPLINE_VALUES = {
     (1, 2): (0, 0),
@@ -101,7 +113,7 @@ def shortest_support(rho) -> set:
     """The support elements of minimal Coxeter length."""
     rows = np.flatnonzero(rho.num.any(axis=1))
     lens = rho.table.lengths[rows]
-    return {rho.table.elements[int(r)] for r in rows[lens == lens.min()]}
+    return {SignedPerm(rho.table.windows_array[int(r)].tolist()) for r in rows[lens == lens.min()]}
 
 
 def delta_space(lt, n):
@@ -140,7 +152,7 @@ class TestLabels:
             p = pair[0]
             q = t(p)
             labels = label_matrix(n, root)
-            for idx, w in enumerate(group_table(n).elements):
+            for idx, w in enumerate(elements(group_table(n))):
                 case_poly = var(w(p), n) - var(w(q), n)
                 assert labels[idx].any()
                 assert outer_rows_proportional(case_poly[None], labels[idx][None]).all()
@@ -200,7 +212,7 @@ def reference_is_spline(rho, space):
         d = rho.num - rho.num[reflection_perm(rho.n, root)]
         ok = outer_rows_proportional(d, label_matrix(rho.n, root))
         if not ok.all():
-            return rho.table.elements[int(np.flatnonzero(~ok)[0])], root
+            return SignedPerm(rho.table.windows_array[int(np.flatnonzero(~ok)[0])].tolist()), root
     return None
 
 
@@ -239,7 +251,7 @@ class TestBatchedEdgeTest:
     def test_batch_equals_reference_per_spline(self, space):
         n = space.n
         bundle = witness_basis(space)
-        splines = list(bundle.splines)
+        splines = splines_of(bundle)
         splines += [f_spline(n - 1, a, n) for a in unbalanced_sets(n - 1, n)]
         splines += [y_spline(1, k, n) for k in range(-n, n + 1) if k]
         splines += [g_spline(k, n) for k in range(1, n + 1)]
@@ -248,14 +260,14 @@ class TestBatchedEdgeTest:
         splines.append(Spline(splines[-1].table, num))
         refs = [reference_is_spline(s, space) for s in splines]
         assert refs[-1] is not None and all(r is None for r in refs[: len(bundle)])
-        got = edges_ok(np.stack([s.num for s in splines]), space.roots)
+        got = edges_ok(stack(splines), space.roots)
         assert got.tolist() == [r is None for r in refs]
         for s, ref in zip(splines, refs):
             assert is_spline(s, space, witness=True) == (ref is None, ref)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank mismatch"):
-            edges_ok(np.stack([t_spline(1, 3).num]), delta_space(B, 2).roots)
+            edges_ok(stack([t_spline(1, 3)]), delta_space(B, 2).roots)
 
 
 class TestEdgeTestOverflow:
@@ -265,7 +277,7 @@ class TestEdgeTestOverflow:
 
     @staticmethod
     def _two_valued(n, inside, value, outside):
-        values = {w.window: outside for w in group_table(n).elements}
+        values = {w.window: outside for w in elements(group_table(n))}
         for w in inside:
             values[w.window] = value
         return spline_from_values(n, values)
@@ -481,7 +493,7 @@ class TestPhiFamily:
         n = 3
         b = (-3, 1, 2)
         rho = phi_spline(b, n)
-        for w in group_table(n).elements:
+        for w in elements(group_table(n)):
             head = set(w.window[: n - 1])
             if head <= set(b):
                 (beta,) = set(b) - head
@@ -559,9 +571,9 @@ class TestBundles:
         for lt in (B, C):
             for ts in sorted(realizable_tsets(lt, n), key=sorted):
                 space = from_tset(ts, n, lt)
-                rank = bundle_rank(generating_set(space))
-                dim = dim_degree_one(space)
-                assert rank == dim
+                bundle = generating_set(space)
+                assert bundle_rank(bundle) == dim_degree_one(space)
+                assert edges_ok(bundle, space.roots).all()
 
     def test_generating_set_spans_at_rank_five_branch(self):
         space = from_tset(frozenset({5}), 5, C)
@@ -569,9 +581,9 @@ class TestBundles:
 
     def test_full_space_generators_are_constants_and_windows(self):
         space = full_space(B, 3)
-        bundle = generating_set(space)
-        assert len(bundle) == 6
-        assert all(l.startswith(("t", "r")) for l in bundle.labels)
+        # build order: t_1, t_2, t_3, then r_1, r_2, r_3
+        want = [t_spline(i, 3) for i in (1, 2, 3)] + [r_spline(i, 3) for i in (1, 2, 3)]
+        assert np.array_equal(generating_set(space), stack(want))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_left_right_bases(self, n):
@@ -584,7 +596,8 @@ class TestBundles:
                 dim = dim_degree_one(space)
                 assert len(lb) == len(rb) == dim
                 # same span: every element is a spline, and the union has the rank of each
-                union = BasisBundle(n, "union", lb.splines + rb.splines, lb.labels + rb.labels)
+                assert edges_ok(lb, space.roots).all() and edges_ok(rb, space.roots).all()
+                union = np.concatenate([lb, rb])
                 assert bundle_rank(union) == bundle_rank(lb) == bundle_rank(rb) == dim
 
     def test_rank_deficient_cell_raises(self):
@@ -599,8 +612,13 @@ class TestBundles:
         pb = permutohedral_basis(n)
         assert len(pb) == dim_degree_one(delta_space(B, n))
         assert bundle_rank(pb) == len(pb)
-        for s in pb.splines:
+        for s in splines_of(pb):
             assert is_spline(s, delta_space(B, n))
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_permutohedral_members_are_splines_on_the_simples(self, lt, n):
+        assert edges_ok(permutohedral_basis(n), delta_space(lt, n).roots).all()
 
     def test_permutohedral_size_rank_four(self):
         assert len(permutohedral_basis(4)) == 80
@@ -609,14 +627,42 @@ class TestBundles:
         space = from_tset(frozenset({3}), 3, C)
         kb = spline_space_basis(space)
         assert len(kb) == 15
-        for s in kb.splines:
+        for s in splines_of(kb):
             assert is_spline(s, space)
+
+
+class TestBundleLayout:
+    """A bundle is its stacked values: a read-only int64 array (m, N, n)."""
+
+    BUILDERS = {
+        "generating_set": generating_set,
+        "left_basis": left_basis,
+        "right_basis": right_basis,
+        "permutohedral_basis": lambda space: permutohedral_basis(space.n),
+        "witness_basis": witness_basis,
+        "spline_space_basis": spline_space_basis,
+    }
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_builders_return_stacked_values(self, name):
+        space = from_tset(frozenset({1}), 3, B)
+        bundle = self.BUILDERS[name](space)
+        assert isinstance(bundle, np.ndarray) and bundle.dtype == np.int64
+        assert bundle.ndim == 3 and bundle.shape[1:] == (group_table(3).size, 3)
+        assert not bundle.flags.writeable
+
+    def test_cached_kernel_basis_is_read_only(self):
+        space = from_tset(frozenset({3}), 3, C)
+        bundle = spline_space_basis(space)
+        with pytest.raises(ValueError):
+            bundle[0, 0, 0] = 1
+        assert spline_space_basis(space) is bundle
 
 
 class TestExpand:
     def test_basis_member_gives_unit_vector(self):
         wb = witness_basis(from_tset(frozenset({1}), 2, B))
-        for j, s in enumerate(wb.splines):
+        for j, s in enumerate(splines_of(wb)):
             assert expand(s, wb) == tuple(int(k == j) for k in range(len(wb)))
 
     def test_zero_expands_to_zero(self):
@@ -632,50 +678,46 @@ class TestExpand:
         pb = permutohedral_basis(2)
         sigma = fig_spline()
         coeffs = expand(sigma, pb)
-        nonzero = {l: c for l, c in zip(pb.labels, coeffs) if c}
-        assert nonzero == {"f1^{2}": -1, "f2^{-2,-1}": -1}
+        # build order: f_1^A for A = {-2}, {-1}, {1}, {2}, then f_2^B for
+        # B = {-2,-1}, {-2,1}, {-1,2}, {1,2}
+        assert np.array_equal(pb[3], f_spline(1, (2,), 2).num)
+        assert np.array_equal(pb[4], f_spline(2, (-2, -1), 2).num)
+        assert {j: c for j, c in enumerate(coeffs) if c} == {3: -1, 4: -1}
         assert all(c.denominator == 1 for c in coeffs)
-        combo = (s.scale(c.numerator) for c, s in zip(coeffs, pb.splines))
+        combo = (s.scale(c.numerator) for c, s in zip(coeffs, splines_of(pb)))
         assert sum(combo, Spline.zero(2)) == sigma
 
     def test_coset_sum_expansion(self):
         # the coset-family sum r_1 - r_2 expands with unit coefficients
         pb = permutohedral_basis(2)
         target = r_spline(1, 2) - r_spline(2, 2)
-        coeffs = expand(target, pb)
-        by_label = dict(zip(pb.labels, coeffs))
-        assert all(
-            by_label[l] == (1 if l.startswith("f1") else 0) for l in pb.labels
-        )
+        # the four f_1^A come first in build order, the four f_2^B after them
+        assert expand(target, pb) == (1, 1, 1, 1, 0, 0, 0, 0)
 
 
 class TestTriangularPivots:
     """The certificate of the bundles that `expand` accepts."""
 
-    @staticmethod
-    def values(splines):
-        return np.stack([s.num for s in splines])
-
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_permutohedral_block_is_triangular(self, n):
         pb = permutohedral_basis(n)
-        rows, cols = triangular_pivots(self.values(pb.splines))
+        rows, cols = triangular_pivots(pb)
         assert sorted(rows.tolist()) == list(range(len(pb)))
-        block = pb.matrix()[np.ix_(rows, cols)]
+        block = pb.reshape(len(pb), -1)[np.ix_(rows, cols)]
         assert not np.tril(block, -1).any() and np.diag(block).all()
 
     @pytest.mark.parametrize("bad", ["zero", "duplicate"])
     def test_zero_or_duplicated_row_raises(self, bad):
-        splines = list(witness_basis(from_tset(frozenset({3}), 3, C)).splines)
-        triangular_pivots(self.values(splines))
-        extra = Spline.zero(3) if bad == "zero" else splines[5]
+        values = witness_basis(from_tset(frozenset({3}), 3, C))
+        triangular_pivots(values)
+        extra = 0 if bad == "zero" else values[5]
         with pytest.raises(RankDeficientError, match="no triangular pivot block"):
-            triangular_pivots(self.values(splines[:7] + [extra] + splines[7:]))
+            triangular_pivots(np.insert(values, 7, extra, axis=0))
 
     def test_closed_form_bases_are_not_expanded(self):
         lb = left_basis(from_tset(frozenset({1}), 2, B))
         with pytest.raises(RankDeficientError, match="no triangular pivot block"):
-            expand(lb.splines[0], lb)
+            expand(splines_of(lb)[0], lb)
 
 
 def _fits_int64(values) -> bool:
@@ -784,7 +826,22 @@ class TestIntegerValues:
             Spline(group_table(2), num)
 
 
+def witness_order(space) -> list[SignedPerm]:
+    """The witnessed elements by (length, table index): the order of the rows
+    of `witness_basis` after t_1..t_n."""
+    table = group_table(space.n)
+    return sorted(support_minimal_witnesses(space), key=lambda w: (length(w), table.index_of(w)))
+
+
 class TestSupportMinimalWitnesses:
+    @pytest.mark.parametrize("space", REALIZABLE_CELLS, ids=cell_id)
+    def test_witness_basis_build_order(self, space):
+        n = space.n
+        witnesses = support_minimal_witnesses(space)
+        want = [t_spline(i, n) for i in range(1, n + 1)]
+        want += [witnesses[w] for w in witness_order(space)]
+        assert np.array_equal(witness_basis(space), stack(want))
+
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witnesses(self, lt, n):
@@ -824,10 +881,9 @@ class TestParityWitness:
         n = space.n
         w = SignedPerm.from_word([n, n - 1], n)
         assert descent_cases(t_set(space), n, n - 1)[w] == ("h",)
-        wb = witness_basis(space)
-        row = wb.splines[wb.labels.index("rho_" + ",".join(map(str, w.window)))]
-        assert row == sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n))
-        assert np.abs(row.num).max() == 1
+        row = witness_basis(space)[n + witness_order(space).index(w)]
+        assert np.array_equal(row, sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n)).num)
+        assert np.abs(row).max() == 1
 
 
 class TestDegreeZero:
@@ -847,7 +903,7 @@ class TestDegreeZero:
 
             for root in space.roots:
                 s = root_to_reflection(root)
-                for idx, el in enumerate(table.elements):
+                for idx, el in enumerate(elements(table)):
                     a, b = find(idx), find(table.index_of(el * s))
                     if a != b:
                         parent[a] = b
