@@ -315,6 +315,15 @@ def _labels_equivariant(lie_type: LieType, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _class_sources(n: int) -> np.ndarray:
+    """Row k: the index of g^{-1} v for each v, g the k-th class representative."""
+    table = group_table(n)
+    sources = np.stack([table.left_mult_indices(c.rep.inverse()) for c in conjugacy_classes(n)])
+    sources.setflags(write=False)
+    return sources
+
+
+@lru_cache(maxsize=None)
 def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     """Build, certify and trace the witness basis of the space; keep only the
     per-class traces on the full degree-one space.
@@ -348,12 +357,9 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
         raise AssertionError("dot action does not preserve the edge ideals")
     piv_rows, piv_slots = np.divmod(cols, n)
     inv = inverse_mod_p(bundle[:, piv_rows, piv_slots], p)
-    table = group_table(n)
     traces = []
-    for cl in conjugacy_classes(n):
-        g = cl.rep
-        src = table.left_mult_indices(g.inverse())
-        imgs = bundle[:, src[piv_rows], :] @ poly_action_matrix(g).T  # (m, m, n)
+    for cl, src in zip(conjugacy_classes(n), _class_sources(n)):
+        imgs = bundle[:, src[piv_rows], :] @ poly_action_matrix(cl.rep).T  # (m, m, n)
         pv = imgs[:, np.arange(m), piv_slots]  # (m, m): images at pivot coordinates
         traces.append(symmetric_lift(trace_product_mod_p(pv, inv, p), p, m))
     return tuple(traces)

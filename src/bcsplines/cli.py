@@ -309,12 +309,13 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
 
 
 def _suite_families(n: int, lie_type: LieType):
-    from .hessenberg import classify
-    from .splines import stack, unbalanced_sets
+    from .hessenberg import classify, on_divergent_branch
+    from .splines import phi_spline, stack, unbalanced_sets
 
     families = {
         ("g",): stack([g_spline(i, n) for i in range(1, n + 1)]),
         ("h",): stack([h_spline(n)]),
+        ("phi",): stack([phi_spline(b, n) for b in unbalanced_sets(n, n)]),
     }
     for i in range(1, n + 1):
         families["f", i] = stack([f_spline(i, a, n) for a in unbalanced_sets(i, n)])
@@ -352,6 +353,8 @@ def _suite_families(n: int, lie_type: LieType):
             return False, "signed family fails under its hypothesis"
         if (n - 1) not in ts and not holds(("h",), space):
             return False, "parity family fails under its hypothesis"
+        if on_divergent_branch(ts, n) and not holds(("phi",), space):
+            return False, "phi family fails on the divergent branch"
     return True, f"converse: {converse_holds} hold / {converse_fails} fail (reported only)"
 
 
@@ -359,19 +362,21 @@ def _suite_bases(n: int, lie_type: LieType):
     from .linalg import RankDeficientError
     from .splines import bundle_rank, generating_set, left_basis, permutohedral_basis, right_basis
 
+    def ranks_to_dim(build, space, basis=True) -> bool:
+        # one bundle at a time; a basis must also have exactly dim elements
+        bundle, dim = build(space), dim_degree_one(space)
+        return bundle_rank(bundle, space) == dim and (not basis or len(bundle) == dim)
+
     deficient = []
     for ts in _in_order(realizable_tsets(lie_type, n)):
         space = from_tset(ts, n, lie_type)
-        dim = dim_degree_one(space)
-        if bundle_rank(generating_set(space), target=dim) != dim:
-            deficient.append(tset_str(ts))
-        elif ts:
-            try:
-                left_basis(space)
-                right_basis(space)
-            except RankDeficientError:
-                deficient.append(tset_str(ts))
-        elif len(permutohedral_basis(n)) != dim:
+        bases = (left_basis, right_basis) if ts else (lambda _: permutohedral_basis(n),)
+        try:
+            ok = ranks_to_dim(generating_set, space, basis=False)
+            ok = ok and all(ranks_to_dim(build, space) for build in bases)
+        except RankDeficientError:
+            ok = False
+        if not ok:
             deficient.append(tset_str(ts))
     if deficient:
         return False, "closed-form families do not span at t-sets: " + "; ".join(

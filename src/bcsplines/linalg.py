@@ -57,33 +57,28 @@ def _residues(mat, p: int) -> np.ndarray:
     return np.mod(np.asarray(mat, dtype=np.int64), p)
 
 
-_SCAN_COLUMNS = 64
-
-
 def rref_pivots_mod_p(mat: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Pivot (rows, columns) of the matrix over GF(p), first columns preferred.
 
-    Each step jumps to the next column with a nonzero residue at or below
-    row r, found by scanning blocks of `_SCAN_COLUMNS` columns; a column
-    zero there stays zero below every later pivot row.  So the Python steps
-    number the rank plus the blocks, not the columns.
+    One elimination step per column, so callers keep the column count small:
+    `splines.bundle_rank` ranks a bundle on the coordinates that determine a
+    spline, not on all N * n of them.
     """
     a = _residues(mat, p)
     nrows, ncols = a.shape
     row_order = list(range(nrows))
     piv_rows, piv_cols = [], []
-    r = c = 0
-    while r < nrows and c < ncols:
-        nz = np.flatnonzero(a[r:, c : c + _SCAN_COLUMNS].any(axis=0))
-        if nz.size == 0:
-            c += _SCAN_COLUMNS
-            continue
-        c += int(nz[0])
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
         k = _pivot_step(a, r, c, p, clear_above=False)
+        if k is None:
+            continue
         row_order[r], row_order[k] = row_order[k], row_order[r]
         piv_rows.append(row_order[r])
         piv_cols.append(c)
-        r, c = r + 1, c + 1
+        r += 1
     return piv_rows, piv_cols
 
 
@@ -157,31 +152,12 @@ def symmetric_lift(residue: int, p: int, bound: int) -> int:
     return value
 
 
-def solve_upper_triangular_sparse(
-    pivot_rows: dict[int, dict[int, Fraction]], free_values: dict[int, Fraction]
-) -> dict[int, Fraction]:
-    """Back-substitute a sparse row-echelon system.
-
-    `pivot_rows` maps a pivot column to a sparse row whose least column is
-    the pivot; `free_values` prescribes the non-pivot coordinates.  Returns
-    the full solution of (row . x = 0 for all rows).
-    """
-    x = dict(free_values)
-    for pc in sorted(pivot_rows, reverse=True):
-        row = pivot_rows[pc]
-        s = Fraction(0)
-        for c, v in row.items():
-            if c != pc:
-                s += v * x.get(c, Fraction(0))
-        x[pc] = -s / row[pc]
-    return x
-
-
 def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
     """Exact kernel basis of a sparse integer constraint system.
 
-    Gaussian elimination over Fraction with least-column pivoting; each
-    returned vector sets one free coordinate to 1 and the others to 0.
+    Gaussian elimination over Fraction with least-column pivoting, then
+    back substitution from the last pivot column; each returned vector sets
+    one free coordinate to 1 and the others to 0.
     """
     piv: dict[int, dict[int, Fraction]] = {}
     for row in rows:
@@ -200,9 +176,12 @@ def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int
             else:
                 piv[c] = cur
                 break
-    free_cols = [c for c in range(ncols) if c not in piv]
     basis = []
-    for f in free_cols:
-        x = solve_upper_triangular_sparse(piv, {f: Fraction(1)})
+    for free in (c for c in range(ncols) if c not in piv):
+        x = {free: Fraction(1)}
+        for pc in sorted(piv, reverse=True):
+            row = piv[pc]
+            s = sum(v * x.get(c, 0) for c, v in row.items() if c != pc)
+            x[pc] = -Fraction(s) / row[pc]
         basis.append({c: v for c, v in x.items() if v})
     return basis

@@ -25,6 +25,8 @@ A bundle (a generating set, a basis) is the stacked values of its splines:
 one read-only int64 array of shape (m, N, n), row j holding the values of
 the j-th spline in the documented build order.  Every certificate reads
 that layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
+A spline of H is determined by its values at the identity and at the
+elements with exactly one H-inversion, so `bundle_rank` ranks bundles there.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from .group import GroupTable, SignedPerm, group_table, order_key, successor
 from .hessenberg import (
     HessenbergSpace,
+    _inversion_counts,
     classify,
     descent_cases,
     dim_degree_one,
@@ -512,15 +515,21 @@ def permutohedral_basis(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bundle_rank(bundle: np.ndarray, target: int | None = None) -> int:
-    """Certified rank of the bundle: its pivot rows modulo a prime.
+def bundle_rank(bundle: np.ndarray, space: HessenbergSpace) -> int:
+    """Certified rank of the bundle on E, the elements of the space with at
+    most one H-inversion (all n coordinates each): its pivot rows modulo a
+    prime, which are independent over Q.  The search stops at the dimension.
 
-    Rows independent modulo p are independent over Q (their pivot block has
-    a determinant that is nonzero mod p, so a nonzero integer).  With
-    `target`, a known upper bound on the rank, the search for pivots stops
-    once it is reached.
+    Dropping columns never raises a rank, so rank = dim on E proves
+    rank >= dim for any rows.  For splines of the space the restriction to E
+    is injective, so the rank is exact: a nonzero spline is nonzero at a
+    shortest element w of its support, where its value is a multiple of the
+    label of every H-inversion of w (that edge leads to a shorter element),
+    and pairwise-independent labels (`labels_pairwise_independent`) allow
+    one at most.
     """
-    return len(pivots(bundle.reshape(len(bundle), -1), target)[0])
+    cols = np.flatnonzero(_inversion_counts(space) <= 1)
+    return len(pivots(bundle[:, cols].reshape(len(bundle), -1), dim_degree_one(space))[0])
 
 
 def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,9 +587,9 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
 
     Solves the proportionality constraints exactly and certifies the result
     (every vector passes the spline predicate; the count matches the scan
-    dimension; independence is certified by `bundle_rank`).  The tests use
-    it as the reference that reads the definition directly.  The result is
-    cached and shared, so it is read-only.
+    dimension; independence is certified by modular pivots on all N * n
+    coordinates).  The tests use it as the reference that reads the
+    definition directly.  The result is cached and shared, so it is read-only.
     """
     n = space.n
     table = group_table(n)
@@ -623,7 +632,7 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
         raise RankDeficientError(
             f"kernel dimension {len(bundle)} does not match the scan dimension"
         )
-    if bundle_rank(bundle) != len(bundle):
+    if len(pivots(bundle.reshape(len(bundle), -1))[0]) != len(bundle):
         raise RankDeficientError("kernel vectors are not independent")
     return bundle
 

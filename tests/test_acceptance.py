@@ -202,18 +202,12 @@ def test_criterion_02_descent_oracle_formula_agreement():
 def test_criterion_03_dimension_law():
     """Certified rank of the generating set equals n plus the scan count."""
     bad = []
-    rank_cache: dict = {}
     for n in (2, 3, 4):
         for lt in (B, C):
             for space in enumerate_hessenberg(lt, n):
-                ts = t_set(space)
-                key = (n, ts)
-                if key not in rank_cache:
-                    rank_cache[key] = bundle_rank(generating_set(space))
-                if rank_cache[key] != dim_degree_one(space):
-                    bad.append(
-                        (str(lt), n, tset_str(ts), rank_cache[key], dim_degree_one(space))
-                    )
+                rank = bundle_rank(generating_set(space), space)
+                if rank != dim_degree_one(space):
+                    bad.append((str(lt), n, tset_str(t_set(space)), rank, dim_degree_one(space)))
     bad = sorted(set(bad))
     report(
         3,

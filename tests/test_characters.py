@@ -469,7 +469,7 @@ class TestModularTraces:
         assert _trace_data(space)
         bundle = witness_basis(space)
         # the modular pivots that certify the closed-form bundles agree on the rank
-        assert bundle_rank(bundle) == len(bundle) == dim_degree_one(space)
+        assert bundle_rank(bundle, space) == len(bundle) == dim_degree_one(space)
 
     @pytest.mark.parametrize("n,ts", CELLS)
     def test_traces_equal_exact_expansion(self, n, ts):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcsplines import cli, group
+from bcsplines import cli, group, splines
+from bcsplines.hessenberg import realizable_tsets, tset_str
+from bcsplines.roots import LieType
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
@@ -256,6 +258,55 @@ class TestVerify:
         assert text == [
             f"{'PASS' if rec['ok'] else 'FAIL'}  {rec['name']}: {rec['detail']}" for rec in records
         ]
+
+
+class TestSplineSuites:
+    """The spline-families and bases suites, in process.  The bases suite
+    ranks every bundle it builds, and each must reach the dimension."""
+
+    def test_families_check_phi_on_the_branch(self, monkeypatch):
+        # x_1 at the identity only: its edges to the simple reflections fail
+        def not_a_spline(b, n):
+            table = group.group_table(n)
+            num = np.zeros((table.size, n), dtype=np.int64)
+            num[table.index_of(group.SignedPerm.identity(n)), 0] = 1
+            return splines.Spline(table, num)
+
+        monkeypatch.setattr(splines, "phi_spline", not_a_spline)
+        assert cli._suite_families(3, LieType.B)[0]  # no type-B t-set is on the branch
+        assert cli._suite_families(3, LieType.C) == (
+            False,
+            "phi family fails on the divergent branch",
+        )
+
+    def test_fails_on_rank_deficient_left_basis(self, monkeypatch):
+        # correctly sized, but its last row repeats its first
+        real = splines.left_basis
+
+        def deficient(space):
+            bundle = real(space).copy()
+            bundle[-1] = bundle[0]
+            return bundle
+
+        monkeypatch.setattr(splines, "left_basis", deficient)
+        nonempty = [ts for ts in cli._in_order(realizable_tsets(LieType.B, 3)) if ts]
+        assert cli._suite_bases(3, LieType.B) == (
+            False,
+            "closed-form families do not span at t-sets: "
+            + "; ".join(f"{{{tset_str(ts)}}}" for ts in nonempty),
+        )
+
+    def test_rank_five_type_c(self):
+        # no rank-5 verify runs in the suite; these are its bases and
+        # spline-families lines
+        assert cli._suite_bases(5, LieType.C) == (
+            False,
+            "closed-form families do not span at t-sets: {t5}; {t1,t5}; {t2,t5}; {t1,t2,t5}",
+        )
+        assert cli._suite_families(5, LieType.C) == (
+            True,
+            "converse: 0 hold / 560 fail (reported only)",
+        )
 
 
 class TestRankSixReferences:

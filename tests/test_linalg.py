@@ -18,10 +18,12 @@ from bcsplines.linalg import (
 )
 
 
-def fraction_rank(mat):
+def fraction_pivot_columns(mat) -> list[int]:
+    """The pivot columns of the row echelon form over Q: each column that is
+    independent of the columns before it."""
     rows = [[Fraction(x) for x in r] for r in mat]
-    rank = 0
     ncols = len(rows[0]) if rows else 0
+    cols = []
     r = 0
     for c in range(ncols):
         k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -35,8 +37,12 @@ def fraction_rank(mat):
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
-        rank += 1
-    return rank
+        cols.append(c)
+    return cols
+
+
+def fraction_rank(mat) -> int:
+    return len(fraction_pivot_columns(mat))
 
 
 def fraction_det(mat):
@@ -60,27 +66,6 @@ def fraction_det(mat):
     return det
 
 
-def rref_pivots_per_column(mat, p):
-    """One elimination step per column, pivot or not: the reference for
-    `rref_pivots_mod_p`, which jumps to the next nonzero column."""
-    a = linalg._residues(mat, p)
-    nrows, ncols = a.shape
-    row_order = list(range(nrows))
-    piv_rows, piv_cols = [], []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        k = linalg._pivot_step(a, r, c, p, clear_above=False)
-        if k is None:
-            continue
-        row_order[r], row_order[k] = row_order[k], row_order[r]
-        piv_rows.append(row_order[r])
-        piv_cols.append(c)
-        r += 1
-    return piv_rows, piv_cols
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_rref_pivots_equal_per_column_loop(seed):
     rng = np.random.default_rng(500 + seed)
@@ -93,37 +78,44 @@ def test_rref_pivots_equal_per_column_loop(seed):
     if rows > 2:  # a redundant row, and one dependent only modulo 7
         mat[-1] = mat[0] - 2 * mat[1]
         mat[-2] = mat[0] + mat[1] + 7 * rng.integers(-2, 3, size=cols)
-    for p in (PRIMES[0], 7):
-        assert linalg.rref_pivots_mod_p(mat, p) == rref_pivots_per_column(mat, p)
+    # over the large prime: the first independent columns over Q, and a
+    # pivot block with a nonzero determinant
+    prow, pcol = linalg.rref_pivots_mod_p(mat, PRIMES[0])
+    assert pcol == fraction_pivot_columns(mat.tolist())
+    assert fraction_det(mat[np.ix_(prow, pcol)].tolist()) != 0
+    # modulo 7: a pivot block invertible mod 7, so no more pivots than over Q
+    prow, pcol = linalg.rref_pivots_mod_p(mat, 7)
+    assert len(prow) <= fraction_rank(mat.tolist())
+    assert fraction_det(mat[np.ix_(prow, pcol)].tolist()) % 7 != 0
 
 
 def test_rref_pivots_after_empty_column_blocks():
-    # pivots at the first column after one and after two empty scan blocks
+    # pivots after runs of 64 and of 127 empty columns
     mat = np.zeros((3, 200), dtype=np.int64)
     mat[0, 64] = mat[1, 192] = 1
     mat[2, 64] = 2
-    assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == rref_pivots_per_column(mat, PRIMES[0])
     assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == ([0, 1], [64, 192])
 
 
 def test_rref_pivots_singular_only_mod_7():
     mat = np.array([[1, 2, 3, 0], [2, 4, 13, 0], [0, 1, 7, 0]])
     assert fraction_rank(mat.tolist()) == 3
-    assert linalg.rref_pivots_mod_p(mat, 7) == rref_pivots_per_column(mat, 7) == ([0, 2], [0, 1])
-    assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == rref_pivots_per_column(mat, PRIMES[0])
-    assert len(linalg.rref_pivots_mod_p(mat, PRIMES[0])[0]) == 3
+    assert linalg.rref_pivots_mod_p(mat, 7) == ([0, 2], [0, 1])
+    # row 2 swaps in at column 1, then row 1 pivots at column 2
+    assert linalg.rref_pivots_mod_p(mat, PRIMES[0]) == ([0, 2, 1], [0, 1, 2])
 
 
 def test_rref_pivots_on_rank_five_generating_set():
     from bcsplines.hessenberg import from_tset
     from bcsplines.roots import LieType
-    from bcsplines.splines import generating_set
+    from bcsplines.splines import bundle_rank, generating_set
 
-    bundle = generating_set(from_tset(frozenset({5}), 5, LieType.C))
-    mat = bundle.reshape(len(bundle), -1)
-    fast = linalg.rref_pivots_mod_p(mat, PRIMES[0])
-    assert fast == rref_pivots_per_column(mat, PRIMES[0])
-    assert len(fast[0]) < len(mat)  # the generating set has redundant rows
+    space = from_tset(frozenset({5}), 5, LieType.C)
+    bundle = generating_set(space)
+    full = linalg.rref_pivots_mod_p(bundle.reshape(len(bundle), -1), PRIMES[0])
+    # all N * n columns and the columns of E give the rank of the space
+    assert len(full[0]) == bundle_rank(bundle, space) == 163
+    assert len(full[0]) < len(bundle)  # the generating set has redundant rows
 
 
 @pytest.mark.parametrize("seed", range(8))

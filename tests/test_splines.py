@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bcsplines.group import SignedPerm, descent_set, group_table, length, min_coset_reps
 from bcsplines.hessenberg import (
     HessenbergSpace,
+    _inversion_counts,
     descent_cases,
     dim_degree_one,
     enumerate_hessenberg,
@@ -19,7 +20,7 @@ from bcsplines.hessenberg import (
     realizable_tsets,
     t_set,
 )
-from bcsplines.linalg import RankDeficientError
+from bcsplines.linalg import RankDeficientError, pivots
 from bcsplines.roots import (
     LieType,
     label_matrix,
@@ -572,12 +573,12 @@ class TestBundles:
             for ts in sorted(realizable_tsets(lt, n), key=sorted):
                 space = from_tset(ts, n, lt)
                 bundle = generating_set(space)
-                assert bundle_rank(bundle) == dim_degree_one(space)
+                assert bundle_rank(bundle, space) == dim_degree_one(space)
                 assert edges_ok(bundle, space.roots).all()
 
     def test_generating_set_spans_at_rank_five_branch(self):
         space = from_tset(frozenset({5}), 5, C)
-        assert bundle_rank(generating_set(space)) == dim_degree_one(space) == 163
+        assert bundle_rank(generating_set(space), space) == dim_degree_one(space) == 163
 
     def test_full_space_generators_are_constants_and_windows(self):
         space = full_space(B, 3)
@@ -598,7 +599,8 @@ class TestBundles:
                 # same span: every element is a spline, and the union has the rank of each
                 assert edges_ok(lb, space.roots).all() and edges_ok(rb, space.roots).all()
                 union = np.concatenate([lb, rb])
-                assert bundle_rank(union) == bundle_rank(lb) == bundle_rank(rb) == dim
+                ranks = [bundle_rank(b, space) for b in (union, lb, rb)]
+                assert ranks == [dim] * 3
 
     def test_rank_deficient_cell_raises(self):
         space = from_tset(frozenset({3}), 3, C)
@@ -611,7 +613,7 @@ class TestBundles:
         n = 3
         pb = permutohedral_basis(n)
         assert len(pb) == dim_degree_one(delta_space(B, n))
-        assert bundle_rank(pb) == len(pb)
+        assert bundle_rank(pb, delta_space(B, n)) == len(pb)
         for s in splines_of(pb):
             assert is_spline(s, delta_space(B, n))
 
@@ -629,6 +631,41 @@ class TestBundles:
         assert len(kb) == 15
         for s in splines_of(kb):
             assert is_spline(s, space)
+
+
+class TestBundleRank:
+    """`bundle_rank` ranks on E, the elements with at most one H-inversion."""
+
+    @staticmethod
+    def full_rank(bundle) -> int:
+        return len(pivots(bundle.reshape(len(bundle), -1))[0])
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_restricted_rank_equals_full_rank(self, n, lt):
+        for ts in sorted(realizable_tsets(lt, n), key=sorted):
+            space = from_tset(ts, n, lt)
+            bundles = [generating_set(space), witness_basis(space)]
+            if not ts:
+                bundles.append(permutohedral_basis(n))
+            elif (n, ts) != (3, frozenset({3})):  # where the closed-form bases exist
+                bundles += [left_basis(space), right_basis(space)]
+            for bundle in bundles:
+                dim = dim_degree_one(space)
+                assert bundle_rank(bundle, space) == self.full_rank(bundle) == dim
+
+    def test_row_moved_off_e_ranks_lower(self):
+        # a row supported only at an element with two H-inversions vanishes on
+        # E: the full-width rank keeps it, the restricted rank loses it
+        space = from_tset(frozenset({1}), 3, B)
+        bundle, dim = witness_basis(space), dim_degree_one(space)
+        far = int(np.flatnonzero(_inversion_counts(space) >= 2)[0])
+        moved = bundle.copy()
+        moved[-1] = 0
+        moved[-1, far] = bundle[-1][bundle[-1].any(axis=1)][0]
+        assert self.full_rank(moved) == dim
+        assert bundle_rank(moved, space) == dim - 1
+        assert bundle_rank(bundle, space) == dim
 
 
 class TestBundleLayout:
