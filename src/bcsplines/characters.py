@@ -56,9 +56,10 @@ from .splines import (
 
 
 def poly_action_matrix(w: SignedPerm) -> np.ndarray:
-    """Matrix sending a coefficient row of p to the row of w applied to p."""
+    """Matrix sending a coefficient row of p to the row of w applied to p: a
+    signed permutation matrix, int8, so products keep int8 values int8."""
     n = w.n
-    mat = np.zeros((n, n), dtype=np.int64)
+    mat = np.zeros((n, n), dtype=np.int8)
     for i in range(1, n + 1):
         img = w(i)
         mat[abs(img) - 1, i - 1] = 1 if img > 0 else -1

@@ -45,13 +45,6 @@ def order_key(k: int, n: int) -> int:
     return k + n if k < 0 else k + n - 1
 
 
-def successor(k: int, n: int) -> int:
-    """Next element after k in the total order on {±1,...,±n}, skipping 0."""
-    if k == n:
-        raise ValueError("n has no successor")
-    return k + 1 if k + 1 != 0 else 1
-
-
 class SignedPerm:
     """A signed permutation of {±1,...,±n}, stored as its window."""
 

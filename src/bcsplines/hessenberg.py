@@ -269,7 +269,7 @@ def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
     """The case-split value of D_H(i) from the t-set alone, with witness tags.
 
     Each element maps to the tag of a spline whose shortest support is that
-    element (built by `splines.support_minimal_witnesses`):
+    element (`splines.witness_basis` builds one row per tag):
 
         ("rt", k)        sum_{j<=k} (r_j - t_j)
         ("try", j, i)    t_j - r_i - y_{i-1,j}

@@ -132,11 +132,14 @@ def act(w: SignedPerm, root_or_vec) -> EVector:
 
 @lru_cache(maxsize=None)
 def label_matrix(n: int, root: Root) -> np.ndarray:
-    """act(w, root) for every w of the group table, stacked as an integer matrix."""
+    """act(w, root) for every w of the group table, stacked as an int8 matrix.
+
+    Its entries lie in [-2, 2], so a product of two labels is exact in int8.
+    """
     table = group_table(n)
     win = table.windows_array
     rows = np.arange(table.size)
-    out = np.zeros((table.size, n), dtype=np.int64)
+    out = np.zeros((table.size, n), dtype=np.int8)
     for pos, c in enumerate(root.evector()):
         if c:
             col = win[:, pos]

@@ -21,10 +21,14 @@ The named families:
 with A ranging over unbalanced subsets (no pair {a, -a}) of size i and B
 over those of size n.
 
-A bundle (a generating set, a basis) is the stacked values of its splines:
-one read-only int64 array of shape (m, N, n), row j holding the values of
-the j-th spline in the documented build order.  Every certificate reads
-that layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
+Each family has one writer over `GroupTable.windows_array` (`t_family` ...
+`phi_family`) that returns the int8 values (M, N, n) of the members the
+caller names, in that order; `t_spline` ... `phi_spline` check their input
+and return one member as a `Spline`.  A bundle (a generating set, a basis)
+is one read-only int8 array (m, N, n), row j the values of the j-th spline
+in the documented build order, sliced, concatenated and added from family
+stacks (`_combine`) without a `Spline`.  Every certificate reads that
+layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
 A spline of H is determined by its values at the identity and at the
 elements with exactly one H-inversion, so `bundle_rank` ranks bundles there.
 """
@@ -39,7 +43,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .group import GroupTable, SignedPerm, group_table, order_key, successor
+from .group import GroupTable, SignedPerm, group_table, order_key
 from .hessenberg import (
     HessenbergSpace,
     _inversion_counts,
@@ -105,7 +109,8 @@ class Spline:
         return not self.num.any()
 
     def __add__(self, other: "Spline") -> "Spline":
-        self._check(other)
+        if self.n != other.n:
+            raise ValueError("rank mismatch")
         bound = _peak(self.num) + _peak(other.num)
         return Spline(self.table, _widened(self.num, bound) + _widened(other.num, bound))
 
@@ -124,13 +129,6 @@ class Spline:
             and self.n == other.n
             and np.array_equal(self.num, other.num)
         )
-
-    def __hash__(self):
-        return hash((self.n, self.num.tobytes()))
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
 
     def dump(self) -> str:
         """One line per group element: "window TAB polynomial", the
@@ -258,40 +256,120 @@ def unbalanced_sets(i: int, n: int) -> tuple[tuple[int, ...], ...]:
     -n < ... < -1 < 1 < ... < n, and the enumeration is lexicographic on
     those tuples; there are 2^i * binomial(n, i) of them.
     """
-    out = []
-    for support in combinations(range(1, n + 1), i):
-        for signs in product((1, -1), repeat=i):
-            out.append(
-                tuple(
-                    sorted(
-                        (s * a for a, s in zip(support, signs)),
-                        key=lambda k: order_key(k, n),
-                    )
-                )
-            )
-    out.sort(key=lambda t: tuple(order_key(k, n) for k in t))
-    return tuple(out)
+    def key(k):
+        return order_key(k, n)
+
+    out = [
+        tuple(sorted((s * a for a, s in zip(support, signs)), key=key))
+        for support in combinations(range(1, n + 1), i)
+        for signs in product((1, -1), repeat=i)
+    ]
+    return tuple(sorted(out, key=lambda t: tuple(map(key, t))))
+
+
+def _hits(members, entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(member, row) for each row of `entries` whose set is one of `members`
+    (unbalanced sets of the row length): one searchsorted on the sorted set
+    codes, as `GroupTable.indices_of` finds windows.  A set's code has one
+    bit per entry, at its order_key."""
+
+    def codes(sets):
+        return (1 << np.where(sets < 0, sets + n, sets + n - 1)).sum(axis=-1)
+
+    want = codes(np.asarray(members, dtype=np.int64).reshape(len(members), entries.shape[-1]))
+    order = np.argsort(want)
+    ranked = np.append(want[order], 1 << 2 * n)  # a sentinel above every code
+    got = codes(entries)
+    pos = np.searchsorted(ranked, got)
+    rows = np.flatnonzero(ranked[pos] == got)
+    return order[pos[rows]], rows
+
+
+def _scatter(members, n: int, passes) -> np.ndarray:
+    """The int8 values (M, N, n) of the members, unbalanced sets of one size.
+    Each pass is one scatter: the set (N, s) each element writes into, then
+    arrays over the elements of the signed indices e of its terms x_e."""
+    out = np.zeros((len(members), group_table(n).size, n), dtype=np.int8)
+    for keys, *terms in passes:
+        member, rows = _hits(members, keys, n)
+        for e in terms:
+            out[member, rows, np.abs(e[rows]) - 1] = np.sign(e[rows])
+    return out
+
+
+def t_family(ks, n: int) -> np.ndarray:
+    """t_k(w) = x_k for the members k (value indices, possibly negative)."""
+    ks = np.asarray(ks, dtype=np.int64)
+    out = np.zeros((len(ks), group_table(n).size, n), dtype=np.int8)
+    out[np.arange(len(ks)), :, np.abs(ks) - 1] = np.sign(ks)[:, None]
+    return out
+
+
+def r_family(indices, n: int) -> np.ndarray:
+    """r_i(w) = x_{w(i)} for the members i."""
+    win = group_table(n).windows_array[:, np.asarray(indices, dtype=np.int64) - 1].T
+    out = np.zeros(win.shape + (n,), dtype=np.int8)
+    member, rows = np.indices(win.shape)
+    out[member, rows, np.abs(win) - 1] = np.sign(win)
+    return out
+
+
+def f_family(i: int, sets, n: int) -> np.ndarray:
+    """f_i^A for the members A: x_{w(i)} - x_{w(i+1)} (x_{w(n)} if i = n)
+    where w([i]) = A.  One scatter: every element writes the member of its
+    set w([i]), so no element lies in the support of two members."""
+    win = group_table(n).windows_array
+    terms = (win[:, i - 1], -win[:, i]) if i < n else (win[:, n - 1],)
+    return _scatter(sets, n, [(win[:, :i], *terms)])
+
+
+def y_family(i: int, ks, n: int) -> np.ndarray:
+    """y_{i,k} for the members k: x_k - x_{w(i+1)} where w^{-1}(k) lies in
+    [i].  One scatter per window position p <= i, into the member w(p)."""
+    win = group_table(n).windows_array
+    passes = [(win[:, p : p + 1], win[:, p], -win[:, i]) for p in range(i)]
+    return _scatter([(k,) for k in ks], n, passes)
+
+
+def g_family(ks, n: int) -> np.ndarray:
+    """g_k for the members k: x_k where w^{-1}(k) < 0.  One scatter per
+    window position p, into the member -w(p)."""
+    win = group_table(n).windows_array
+    return _scatter([(-k,) for k in ks], n, [(win[:, p : p + 1], -win[:, p]) for p in range(n)])
+
+
+def h_family(n: int) -> np.ndarray:
+    """The one member h: x_{w(n)} where |Neg(w)| is odd."""
+    win = group_table(n).windows_array
+    rows = np.flatnonzero((win < 0).sum(axis=1) % 2 == 1)
+    out = np.zeros((1, len(win), n), dtype=np.int8)
+    out[0, rows, np.abs(win[rows, -1]) - 1] = np.sign(win[rows, -1])
+    return out
+
+
+def phi_family(sets, n: int) -> np.ndarray:
+    """phi^B = 2 f_n^B + (sum of f_{n-1}^A over the (n-1)-subsets A of B)
+    for the members B, unbalanced n-sets: x_{w(n-1)} + x_b where w([n-1])
+    lies in B and b is the entry of B outside it.  B is w([n-1]) with
+    b = w(n) or with b = -w(n): one scatter for each."""
+    win = group_table(n).windows_array
+    last = win[:, n - 1]
+    passes = [(np.column_stack([win[:, : n - 1], b]), win[:, n - 2], b) for b in (last, -last)]
+    return _scatter(sets, n, passes)
 
 
 def t_spline(k: int, n: int) -> Spline:
     """Constant family: every element is sent to x_k (k may be negative)."""
     if k == 0 or abs(k) > n:
         raise ValueError(f"value index {k} out of range")
-    table = group_table(n)
-    num = np.zeros((table.size, n), dtype=np.int64)
-    num[:, abs(k) - 1] = 1 if k > 0 else -1
-    return Spline(table, num)
+    return Spline(group_table(n), t_family((k,), n)[0])
 
 
 def r_spline(i: int, n: int) -> Spline:
     """Window family: w is sent to x_{w(i)}."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range [1,{n}]")
-    table = group_table(n)
-    col = table.windows_array[:, i - 1]
-    num = np.zeros((table.size, n), dtype=np.int64)
-    num[np.arange(table.size), np.abs(col) - 1] = np.sign(col)
-    return Spline(table, num)
+    return Spline(group_table(n), r_family((i,), n)[0])
 
 
 def f_spline(i: int, a, n: int) -> Spline:
@@ -300,17 +378,7 @@ def f_spline(i: int, a, n: int) -> Spline:
     support = {abs(x) for x in a}
     if i < 1 or len(a) != i or len(support) != i or not support <= set(range(1, n + 1)):
         raise ValueError(f"need an unbalanced set of size {i} with entries in ±1..±{n}, got {a}")
-    table = group_table(n)
-    win = table.windows_array
-    num = np.zeros((table.size, n), dtype=np.int64)
-    # w([i]) has i distinct absolute values, so it lies in A exactly when it is A
-    rows = np.flatnonzero(np.all(np.isin(win[:, :i], a), axis=1))
-    ci = win[rows, i - 1]
-    num[rows, np.abs(ci) - 1] += np.sign(ci)
-    if i < n:
-        cj = win[rows, i]
-        num[rows, np.abs(cj) - 1] -= np.sign(cj)
-    return Spline(table, num)
+    return Spline(group_table(n), f_family(i, (a,), n)[0])
 
 
 def y_spline(i: int, k: int, n: int) -> Spline:
@@ -319,82 +387,37 @@ def y_spline(i: int, k: int, n: int) -> Spline:
         raise ValueError(f"index {i} out of range [1,{n-1}]")
     if k == 0 or abs(k) > n:
         raise ValueError(f"value index {k} out of range")
-    table = group_table(n)
-    win = table.windows_array
-    mask = np.any(win[:, :i] == k, axis=1)
-    num = np.zeros((table.size, n), dtype=np.int64)
-    rows = np.flatnonzero(mask)
-    num[rows, abs(k) - 1] += 1 if k > 0 else -1
-    cj = win[rows, i]
-    num[rows, np.abs(cj) - 1] -= np.sign(cj)
-    return Spline(table, num)
+    return Spline(group_table(n), y_family(i, (k,), n)[0])
 
 
 def g_spline(k: int, n: int) -> Spline:
     """Value x_k on the elements with w^{-1}(k) < 0."""
     if k == 0 or abs(k) > n:
         raise ValueError(f"value index {k} out of range")
-    table = group_table(n)
-    mask = np.any(table.windows_array == -k, axis=1)
-    num = np.zeros((table.size, n), dtype=np.int64)
-    num[np.flatnonzero(mask), abs(k) - 1] = 1 if k > 0 else -1
-    return Spline(table, num)
+    return Spline(group_table(n), g_family((k,), n)[0])
 
 
 def h_spline(n: int) -> Spline:
     """Value x_{w(n)} on the elements with an odd number of negative entries."""
     if n < 2:
         raise ValueError("need n >= 2")
-    table = group_table(n)
-    win = table.windows_array
-    mask = (np.sum(win < 0, axis=1) % 2) == 1
-    num = np.zeros((table.size, n), dtype=np.int64)
-    rows = np.flatnonzero(mask)
-    cn = win[rows, n - 1]
-    num[rows, np.abs(cn) - 1] = np.sign(cn)
-    return Spline(table, num)
+    return Spline(group_table(n), h_family(n)[0])
 
 
 def phi_spline(b, n: int) -> Spline:
-    """2 f_n^B + sum of f_{n-1}^A over the (n-1)-subsets A of B.
-
-    B is an unbalanced n-set.  The value is x_{w(n-1)} + x_beta on the
-    elements with w([n-1]) inside B, where beta is the element of B outside
-    w([n-1]), and zero elsewhere.
-    """
+    """phi^B for an unbalanced n-set B (see `phi_family`)."""
     b = tuple(b)
     if len(b) != n or len({abs(x) for x in b}) != n:
         raise ValueError(f"need an unbalanced set of size {n}, got {b}")
     if n < 2:
         raise ValueError("need n >= 2")
-    table = group_table(n)
-    win = table.windows_array
-    rows = np.flatnonzero(np.all(np.isin(win[:, : n - 1], b), axis=1))
-    sign_of = np.zeros(n + 1, dtype=np.int64)
-    sign_of[np.abs(b)] = np.sign(b)
-    num = np.zeros((table.size, n), dtype=np.int64)
-    prev, last = win[rows, n - 2], np.abs(win[rows, n - 1])
-    num[rows, np.abs(prev) - 1] += np.sign(prev)
-    num[rows, last - 1] += sign_of[last]
-    return Spline(table, num)
-
-
-def r_minus_t_partial(k: int, n: int) -> Spline:
-    """The combination sum_{j<=k} (r_j - t_j); its lowest support element is s_k."""
-    out = Spline.zero(n)
-    for j in range(1, k + 1):
-        out = out + r_spline(j, n) - t_spline(j, n)
-    return out
+    return Spline(group_table(n), phi_family((b,), n)[0])
 
 
 def f_tail_sum(p: int, m: int, k: int, n: int) -> Spline:
     """sum over p < i <= m of the coset splines f_i^A with k in A."""
-    out = Spline.zero(n)
-    for i in range(p + 1, m + 1):
-        for a in unbalanced_sets(i, n):
-            if k in a:
-                out = out + f_spline(i, a, n)
-    return out
+    tail = (f_spline(i, a, n) for i in range(p + 1, m + 1) for a in unbalanced_sets(i, n) if k in a)
+    return sum(tail, Spline.zero(n))
 
 
 def telescoping_identity(p: int, m: int, k: int, n: int) -> bool:
@@ -415,30 +438,42 @@ def y_f_g_identity(p: int, k: int, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def stack(splines) -> np.ndarray:
-    """The bundle of the given splines: their values stacked in order into
-    one read-only int64 array of shape (m, N, n)."""
-    values = np.stack([s.num for s in splines])
+def _combine(coeffs, members: np.ndarray) -> np.ndarray:
+    """Rows sum_k coeffs[j][k] * members[k] of family members (K, N, n), as int8.
+
+    Every family entry lies in [-1, 1], since each family writes ±1 into
+    distinct coordinates, so row j is bounded by sum_k |coeffs[j][k]|; a
+    bound past the int8 range raises OverflowError instead of wrapping.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    bound = int(np.abs(coeffs).sum(axis=1).max(initial=0))
+    if bound > np.iinfo(np.int8).max:
+        raise OverflowError(f"a sum of {bound} family members may not fit int8")
+    out = np.zeros((len(coeffs),) + members.shape[1:], dtype=np.int8)
+    for j, k in zip(*np.nonzero(coeffs)):
+        out[j] += int(coeffs[j, k]) * members[k]
+    return out
+
+
+def _differences(members: np.ndarray) -> np.ndarray:
+    """members[:-1] - members[1:]."""
+    eye = np.eye(len(members), dtype=np.int64)
+    return _combine(eye[:-1] - eye[1:], members)
+
+
+def _bundle(*parts) -> np.ndarray:
+    values = np.concatenate(parts)
     values.setflags(write=False)
     return values
 
 
-def _family_splines(tset, n: int):
-    """The T/R/F/Y/G families determined by a t-set."""
-    cls = classify(tset, n)
-    t_part = [t_spline(i, n) for i in range(1, n + 1)]
-    r_part = [r_spline(i, n) for i in range(1, n + 1)]
-    f_part = [f_spline(i, a, n) for i in sorted(cls.uncovered) for a in unbalanced_sets(i, n)]
-    y_part = [
-        y_spline(i, k, n) for i in sorted(cls.surrounded) for k in range(-n, n + 1) if k
-    ]
-    if cls.c:
-        g_part = [g_spline(i, n) for i in range(1, n + 1)]
-    elif cls.d:
-        g_part = [h_spline(n)]
-    else:
-        g_part = []
-    return cls, t_part, r_part, f_part, y_part, g_part
+def _families(cls, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The F stack of each uncovered index, then the Y stack of each
+    surrounded one; and G: g_1..g_n if c = 1, h if d = 1, else no member."""
+    ks = [k for k in range(-n, n + 1) if k]
+    f_y = [f_family(i, unbalanced_sets(i, n), n) for i in sorted(cls.uncovered)]
+    f_y += [y_family(i, ks, n) for i in sorted(cls.surrounded)]
+    return f_y, h_family(n) if cls.d else g_family(range(1, n + 1) if cls.c else (), n)
 
 
 def generating_set(space: HessenbergSpace) -> np.ndarray:
@@ -448,66 +483,36 @@ def generating_set(space: HessenbergSpace) -> np.ndarray:
     2^n - n - 2 dimensions; the splines phi^B over the unbalanced n-sets B
     supply them.
     """
-    n = space.n
-    tset = t_set(space)
-    _, t_part, r_part, f_part, y_part, g_part = _family_splines(tset, n)
-    splines = t_part + r_part + f_part + y_part + g_part
-    if on_divergent_branch(tset, n):
-        splines += [phi_spline(b, n) for b in unbalanced_sets(n, n)]
-    return stack(splines)
-
-
-def _sized_bundle(space: HessenbergSpace, role: str, splines) -> np.ndarray:
-    bundle = stack(splines)
-    dim = dim_degree_one(space)
-    if len(bundle) != dim:
-        raise RankDeficientError(
-            f"{role} set has {len(bundle)} elements but the degree-one space "
-            f"has dimension {dim} (t-set {{{','.join('t%d' % i for i in sorted(t_set(space)))}}}); "
-            "the closed-form construction does not span here"
-        )
-    return bundle
+    n, tset, idx = space.n, t_set(space), range(1, space.n + 1)
+    f_y, g = _families(classify(tset, n), n)
+    phi = phi_family(unbalanced_sets(n, n) if on_divergent_branch(tset, n) else (), n)
+    return _bundle(t_family(idx, n), r_family(idx, n), *f_y, g, phi)
 
 
 def left_basis(space: HessenbergSpace) -> np.ndarray:
     """T ∪ {r_i : i shaded} ∪ F ∪ Y ∪ G; needs a nonempty t-set."""
-    tset = t_set(space)
+    n, tset = space.n, t_set(space)
     if not tset:
         raise ValueError("left basis needs a space strictly larger than the simples")
-    cls, t_part, r_part, f_part, y_part, g_part = _family_splines(tset, space.n)
-    r_shaded = [r_part[i - 1] for i in sorted(cls.shaded)]
-    return _sized_bundle(space, "left", t_part + r_shaded + f_part + y_part + g_part)
+    cls = classify(tset, n)
+    f_y, g = _families(cls, n)
+    return _bundle(t_family(range(1, n + 1), n), r_family(sorted(cls.shaded), n), *f_y, g)
 
 
 def right_basis(space: HessenbergSpace) -> np.ndarray:
-    """T ∪ R ∪ consecutive differences of the F/Y/G families."""
-    tset = t_set(space)
+    """T ∪ R ∪ consecutive differences of the F/Y/G families (h is kept whole)."""
+    n, tset, idx = space.n, t_set(space), range(1, space.n + 1)
     if not tset:
         raise ValueError("right basis needs a space strictly larger than the simples")
-    n = space.n
-    cls, t_part, r_part, f_part, y_part, g_part = _family_splines(tset, n)
-    splines = t_part + r_part
-    for i in sorted(cls.uncovered):
-        sets = unbalanced_sets(i, n)
-        for m in range(len(sets) - 1):
-            splines.append(f_spline(i, sets[m], n) - f_spline(i, sets[m + 1], n))
-    for i in sorted(cls.surrounded):
-        k = -n
-        while k != n:
-            nxt = successor(k, n)
-            splines.append(y_spline(i, k, n) - y_spline(i, nxt, n))
-            k = nxt
-    if cls.c:
-        for i in range(1, n):
-            splines.append(g_spline(i, n) - g_spline(i + 1, n))
-    elif cls.d:
-        splines.append(h_spline(n))
-    return _sized_bundle(space, "right", splines)
+    cls = classify(tset, n)
+    f_y, g = _families(cls, n)
+    g = _differences(g) if cls.c else g
+    return _bundle(t_family(idx, n), r_family(idx, n), *map(_differences, f_y), g)
 
 
 def permutohedral_basis(n: int) -> np.ndarray:
     """The full coset family F over every index; a basis when H is the simples."""
-    return stack(f_spline(i, a, n) for i in range(1, n + 1) for a in unbalanced_sets(i, n))
+    return _bundle(*(f_family(i, unbalanced_sets(i, n), n) for i in range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -559,26 +564,38 @@ def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, elems * n + coords
 
 
-def expand(rho: Spline, bundle: np.ndarray) -> tuple[Fraction, ...]:
-    """Exact coefficients of rho in the bundle; raises if not in the span.
+def expand(targets: np.ndarray, bundle: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact coefficients in the bundle of each of the stacked targets
+    (k, N, n), one tuple per target; raises if one is not in the span.
 
-    The coefficients c solve c P = rho at the pivot columns of
-    `triangular_pivots` by forward substitution.  The full residual is then
-    checked, so a successful return is a proof of membership.
+    The coefficients c solve c P = target at the pivot columns of
+    `triangular_pivots` by forward substitution, with the pivots found once
+    for all targets.  The full residuals are then checked, so a successful
+    return is a proof of membership.
     """
     rows, cols = triangular_pivots(bundle)
     mat = bundle.reshape(len(bundle), -1)
+    flat = np.asarray(targets).reshape(len(targets), mat.shape[1])
     block = mat[np.ix_(rows, cols)].tolist()
-    target = rho.num.ravel()[cols].tolist()
-    order, coeffs = rows.tolist(), [Fraction(0)] * len(bundle)
-    for j, r in enumerate(order):
-        s = target[j] - sum(coeffs[order[i]] * block[i][j] for i in range(j) if block[i][j])
-        coeffs[r] = Fraction(s) / block[j][j]
-    den = math.lcm(1, *(c.denominator for c in coeffs))
-    scaled = np.array([int(c * den) for c in coeffs], dtype=object)
-    if (scaled @ mat.astype(object) != den * rho.num.ravel().astype(object)).any():
+    order = rows.tolist()
+    out, scaled, dens = [], [], []
+    for target in flat[:, cols].tolist():
+        coeffs = [Fraction(0)] * len(bundle)
+        for j, r in enumerate(order):
+            s = target[j] - sum(coeffs[order[i]] * block[i][j] for i in range(j) if block[i][j])
+            coeffs[r] = Fraction(s) / block[j][j]
+        den = math.lcm(1, *(c.denominator for c in coeffs))
+        out.append(tuple(coeffs))
+        scaled.append([int(c * den) for c in coeffs])
+        dens.append(den)
+    # no entry or partial sum of either side exceeds this in absolute value
+    peak = max(_peak(mat), _peak(flat))
+    bound = peak * max((sum(map(abs, row)) + d for row, d in zip(scaled, dens)), default=0)
+    dtype = object if bound > _INT64_MAX else np.int64
+    lhs = np.array(scaled, dtype=dtype).reshape(len(flat), len(mat)) @ mat.astype(dtype)
+    if (lhs != np.array(dens, dtype=dtype)[:, None] * flat.astype(dtype)).any():
         raise ValueError("spline is not in the span of the bundle")
-    return tuple(coeffs)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -589,7 +606,9 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
     (every vector passes the spline predicate; the count matches the scan
     dimension; independence is certified by modular pivots on all N * n
     coordinates).  The tests use it as the reference that reads the
-    definition directly.  The result is cached and shared, so it is read-only.
+    definition directly.  The result is cached and shared, so it is
+    read-only; its values are int64, since a kernel vector scaled to
+    integers has no bound known in advance.
     """
     n = space.n
     table = group_table(n)
@@ -601,31 +620,20 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
             wsidx = int(perm[widx])
             if wsidx < widx:
                 continue
-            lw = lab[widx]
+            lw = lab[widx].tolist()
             for p, q in combinations(range(n), 2):
-                if lw[p] == 0 and lw[q] == 0:
-                    continue
-                row: dict[int, int] = {}
-                for col, v in (
-                    (widx * n + p, int(lw[q])),
-                    (wsidx * n + p, -int(lw[q])),
-                    (widx * n + q, -int(lw[p])),
-                    (wsidx * n + q, int(lw[p])),
-                ):
-                    row[col] = row.get(col, 0) + v
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rows.append(row)
+                # the four columns are distinct, since w s_alpha != w
+                if lw[p] or lw[q]:
+                    terms = (widx, p, lw[q]), (wsidx, p, -lw[q]), (widx, q, -lw[p])
+                    terms += ((wsidx, q, lw[p]),)
+                    rows.append({u * n + k: v for u, k, v in terms if v})
     vectors = sparse_kernel_basis(rows, table.size * n)
-    splines = []
-    for vec in vectors:
+    bundle = np.zeros((len(vectors), table.size, n), dtype=np.int64)
+    for vec, values in zip(vectors, bundle.reshape(len(vectors), -1)):
         # scale to integer values; a scalar multiple spans the same line
         den = math.lcm(1, *(v.denominator for v in vec.values()))
-        num = np.zeros((table.size, n), dtype=np.int64)
-        for col, v in vec.items():
-            num[divmod(col, n)] = int(v * den)
-        splines.append(Spline(table, num))
-    bundle = stack(splines)
+        values[list(vec)] = [int(v * den) for v in vec.values()]
+    bundle.setflags(write=False)
     if not edges_ok(bundle, space.roots).all():
         raise RankDeficientError("kernel vector fails the spline predicate")
     if len(bundle) != dim_degree_one(space):
@@ -638,48 +646,51 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Support-minimal witnesses
+# The witness basis
 # ---------------------------------------------------------------------------
 
 
-def support_minimal_witnesses(space: HessenbergSpace) -> dict[SignedPerm, Spline]:
-    """For each element of the closed-form descent sets, a spline whose
-    shortest support is that element.
-
-    Together with the constant family these witness the lower bound in the
-    dimension count; tests check singleton shortest support and that the
-    value there is projectively the label of the unique inversion.  The
-    splines are built from the tags of `hessenberg.descent_cases`.
-    """
-    n = space.n
-    build = {
-        "rt": lambda k: r_minus_t_partial(k, n),
-        "try": lambda j, i: t_spline(j, n) - r_spline(i, n) - y_spline(i - 1, j, n),
-        "y": lambda i, k: y_spline(i, k, n),
-        "f": lambda i, a: f_spline(i, a, n),
-        "g": lambda k: g_spline(k, n),
-        "phi": lambda b: phi_spline(b, n),
-        "h": lambda: sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n)),
-    }
-    tset = t_set(space)
-    return {
-        w: build[tag[0]](*tag[1:])
-        for i in range(1, n + 1)
-        for w, tag in descent_cases(tset, n, i).items()
-    }
+def _witness_rows(kind: str, args, n: int) -> np.ndarray:
+    """The witnesses of the `descent_cases` tags of one kind at one index,
+    from their arguments (one tuple per tag); within an index every "f", "y"
+    and "try" tag has the same i."""
+    idx, cols = range(1, n + 1), list(zip(*args))
+    if kind == "rt":  # sum_{j<=k} (r_j - t_j): running sums of R - T rows
+        tri = np.tri(n, dtype=np.int64)[np.subtract(cols[0], 1)]
+        members = np.concatenate([r_family(idx, n), t_family(idx, n)])
+        return _combine(np.hstack([tri, -tri]), members)
+    if kind == "try":  # t_j - r_i - y_{i-1,j}
+        (js, i_s), eye = cols, np.eye(len(args), dtype=np.int64)
+        members = np.concatenate([t_family(js, n), r_family(i_s, n), y_family(i_s[0] - 1, js, n)])
+        return _combine(np.hstack([eye, -eye, -eye]), members)
+    if kind == "h":  # h + g_1 + ... + g_n
+        members = np.concatenate([h_family(n), g_family(idx, n)])
+        return _combine(np.ones((1, n + 1), dtype=np.int64), members)
+    if kind in ("f", "y"):
+        return (f_family if kind == "f" else y_family)(cols[0][0], cols[1], n)
+    return (g_family if kind == "g" else phi_family)(cols[0], n)
 
 
 def witness_basis(space: HessenbergSpace) -> np.ndarray:
-    """t_1..t_n, then the support-minimal witnesses by (length, table index).
-
-    This is the order `triangular_pivots` gives: the pivot of t_i is
-    coordinate i at e, that of rho_w the first nonzero coordinate of
-    rho_w(w), and a witness vanishes at e and at every other element no
-    longer than its own.
+    """t_1..t_n, then for each element w of the closed-form descent sets the
+    spline rho_w its `hessenberg.descent_cases` tag names, whose shortest
+    support is w, by (length, table index); one int8 stack per index and
+    kind of tag is written into its rows.  This is the order
+    `triangular_pivots` gives: the pivot of t_i is coordinate i at e, that of
+    rho_w the first nonzero coordinate of rho_w(w), and rho_w vanishes at e
+    and at every other element no longer than w.
     """
-    n, table = space.n, group_table(space.n)
-    witnesses = support_minimal_witnesses(space)
-    index = table.indices_of([w.window for w in witnesses])
-    rhos = list(witnesses.values())
-    order = np.lexsort((index, table.lengths[index]))
-    return stack([t_spline(i, n) for i in range(1, n + 1)] + [rhos[k] for k in order])
+    n, table, tset = space.n, group_table(space.n), t_set(space)
+    groups: dict[tuple, list] = {}  # (index, kind) -> [(window, tag arguments)]
+    for i in range(1, n + 1):
+        for w, (kind, *args) in descent_cases(tset, n, i).items():
+            groups.setdefault((i, kind), []).append((w.window, args))
+    index = table.indices_of([w for group in groups.values() for w, _ in group])
+    dest = n + np.argsort(np.lexsort((index, table.lengths[index])))  # the row of each
+    out = np.empty((n + len(index), table.size, n), dtype=np.int8)
+    out[:n] = t_family(range(1, n + 1), n)
+    for (_, kind), group in groups.items():
+        out[dest[: len(group)]] = _witness_rows(kind, [args for _, args in group], n)
+        dest = dest[len(group) :]
+    out.setflags(write=False)
+    return out

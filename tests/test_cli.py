@@ -266,18 +266,40 @@ class TestSplineSuites:
 
     def test_families_check_phi_on_the_branch(self, monkeypatch):
         # x_1 at the identity only: its edges to the simple reflections fail
-        def not_a_spline(b, n):
+        def not_a_spline(sets, n):
             table = group.group_table(n)
-            num = np.zeros((table.size, n), dtype=np.int64)
-            num[table.index_of(group.SignedPerm.identity(n)), 0] = 1
-            return splines.Spline(table, num)
+            values = np.zeros((len(sets), table.size, n), dtype=np.int8)
+            values[:, table.index_of(group.SignedPerm.identity(n)), 0] = 1
+            return values
 
-        monkeypatch.setattr(splines, "phi_spline", not_a_spline)
+        monkeypatch.setattr(splines, "phi_family", not_a_spline)
         assert cli._suite_families(3, LieType.B)[0]  # no type-B t-set is on the branch
         assert cli._suite_families(3, LieType.C) == (
             False,
             "phi family fails on the divergent branch",
         )
+
+    def test_certificates_build_no_spline(self, monkeypatch):
+        # every bundle and family stack is written as int8 values directly
+        from bcsplines import characters
+        from bcsplines.hessenberg import from_tset
+
+        expected = {lt: (cli._suite_bases(3, lt), cli._suite_families(3, lt)) for lt in LieType}
+
+        def no_spline(self, table, num):
+            raise AssertionError("a certificate built a Spline")
+
+        monkeypatch.setattr(splines.Spline, "__init__", no_spline)
+        with pytest.raises(AssertionError):
+            splines.t_spline(1, 3)
+        characters._trace_data.cache_clear()
+        try:
+            for lt in LieType:
+                for ts in realizable_tsets(lt, 3):
+                    assert characters._trace_data(from_tset(ts, 3, lt))
+                assert (cli._suite_bases(3, lt), cli._suite_families(3, lt)) == expected[lt]
+        finally:
+            characters._trace_data.cache_clear()
 
     def test_fails_on_rank_deficient_left_basis(self, monkeypatch):
         # correctly sized, but its last row repeats its first

@@ -10,6 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bcsplines"
 KEEP = {
     "expand": "exact reference the tests compare the traces against",
     "is_spline": "per-spline reference the tests compare edges_ok against",
+    "phi_spline": "one phi^B as a Spline, the per-member reference the tests check phi_family against",
     "spline_space_basis": "kernel basis from the edge conditions, the tests' reference",
     "telescoping_identity": "acceptance criterion 4",
     "y_f_g_identity": "acceptance criterion 4",

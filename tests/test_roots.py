@@ -190,3 +190,26 @@ class TestPoset:
                     simple_root(n, lt, n)
                 ) == SignedPerm.transposition(n, -n, n)
                 assert len(simple_roots(lt, n)) == n
+
+
+class TestInt8Labels:
+    """Labels lie in [-2, 2] and are stored as int8; a product of two labels
+    is at most 4, so the label checks stay exact in int8."""
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_dtype_and_range(self, lt, n):
+        for r in positive_roots(lt, n):
+            labels = label_matrix(n, r)
+            assert labels.dtype == np.int8 and np.abs(labels).max() <= 2
+            wide = np.array([act(w, r) for w in elements(group_table(n))])
+            assert np.array_equal(labels, wide)
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_label_checks_hold(self, lt, n):
+        from bcsplines.characters import _labels_equivariant
+        from bcsplines.splines import labels_pairwise_independent
+
+        assert labels_pairwise_independent.__wrapped__(lt, n)
+        assert _labels_equivariant.__wrapped__(lt, n)

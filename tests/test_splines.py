@@ -34,7 +34,9 @@ from bcsplines.splines import (
     bundle_rank,
     edges_ok,
     expand,
+    f_family,
     f_spline,
+    g_family,
     g_spline,
     generating_set,
     h_spline,
@@ -42,20 +44,22 @@ from bcsplines.splines import (
     labels_pairwise_independent,
     left_basis,
     permutohedral_basis,
+    phi_family,
     phi_spline,
-    r_minus_t_partial,
+    r_family,
     r_spline,
     right_basis,
     spline_space_basis,
-    stack,
-    support_minimal_witnesses,
+    t_family,
     t_spline,
     telescoping_identity,
     triangular_pivots,
     unbalanced_sets,
     witness_basis,
+    y_family,
     y_spline,
     y_f_g_identity,
+    _combine,
     _rows_proportional,
     reflection_perm,
 )
@@ -72,6 +76,16 @@ def splines_of(bundle) -> list[Spline]:
     """The rows of a bundle (m, N, n) as splines, in bundle order."""
     table = group_table(bundle.shape[-1])
     return [Spline(table, values) for values in bundle]
+
+
+def stacked(splines) -> np.ndarray:
+    """The values of the given splines, stacked (m, N, n) in order."""
+    return np.stack([s.num for s in splines])
+
+
+def rt_sum(k, n) -> Spline:
+    """sum_{j<=k} (r_j - t_j)."""
+    return sum((r_spline(j, n) - t_spline(j, n) for j in range(1, k + 1)), Spline.zero(n))
 
 
 FIG_SPLINE_VALUES = {
@@ -261,14 +275,14 @@ class TestBatchedEdgeTest:
         splines.append(Spline(splines[-1].table, num))
         refs = [reference_is_spline(s, space) for s in splines]
         assert refs[-1] is not None and all(r is None for r in refs[: len(bundle)])
-        got = edges_ok(stack(splines), space.roots)
+        got = edges_ok(stacked(splines), space.roots)
         assert got.tolist() == [r is None for r in refs]
         for s, ref in zip(splines, refs):
             assert is_spline(s, space, witness=True) == (ref is None, ref)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank mismatch"):
-            edges_ok(stack([t_spline(1, 3)]), delta_space(B, 2).roots)
+            edges_ok(stacked([t_spline(1, 3)]), delta_space(B, 2).roots)
 
 
 class TestEdgeTestOverflow:
@@ -384,6 +398,56 @@ class TestFamilyValues:
         assert Spline.zero(2).dump().splitlines()[-1] == "2,1\t0"
 
 
+class TestFamilyWriters:
+    """One writer per family: int8 stacks of the members the caller names."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coset_family_sums_and_covers(self, n):
+        for i in range(1, n + 1):
+            family = f_family(i, unbalanced_sets(i, n), n)
+            want = r_spline(i, n) - r_spline(i + 1, n) if i < n else r_spline(n, n)
+            assert np.array_equal(family.sum(axis=0), want.num)
+            # every element lies in the support of exactly one member
+            assert (family.any(axis=2).sum(axis=0) == 1).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_members_in_the_callers_order(self, n):
+        ks = [k for k in range(-n, n + 1) if k]
+        picked = ks[::-3]
+        cases = [
+            (lambda m: t_family(m, n), ks, picked),
+            (lambda m: r_family(m, n), range(1, n + 1), [n, 1]),
+            (lambda m: y_family(1, m, n), ks, picked),
+            (lambda m: g_family(m, n), ks, picked),
+            (lambda m: phi_family(m, n), unbalanced_sets(n, n), unbalanced_sets(n, n)[::-5]),
+        ]
+        cases += [
+            (lambda m, i=i: f_family(i, m, n), unbalanced_sets(i, n), unbalanced_sets(i, n)[::-3])
+            for i in range(1, n + 1)
+        ]
+        for build, members, some in cases:
+            whole = build(list(members))
+            assert whole.dtype == np.int8 and np.abs(whole).max() == 1
+            assert np.array_equal(build(list(some)), whole[[list(members).index(m) for m in some]])
+            assert build([]).shape == (0,) + whole.shape[1:]
+
+
+class TestCheckedNarrowing:
+    """A sum of family members is int8 only where its bound fits."""
+
+    def test_bound_fits(self):
+        members = np.ones((3, 8, 2), dtype=np.int8)
+        out = _combine([[100, 27, 0], [-100, -27, 0], [1, -1, 1]], members)
+        assert out.dtype == np.int8
+        assert out[:, 0, 0].tolist() == [127, -127, 1]
+
+    @pytest.mark.parametrize("coeffs", [[[100, 28]], [[1] * 64 + [-1] * 64]])
+    def test_bound_past_int8_raises(self, coeffs):
+        members = np.ones((len(coeffs[0]), 8, 2), dtype=np.int8)
+        with pytest.raises(OverflowError):
+            _combine(coeffs, members)
+
+
 class TestFamilyMembership:
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -476,7 +540,7 @@ class TestRelations:
         total = Spline.zero(n)
         for j in range(1, n + 1):
             total = total + g_spline(j, n)
-        assert r_minus_t_partial(n, n) == total.scale(-2)
+        assert rt_sum(n, n) == total.scale(-2)
 
 
 class TestPhiFamily:
@@ -521,7 +585,7 @@ class TestShortestSupports:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_partial_sums(self, n):
         for k in range(1, n + 1):
-            assert shortest_support(r_minus_t_partial(k, n)) == {
+            assert shortest_support(rt_sum(k, n)) == {
                 SignedPerm.simple(k, n)
             }
 
@@ -584,7 +648,7 @@ class TestBundles:
         space = full_space(B, 3)
         # build order: t_1, t_2, t_3, then r_1, r_2, r_3
         want = [t_spline(i, 3) for i in (1, 2, 3)] + [r_spline(i, 3) for i in (1, 2, 3)]
-        assert np.array_equal(generating_set(space), stack(want))
+        assert np.array_equal(generating_set(space), stacked(want))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_left_right_bases(self, n):
@@ -602,12 +666,12 @@ class TestBundles:
                 ranks = [bundle_rank(b, space) for b in (union, lb, rb)]
                 assert ranks == [dim] * 3
 
-    def test_rank_deficient_cell_raises(self):
+    def test_rank_deficient_cell_is_short(self):
+        # the published left and right sets at C3 {t3} miss 2^n - n - 2 = 3 dimensions
         space = from_tset(frozenset({3}), 3, C)
-        with pytest.raises(RankDeficientError):
-            left_basis(space)
-        with pytest.raises(RankDeficientError):
-            right_basis(space)
+        dim = dim_degree_one(space)
+        for bundle in (left_basis(space), right_basis(space)):
+            assert len(bundle) == bundle_rank(bundle, space) == dim - 3
 
     def test_permutohedral_basis(self):
         n = 3
@@ -669,7 +733,8 @@ class TestBundleRank:
 
 
 class TestBundleLayout:
-    """A bundle is its stacked values: a read-only int64 array (m, N, n)."""
+    """A bundle is its stacked values: a read-only int8 array (m, N, n); the
+    kernel basis, whose scaled values have no bound known in advance, is int64."""
 
     BUILDERS = {
         "generating_set": generating_set,
@@ -684,7 +749,8 @@ class TestBundleLayout:
     def test_builders_return_stacked_values(self, name):
         space = from_tset(frozenset({1}), 3, B)
         bundle = self.BUILDERS[name](space)
-        assert isinstance(bundle, np.ndarray) and bundle.dtype == np.int64
+        want = np.int64 if name == "spline_space_basis" else np.int8
+        assert isinstance(bundle, np.ndarray) and bundle.dtype == want
         assert bundle.ndim == 3 and bundle.shape[1:] == (group_table(3).size, 3)
         assert not bundle.flags.writeable
 
@@ -699,22 +765,38 @@ class TestBundleLayout:
 class TestExpand:
     def test_basis_member_gives_unit_vector(self):
         wb = witness_basis(from_tset(frozenset({1}), 2, B))
-        for j, s in enumerate(splines_of(wb)):
-            assert expand(s, wb) == tuple(int(k == j) for k in range(len(wb)))
+        want = tuple(tuple(int(k == j) for k in range(len(wb))) for j in range(len(wb)))
+        assert expand(wb, wb) == want
 
     def test_zero_expands_to_zero(self):
         pb = permutohedral_basis(2)
-        assert not any(expand(Spline.zero(2), pb))
+        (coeffs,) = expand(stacked([Spline.zero(2)]), pb)
+        assert not any(coeffs)
+
+    def test_no_targets(self):
+        assert expand(np.zeros((0, 8, 2), dtype=np.int8), permutohedral_basis(2)) == ()
 
     def test_not_in_span_raises(self):
         bundle = witness_basis(from_tset(frozenset({1, 2}), 2, B))
         with pytest.raises(ValueError, match="span"):
-            expand(f_spline(1, (2,), 2), bundle)
+            expand(stacked([t_spline(1, 2), f_spline(1, (2,), 2)]), bundle)
+
+    def test_residual_past_int64_runs_on_python_integers(self):
+        # a target past int64, as Python integers, expands exactly
+        pb = permutohedral_basis(2)
+        big = 2**63
+        target = pb[3:4].astype(object) * big
+        assert expand(target, pb) == (tuple(big * (j == 3) for j in range(len(pb))),)
+        off = min(set(range(16)) - set(triangular_pivots(pb)[1].tolist()))
+        bad = target.reshape(1, -1).copy()
+        bad[0, off] += 1  # off the pivots, so only the residual sees it
+        with pytest.raises(ValueError, match="span"):
+            expand(bad.reshape(target.shape), pb)
 
     def test_fig_spline_expansion(self):
         pb = permutohedral_basis(2)
         sigma = fig_spline()
-        coeffs = expand(sigma, pb)
+        (coeffs,) = expand(stacked([sigma]), pb)
         # build order: f_1^A for A = {-2}, {-1}, {1}, {2}, then f_2^B for
         # B = {-2,-1}, {-2,1}, {-1,2}, {1,2}
         assert np.array_equal(pb[3], f_spline(1, (2,), 2).num)
@@ -729,7 +811,7 @@ class TestExpand:
         pb = permutohedral_basis(2)
         target = r_spline(1, 2) - r_spline(2, 2)
         # the four f_1^A come first in build order, the four f_2^B after them
-        assert expand(target, pb) == (1, 1, 1, 1, 0, 0, 0, 0)
+        assert expand(stacked([target]), pb) == ((1, 1, 1, 1, 0, 0, 0, 0),)
 
 
 class TestTriangularPivots:
@@ -754,7 +836,7 @@ class TestTriangularPivots:
     def test_closed_form_bases_are_not_expanded(self):
         lb = left_basis(from_tset(frozenset({1}), 2, B))
         with pytest.raises(RankDeficientError, match="no triangular pivot block"):
-            expand(splines_of(lb)[0], lb)
+            expand(lb[:1], lb)
 
 
 def _fits_int64(values) -> bool:
@@ -863,32 +945,53 @@ class TestIntegerValues:
             Spline(group_table(2), num)
 
 
+def witness_cases(space) -> dict[SignedPerm, tuple]:
+    """The tag of every element of the closed-form descent sets."""
+    n, ts = space.n, t_set(space)
+    return {w: tag for i in range(1, n + 1) for w, tag in descent_cases(ts, n, i).items()}
+
+
+def witness_spline(tag, n) -> Spline:
+    """The spline a `descent_cases` tag names, by Spline arithmetic: the
+    reference for the rows of `witness_basis`."""
+    build = {
+        "rt": lambda k: rt_sum(k, n),
+        "try": lambda j, i: t_spline(j, n) - r_spline(i, n) - y_spline(i - 1, j, n),
+        "y": lambda i, k: y_spline(i, k, n),
+        "f": lambda i, a: f_spline(i, a, n),
+        "g": lambda k: g_spline(k, n),
+        "phi": lambda b: phi_spline(b, n),
+        "h": lambda: sum((g_spline(k, n) for k in range(1, n + 1)), h_spline(n)),
+    }
+    return build[tag[0]](*tag[1:])
+
+
 def witness_order(space) -> list[SignedPerm]:
-    """The witnessed elements by (length, table index): the order of the rows
-    of `witness_basis` after t_1..t_n."""
+    """The keys of `descent_cases` sorted by (length, table index): the order
+    of the rows of `witness_basis` after t_1..t_n."""
     table = group_table(space.n)
-    return sorted(support_minimal_witnesses(space), key=lambda w: (length(w), table.index_of(w)))
+    return sorted(witness_cases(space), key=lambda w: (length(w), table.index_of(w)))
 
 
 class TestSupportMinimalWitnesses:
     @pytest.mark.parametrize("space", REALIZABLE_CELLS, ids=cell_id)
     def test_witness_basis_build_order(self, space):
         n = space.n
-        witnesses = support_minimal_witnesses(space)
+        cases = witness_cases(space)
         want = [t_spline(i, n) for i in range(1, n + 1)]
-        want += [witnesses[w] for w in witness_order(space)]
-        assert np.array_equal(witness_basis(space), stack(want))
+        want += [witness_spline(cases[w], n) for w in witness_order(space)]
+        assert np.array_equal(witness_basis(space), stacked(want))
 
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_witnesses(self, lt, n):
         for space in enumerate_hessenberg(lt, n):
-            witnesses = support_minimal_witnesses(space)
+            cases = witness_cases(space)
             ts = t_set(space)
             for i in range(1, n + 1):
                 alpha = simple_root(i, lt, n)
                 for w in h_descent_formula(ts, n, i):
-                    rho = witnesses[w]
+                    rho = witness_spline(cases[w], n)
                     assert is_spline(rho, space)
                     assert shortest_support(rho) == {w}
                     idx = rho.table.index_of(w)
