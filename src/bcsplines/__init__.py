@@ -37,7 +37,7 @@ from .hessenberg import (
     dim_degree_one,
     enumerate_hessenberg,
     h_descent_formula,
-    h_descent_oracle,
+    h_descent_indices,
     on_divergent_branch,
     published_descent_formula,
     realize_tset,

@@ -126,12 +126,11 @@ def named_char(kind: str, n: int, i: int | None = None) -> ClassFunction:
     if kind == "h_i":
         if i is None:
             raise ValueError("h_i needs an index")
-        sets = unbalanced_sets(i, n)
-
-        def h_val(w):
-            return sum(1 for a in sets if w.image(a) == frozenset(a))
-
-        return ClassFunction.from_callable(n, h_val)
+        # w fixes a set iff its sorted image equals the set's (sorted) row
+        sets = np.array(unbalanced_sets(i, n), dtype=np.int64).reshape(-1, i)
+        reps = np.array([c.rep.window for c in conjugacy_classes(n)])
+        images = np.sort(np.sign(sets) * reps[:, np.abs(sets) - 1], axis=-1)  # (classes, sets, i)
+        return ClassFunction(n, tuple((images == sets).all(axis=-1).sum(axis=1).tolist()))
     if i is not None:
         raise ValueError(f"{kind} takes no index")
     if kind == "trivial":

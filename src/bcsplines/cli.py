@@ -38,8 +38,8 @@ from .hessenberg import (
     HessenbergSpace,
     enumerate_hessenberg,
     from_tset,
-    h_descent_oracle,
     dim_degree_one,
+    h_descent_indices,
     parse_tset,
     published_descent_formula,
     realizable_tsets,
@@ -242,9 +242,9 @@ def _suite_group_laws(n: int, lie_type: LieType):
     )
     a, b, c = (win[triples[:, k]] for k in range(3))
     ab = compose(a, b)
-    for k in range(len(triples)):
-        x, y = SignedPerm(a[k]), SignedPerm(b[k])
-        if (x * y).window != tuple(ab[k].tolist()):
+    for xw, yw, xyw in zip(a.tolist(), b.tolist(), ab.tolist()):
+        x, y = SignedPerm(xw), SignedPerm(yw)
+        if (x * y).window != tuple(xyw):
             return False, f"product fails at {x}, {y}"
     bad = np.flatnonzero(np.any(compose(ab, c) != compose(a, compose(b, c)), axis=1))
     if bad.size:
@@ -260,18 +260,16 @@ def _suite_group_laws(n: int, lie_type: LieType):
 
 def _suite_length_bfs(n: int, lie_type: LieType):
     table = group_table(n)
-    right = [table.right_mult_indices(SignedPerm.simple(i, n)) for i in range(1, n + 1)]
+    right = np.stack([table.right_mult_indices(SignedPerm.simple(i, n)) for i in range(1, n + 1)])
     dist = np.full(table.size, -1)
-    frontier = np.zeros(table.size, dtype=bool)
-    frontier[table.index_of(SignedPerm.identity(n))] = True
+    frontier = np.array([table.index_of(SignedPerm.identity(n))])  # table indices
     dist[frontier] = 0
     step = 0
-    while frontier.any():
+    while frontier.size:
         step += 1
         reached = np.zeros(table.size, dtype=bool)
-        for r in right:
-            reached[r[frontier]] = True
-        frontier = reached & (dist < 0)
+        reached[right[:, frontier]] = True
+        frontier = np.flatnonzero(reached & (dist < 0))
         dist[frontier] = step
     bad = np.flatnonzero(dist != table.lengths)
     if bad.size:
@@ -295,13 +293,18 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
         spaces = enumerate_hessenberg(lie_type, n)
     else:
         spaces = [from_tset(ts, n, lie_type) for ts in _in_order(realizable_tsets(lie_type, n))]
-    bad = []
-    for space in spaces:
-        ts = t_set(space)
-        for i in range(1, n + 1):
-            if h_descent_oracle(space, i) != published_descent_formula(ts, n, i):
-                bad.append((tset_str(ts), i))
-    bad = sorted(set(bad))
+    pairs = [(space, t_set(space), i) for space in spaces for i in range(1, n + 1)]
+    formulas = [published_descent_formula(ts, n, i) for _, ts, i in pairs]
+    # every closed-form element of every pair, mapped to table indices at once
+    windows = np.array([w.window for f in formulas for w in f], dtype=np.int64).reshape(-1, n)
+    found = np.split(group_table(n).indices_of(windows), np.cumsum([len(f) for f in formulas])[:-1])
+    bad = sorted(
+        {
+            (tset_str(ts), i)
+            for (space, ts, i), idx in zip(pairs, found)
+            if not np.array_equal(np.sort(idx), h_descent_indices(space, i))
+        }
+    )
     if bad:
         detail = "; ".join(f"tset {{{t}}} i={i}" for t, i in bad)
         return False, f"closed form disagrees with the scan at: {detail}"

@@ -51,9 +51,9 @@ class SignedPerm:
     __slots__ = ("n", "window")
 
     def __init__(self, window):
-        window = tuple(int(x) for x in window)
+        window = tuple(map(int, window))
         n = len(window)
-        if sorted(abs(x) for x in window) != list(range(1, n + 1)):
+        if sorted(map(abs, window)) != list(range(1, n + 1)):
             raise ValueError(f"not a signed permutation window: {window}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "window", window)
@@ -119,7 +119,8 @@ class SignedPerm:
         """Composition (u*w)(k) = u(w(k)); the right factor acts first."""
         if self.n != other.n:
             raise ValueError("rank mismatch")
-        return SignedPerm(tuple(self(x) for x in other.window))
+        w = self.window
+        return SignedPerm([w[x - 1] if x > 0 else -w[-x - 1] for x in other.window])
 
     def inverse(self) -> "SignedPerm":
         w = [0] * self.n
@@ -129,10 +130,6 @@ class SignedPerm:
             else:
                 w[-x - 1] = -i
         return SignedPerm(w)
-
-    def image(self, ks) -> frozenset:
-        """Image of a set of signed integers."""
-        return frozenset(self(k) for k in ks)
 
     def neg_set(self) -> frozenset:
         """The negative window entries {w(i) : i in [n], w(i) < 0}."""
@@ -184,13 +181,12 @@ def _window_lengths(windows) -> np.ndarray:
     when |w(i)| < |w(j)| and w(i) < 0, and exactly one of them when
     |w(i)| > |w(j)|.  The count is the same for the type C root data.
     """
-    win = np.asarray(windows, dtype=np.int64)
-    neg = win < 0
-    mag = np.abs(win)
-    total = neg.sum(axis=1)
-    for i in range(win.shape[-1] - 1):
-        smaller = mag[:, i : i + 1] < mag[:, i + 1 :]  # |w(i)| < |w(j)| for j > i
-        total += np.where(smaller, 2 * neg[:, i : i + 1], 1).sum(axis=1)
+    win = np.asarray(windows)
+    win = np.ascontiguousarray(win.T, dtype=np.min_scalar_type(-win.shape[-1]))  # row k: w(k)
+    neg, mag = win < 0, np.abs(win)
+    total = neg.sum(axis=0, dtype=np.int64)
+    for i, j in itertools.combinations(range(len(win)), 2):
+        total += np.where(mag[i] < mag[j], 2 * neg[i], 1)
     return total
 
 
@@ -199,10 +195,11 @@ def _window_descents(windows) -> np.ndarray:
 
     i < n is a descent iff w(e_i - e_{i+1}) is a negative vector, n iff w(n) < 0.
     """
-    win = np.asarray(windows, dtype=np.int64)
-    a, b = win[:, :-1], win[:, 1:]
-    down = np.concatenate([np.where(np.abs(a) < np.abs(b), a < 0, b > 0), win[:, -1:] < 0], axis=1)
-    return down.astype(np.int64) @ (1 << np.arange(win.shape[-1], dtype=np.int64))
+    win = np.asarray(windows)
+    win = np.ascontiguousarray(win.T, dtype=np.min_scalar_type(-win.shape[-1]))  # row k: w(k)
+    a, b = win[:-1], win[1:]
+    down = np.concatenate([np.where(np.abs(a) < np.abs(b), a < 0, b > 0), win[-1:] < 0])
+    return (down.astype(np.int64) << np.arange(len(win))[:, None]).sum(axis=0)
 
 
 def length(w: SignedPerm) -> int:
@@ -216,20 +213,24 @@ def descent_set(w: SignedPerm) -> frozenset[int]:
     return frozenset(i for i in range(1, w.n + 1) if mask >> (i - 1) & 1)
 
 
-def _window_codes(windows: np.ndarray, n: int) -> np.ndarray:
+def _window_codes(windows, n: int) -> np.ndarray:
     """Base-2n numbers whose digits are the order_key of each window entry.
 
-    They increase strictly with the lexicographic order on windows.  Built
-    one position at a time, so no temporary is as large as the windows.
+    They increase strictly with the lexicographic order on windows.  The whole
+    array is checked and turned into int8 digits at once; the (N,) codes are
+    the only int64 temporary.
     """
+    windows = np.asarray(windows)
     if windows.ndim != 2 or windows.shape[1] != n:
         raise ValueError(f"need windows of shape (N, {n}), got {windows.shape}")
-    codes = np.zeros(len(windows), dtype=np.int64)
-    for col in windows.T:
-        if not np.all((col != 0) & (np.abs(col) <= n)):
-            raise ValueError(f"window entries out of range for W_{n}")
+    if not np.all((windows != 0) & (windows >= -n) & (windows <= n)):
+        raise ValueError(f"window entries out of range for W_{n}")
+    digits = windows.astype(np.int8) + n  # -n..-1 -> 0..n-1 and 1..n -> n+1..2n
+    digits -= digits > n
+    codes = np.zeros(len(digits), dtype=np.int64)
+    for col in digits.T:
         codes *= 2 * n
-        codes += np.where(col < 0, col + n, col + n - 1)
+        codes += col
     return codes
 
 
@@ -238,9 +239,12 @@ def compose(a, b) -> np.ndarray:
 
     a and b are integer arrays of shape (N, n); a first axis of length 1
     broadcasts against the other.  Since (u*w)(k) = u(w(k)), the product's
-    window is sign(w(k)) * u(|w(k)|) entrywise.
+    window is sign(w(k)) * u(|w(k)|) entrywise: for a single right factor,
+    column k is column |w(k)| of a times sign(w(k)), one gather of columns.
     """
     a, b = np.asarray(a), np.asarray(b)
+    if len(b) == 1:
+        return np.sign(b) * a[..., np.abs(b[0]) - 1]
     return np.sign(b) * np.take_along_axis(a, np.abs(b) - 1, axis=-1)
 
 
@@ -282,12 +286,12 @@ class GroupTable:
         if not 1 <= n <= MAX_ENUM_RANK:
             raise ValueError(f"group enumeration supports 1 <= n <= {MAX_ENUM_RANK}")
         self.n = n
-        perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
-        signs = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int64)
-        arr = (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)
+        perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+        signs = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int8)
+        arr = (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)  # int8 until sorted
         codes = _window_codes(arr, n)
         order = np.argsort(codes)
-        arr, codes = arr[order], codes[order]
+        arr, codes = arr[order].astype(np.int64), codes[order]
         for a in (arr, codes):
             a.setflags(write=False)
         self.windows_array: np.ndarray = arr
@@ -320,7 +324,7 @@ class GroupTable:
         order, so each query is found by binary search; a query that is not
         a window of W_n raises ValueError.
         """
-        query = _window_codes(np.asarray(windows, dtype=np.int64), self.n)
+        query = _window_codes(windows, self.n)
         idx = np.minimum(np.searchsorted(self._codes, query), self.size - 1)
         missing = np.flatnonzero(self._codes[idx] != query)
         if missing.size:
@@ -332,8 +336,9 @@ class GroupTable:
         return int(self.indices_of([w.window])[0])
 
     def right_mult_indices(self, s: SignedPerm) -> np.ndarray:
-        """Array r with r[i] = index of elements[i] * s."""
-        return self.indices_of(compose(self.windows_array, [s.window]))
+        """Array r with r[i] = index of elements[i] * s (int8 columns: a cheap gather)."""
+        win = self.windows_array.astype(np.int8)
+        return self.indices_of(compose(win, np.array([s.window], dtype=np.int8)))
 
     def left_mult_indices(self, g: SignedPerm) -> np.ndarray:
         """Array r with r[i] = index of g * elements[i]."""

@@ -36,6 +36,16 @@ from .roots import (
 )
 
 
+@lru_cache(maxsize=None)
+def _root_order(lie_type: LieType, n: int) -> tuple[dict[Root, int], np.ndarray]:
+    """Each positive root's position in `positive_roots`, and the root poset
+    as a boolean matrix over those positions: leq[a, b] = poset_leq(a, b)."""
+    pos = positive_roots(lie_type, n)
+    leq = np.array([[poset_leq(a, b) for b in pos] for a in pos], dtype=bool)
+    leq.setflags(write=False)
+    return {r: k for k, r in enumerate(pos)}, leq
+
+
 @dataclass(frozen=True)
 class HessenbergSpace:
     """A lower order ideal of positive roots containing all simple roots."""
@@ -45,26 +55,27 @@ class HessenbergSpace:
     roots: frozenset[Root]
 
     def __post_init__(self):
-        pos = set(positive_roots(self.lie_type, self.n))
+        index, leq = _root_order(self.lie_type, self.n)
         for r in self.roots:
-            if r not in pos:
+            if r not in index:
                 raise ValueError(f"{r} is not a positive root of {self.lie_type}_{self.n}")
         for alpha in simple_roots(self.lie_type, self.n):
             if alpha not in self.roots:
                 raise ValueError(f"missing simple root {alpha}")
-        for r in self.roots:
-            for below in pos:
-                if poset_leq(below, r) and below not in self.roots:
-                    raise ValueError(f"not downward closed: {below} < {r} is missing")
+        inside = np.array([r in self.roots for r in index])  # in positive_roots order
+        gaps = np.argwhere((leq & ~inside[:, None] & inside).T)  # (root of H, missing root below)
+        if gaps.size:
+            r, below = (positive_roots(self.lie_type, self.n)[k] for k in gaps[0])
+            raise ValueError(f"not downward closed: {below} < {r} is missing")
 
     @classmethod
     def from_generators(cls, gens, lie_type: LieType, n: int) -> "HessenbergSpace":
         """Downward closure of the given roots together with the simple roots."""
+        index, leq = _root_order(lie_type, n)
+        gens = frozenset(gens)  # one that is not a positive root fails __post_init__
+        below = np.flatnonzero(leq[:, [index[g] for g in gens if g in index]].any(axis=1))
         pos = positive_roots(lie_type, n)
-        want = set(simple_roots(lie_type, n))
-        for g in gens:
-            want.update(r for r in pos if poset_leq(r, g))
-        return cls(lie_type, n, frozenset(want))
+        return cls(lie_type, n, gens.union(simple_roots(lie_type, n), (pos[k] for k in below)))
 
     @classmethod
     def from_root_strings(cls, strings, lie_type: LieType, n: int) -> "HessenbergSpace":
@@ -213,7 +224,7 @@ def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
     the root goes negative iff w(i) < 0 when |w(i)| < |w(j)|, and iff
     (w(j) < 0) xor (c < 0) otherwise; e_i and 2e_i go negative iff w(i) < 0.
     """
-    win = group_table(n).windows_array.astype(np.int8)
+    win = np.ascontiguousarray(group_table(n).windows_array.T, dtype=np.int8)  # row i: w(i)
     mag = np.abs(win)
     neg = win < 0
     out = {}
@@ -222,10 +233,10 @@ def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
         i, *rest = np.flatnonzero(vec)
         if rest:
             j = rest[0]
-            flip = neg[:, j] if vec[j] > 0 else ~neg[:, j]
-            sends = np.where(mag[:, i] < mag[:, j], neg[:, i], flip)
+            flip = neg[j] if vec[j] > 0 else ~neg[j]
+            sends = np.where(mag[i] < mag[j], neg[i], flip)
         else:
-            sends = neg[:, i].copy()
+            sends = neg[i].copy()
         sends.setflags(write=False)
         out[root] = sends
     return out
@@ -241,18 +252,18 @@ def _inversion_counts(space: HessenbergSpace) -> np.ndarray:
     neg = _root_negativity(space.lie_type, space.n)
     counts = np.zeros(group_table(space.n).size, dtype=np.uint8)
     for r in space.roots:
-        counts += neg[r]
+        counts += neg[r].view(np.uint8)  # uint8 + uint8 needs no cast
     counts.setflags(write=False)
     return counts
 
 
-def h_descent_oracle(space: HessenbergSpace, i: int) -> frozenset[SignedPerm]:
-    """Brute-force scan: elements whose unique H-inversion is alpha_i."""
+def h_descent_indices(space: HessenbergSpace, i: int) -> np.ndarray:
+    """Brute-force scan: the sorted table indices of the elements whose
+    unique H-inversion is alpha_i."""
     if not 1 <= i <= space.n:
         raise ValueError(f"index {i} out of range")
-    neg = _root_negativity(space.lie_type, space.n)
-    hits = (_inversion_counts(space) == 1) & neg[simple_root(i, space.lie_type, space.n)]
-    return frozenset(SignedPerm(w) for w in group_table(space.n).windows_array[hits].tolist())
+    alpha = _root_negativity(space.lie_type, space.n)[simple_root(i, space.lie_type, space.n)]
+    return np.flatnonzero((_inversion_counts(space) == 1) & alpha)
 
 
 def dim_degree_one(space: HessenbergSpace) -> int:
@@ -263,6 +274,13 @@ def dim_degree_one(space: HessenbergSpace) -> int:
 # ---------------------------------------------------------------------------
 # Closed-form descent sets
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _coset_cases(n: int, i: int) -> dict[SignedPerm, tuple]:
+    """The ("f", i, A) tags of the shortest coset representatives but the identity."""
+    e = SignedPerm.identity(n)
+    return {w: ("f", i, w.window[:i]) for w in min_coset_reps(n, i) if w != e}
 
 
 def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
@@ -288,16 +306,14 @@ def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
     def word(*letters) -> SignedPerm:
         return SignedPerm.from_word(letters, n)
 
-    def coset_reps() -> dict[SignedPerm, tuple]:
-        e = SignedPerm.identity(n)
-        return {w: ("f", i, w.window[:i]) for w in min_coset_reps(n, i) if w != e}
+    coset_reps = _coset_cases(n, i)  # shared: returned as copies
 
     if i == n:
         if n in tset:
             return {SignedPerm.simple(n, n): ("rt", n)}
         if n - 1 in tset:
             return {word(*range(j, n + 1)): ("g", j) for j in range(1, n + 1)}
-        return coset_reps()
+        return dict(coset_reps)
 
     pair = tset & {i - 1, i}
     if pair == {i - 1, i}:
@@ -318,7 +334,7 @@ def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
                 for j in range(1, n)
             }
             return down | over
-        return coset_reps()
+        return dict(coset_reps)
 
     # i == n - 1
     trip = tset & {n - 2, n - 1, n}
@@ -333,10 +349,10 @@ def descent_cases(tset, n: int, i: int) -> dict[SignedPerm, tuple]:
         t_n = t_root(n, n, LieType.C)
         return {
             w: ("phi", w.window[: n - 1] + (-w.window[-1],))
-            for w in coset_reps()
+            for w in coset_reps
             if is_positive(act(w, t_n))
         }
-    return coset_reps()
+    return dict(coset_reps)
 
 
 def h_descent_formula(tset, n: int, i: int) -> frozenset[SignedPerm]:

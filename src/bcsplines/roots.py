@@ -18,6 +18,7 @@ transpositions of W_n:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,9 +159,9 @@ def is_positive(vec: EVector) -> bool:
 
 def poset_leq(a: Root, b: Root) -> bool:
     """Root poset order: a <= b iff b - a has nonnegative simple coordinates."""
-    if a.lie_type is not b.lie_type or a.n != b.n:
+    if a.lie_type is not b.lie_type or len(a.coords) != len(b.coords):
         raise ValueError("incomparable roots: type or rank mismatch")
-    return all(x <= y for x, y in zip(a.coords, b.coords))
+    return all(map(operator.le, a.coords, b.coords))
 
 
 def root_to_reflection(root: Root) -> SignedPerm:

@@ -203,12 +203,11 @@ def frobenius_bc(f: ClassFunction) -> BCSymFunc:
     p_r(x+y) = p_r(x) + p_r(y), p_r(x-y) = p_r(x) - p_r(y).
     """
     n = f.n
-    order = 2**n * math.factorial(n)
-    out: dict[Key, Fraction] = {}
+    out: dict[Key, int] = {}  # |W_n| times the coefficients
     for cl, val in f.items():
         if not val:
             continue
-        weight = Fraction(val) * Fraction(cl.size, order)
+        weight = val * cl.size
         parts = [(p, 1) for p in cl.lam] + [(p, -1) for p in cl.mu]
         for assignment in product((0, 1), repeat=len(parts)):
             xs, ys = [], []
@@ -220,8 +219,9 @@ def frobenius_bc(f: ClassFunction) -> BCSymFunc:
                 else:
                     xs.append(part)
             key = (tuple(sorted(xs, reverse=True)), tuple(sorted(ys, reverse=True)))
-            out[key] = out.get(key, Fraction(0)) + sign * weight
-    return BCSymFunc(n, "P", out)
+            out[key] = out.get(key, 0) + sign * weight
+    order = 2**n * math.factorial(n)
+    return BCSymFunc(n, "P", {key: Fraction(c, order) for key, c in out.items()})
 
 
 def p_to_h(f: BCSymFunc) -> BCSymFunc:

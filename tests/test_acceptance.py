@@ -38,7 +38,7 @@ from bcsplines.hessenberg import (
     dim_degree_one,
     enumerate_hessenberg,
     h_descent_formula,
-    h_descent_oracle,
+    h_descent_indices,
     realize_tset,
     t_set,
     tset_str,
@@ -67,6 +67,12 @@ from bcsplines.symfunc import (
 )
 
 B, C = LieType.B, LieType.C
+
+
+def h_descent_oracle(space, i) -> frozenset[SignedPerm]:
+    """The scan's hits as elements, to compare with the closed forms."""
+    rows = group_table(space.n).windows_array[h_descent_indices(space, i)]
+    return frozenset(SignedPerm(w) for w in rows.tolist())
 
 
 def elements(table) -> list[SignedPerm]:
@@ -286,7 +292,7 @@ def _check_family_action(kind, param, w, n):
     if kind == "f":
         i, a = param
         return dot_action(w, f_spline(i, a, n)) == f_spline(
-            i, tuple(sorted(w.image(a))), n
+            i, tuple(sorted(w(k) for k in a)), n
         )
     if kind == "y":
         i, k = param

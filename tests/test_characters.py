@@ -175,7 +175,7 @@ class TestDotActionOnFamilies:
         for w in elements(group_table(n)):
             for i in range(1, n + 1):
                 for a in unbalanced_sets(i, n):
-                    image_set = tuple(sorted(w.image(a)))
+                    image_set = tuple(sorted(w(k) for k in a))
                     assert dot_action(w, f_spline(i, a, n)) == f_spline(
                         i, image_set, n
                     )
@@ -222,6 +222,31 @@ class TestNamedCharacters:
     def test_delta_is_a_sign_character(self):
         delta = named_char("delta", 3)
         assert all(v in (1, -1) for _, v in delta.items())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_h_i_is_the_positive_cycle_generating_function(self, n):
+        # a fixed unbalanced set is a union of orbits of w on {±1..±n}: a
+        # positive l-cycle of |w| has two orbits of size l, each closed under
+        # w and without a pair {k, -k}; a negative cycle has one orbit holding
+        # both k and -k.  So h_i(w) = [x^i] prod over positive cycles (1 + 2x^l).
+        for i in range(1, n + 1):
+            expected = []
+            for cl in conjugacy_classes(n):
+                poly = [1] + [0] * n
+                for l in cl.lam:
+                    poly = [c + (2 * poly[k - l] if k >= l else 0) for k, c in enumerate(poly)]
+                expected.append(poly[i])
+            assert named_char("h_i", n, i).values == tuple(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_h_i_equals_the_per_set_count(self, n):
+        for i in range(1, n + 1):
+            sets = unbalanced_sets(i, n)
+            expected = tuple(
+                sum(1 for a in sets if {cl.rep(k) for k in a} == set(a))
+                for cl in conjugacy_classes(n)
+            )
+            assert named_char("h_i", n, i).values == expected
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

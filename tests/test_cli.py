@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from bcsplines import cli, group, splines
-from bcsplines.hessenberg import realizable_tsets, tset_str
+from bcsplines.group import SignedPerm, group_table
+from bcsplines.hessenberg import (
+    _inversion_counts,
+    from_tset,
+    h_descent_indices,
+    realizable_tsets,
+    tset_str,
+)
 from bcsplines.roots import LieType
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -347,6 +354,21 @@ class TestRankSixReferences:
         assert (code, capsys.readouterr().out) == (ref["exit_code"], ref["stdout"])
 
 
+def test_rank_six_verify_builds_no_element_per_scan_hit(monkeypatch, capsys):
+    # the scan side is table indices; the 2,000 cross-checked products build
+    # 6,000 elements and the closed forms the rest
+    built = []
+    real = SignedPerm.__init__
+
+    def counting(self, window):
+        built.append(None)
+        real(self, window)
+
+    monkeypatch.setattr(SignedPerm, "__init__", counting)
+    assert cli.main(["verify", "--n", "6", "--type", "C"]) == 2
+    assert len(built) <= 8000
+
+
 def _swap_first_entries(fn):
     """fn with window entries 1 and 2 swapped on every third row of its result."""
 
@@ -377,6 +399,51 @@ class TestVerifyDetectsBrokenKernels:
         out = capsys.readouterr().out
         assert "FAIL  group-laws: inverse fails at SignedPerm([" in out
         assert "PASS  length-bfs: 48 elements" in out
+
+
+class TestDescentSuiteNamesThePair:
+    """A closed form changed at one (t-set, i) fails the descent-formula suite
+    at exactly that pair, whether it loses an element or trades one for an
+    element that also has a single H-inversion (same set size, same count)."""
+
+    TSET, I = frozenset({1}), 2
+
+    def patch(self, monkeypatch, change):
+        real = cli.published_descent_formula
+
+        def patched(ts, n, i):
+            out = real(ts, n, i)
+            return change(out) if (frozenset(ts), i) == (self.TSET, self.I) else out
+
+        monkeypatch.setattr(cli, "published_descent_formula", patched)
+
+    def run(self, capsys):
+        assert cli.main(["verify", "--n", "3"]) == 2
+        line = next(x for x in capsys.readouterr().out.splitlines() if "descent-formula" in x)
+        detail = "closed form disagrees with the scan at: tset {t1} i=2"
+        assert line == f"FAIL  descent-formula: {detail}"
+
+    def test_unchanged_passes(self, capsys):
+        assert cli.main(["verify", "--n", "3"]) == 0
+        assert "PASS  descent-formula: 6 spaces checked" in capsys.readouterr().out
+
+    def test_dropped_element(self, monkeypatch, capsys):
+        self.patch(monkeypatch, lambda out: out - {min(out, key=lambda w: w.window)})
+        self.run(capsys)
+
+    def test_element_swapped_for_one_of_the_same_count(self, monkeypatch, capsys):
+        space = from_tset(self.TSET, 3, LieType.B)
+        k = h_descent_indices(space, 1)[0]  # one H-inversion, alpha_1 instead of alpha_2
+        assert _inversion_counts(space)[k] == 1
+        other = SignedPerm(group_table(3).windows_array[k].tolist())
+
+        def swap(out):
+            new = (out - {min(out, key=lambda w: w.window)}) | {other}
+            assert len(new) == len(out)
+            return new
+
+        self.patch(monkeypatch, swap)
+        self.run(capsys)
 
 
 class TestDumpSpline:

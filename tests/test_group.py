@@ -216,6 +216,18 @@ class TestArrayKernels:
         assert left.tolist() == [table.index_of(g * w) for w in elements(table)]
         assert right.tolist() == [table.index_of(w * g) for w in elements(table)]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_right_mult_indices_of_simples(self, n):
+        # the single-factor column gather against the full-size take_along_axis
+        # product and against the per-element product
+        table = group_table(n)
+        for i in range(1, n + 1):
+            s = SignedPerm.simple(i, n)
+            full = np.repeat([s.window], table.size, axis=0)
+            right = table.right_mult_indices(s)
+            assert right.tolist() == table.indices_of(compose(table.windows_array, full)).tolist()
+            assert right.tolist() == [table.index_of(w * s) for w in elements(table)]
+
     @pytest.mark.parametrize(
         "bad",
         [[(1, 1, 2)], [(0, 1, 2)], [(4, 1, 2)], [(1, -4, 2)], [(1, 2, 3), (2, 2, -1)]],
@@ -223,6 +235,24 @@ class TestArrayKernels:
     def test_indices_of_rejects_non_windows(self, bad):
         with pytest.raises(ValueError):
             group_table(3).indices_of(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 1, 2), (1, -1, 2), (3, 2, -3), (-4, 1, 2), (1, 2, 4), (2, 0, 0)],
+        ids=["zero", "repeat", "repeat-last", "low", "high", "zeros"],
+    )
+    def test_indices_of_rejects_bad_rows_of_either_dtype(self, dtype, bad):
+        rows = np.array([(1, 2, 3), bad, (-3, -2, -1)], dtype=dtype)
+        with pytest.raises(ValueError):
+            group_table(3).indices_of(rows)
+
+    @pytest.mark.parametrize("bad", [(257, 2, 3), (1, -254, 3), (1, 2, -253)])
+    def test_indices_of_rejects_entries_that_wrap_to_windows_in_int8(self, bad):
+        # each row is the identity modulo 256: the range check comes before the int8 digits
+        assert np.array([bad]).astype(np.int8).tolist() == [[1, 2, 3]]
+        with pytest.raises(ValueError, match="out of range"):
+            group_table(3).indices_of([bad])
 
     @pytest.mark.parametrize("bad", [[(1, 2)], [(1, 2, 3, 4)], (1, 2, 3)])
     def test_indices_of_rejects_wrong_rank(self, bad):

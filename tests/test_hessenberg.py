@@ -1,6 +1,7 @@
 """Hessenberg spaces, t-sets, index classification, descent sets."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from bcsplines.hessenberg import (
     enumerate_hessenberg,
     from_tset,
     h_descent_formula,
-    h_descent_oracle,
+    h_descent_indices,
     on_divergent_branch,
     parse_tset,
     published_descent_formula,
@@ -37,6 +38,12 @@ from bcsplines.roots import (
 )
 
 B, C = LieType.B, LieType.C
+
+
+def h_descent_oracle(space, i) -> frozenset[SignedPerm]:
+    """The scan's hits as elements, to compare with the closed forms."""
+    rows = group_table(space.n).windows_array[h_descent_indices(space, i)]
+    return frozenset(SignedPerm(w) for w in rows.tolist())
 
 
 def elements(table) -> list[SignedPerm]:
@@ -109,6 +116,31 @@ class TestEnumeration:
             HessenbergSpace(C, 3, frozenset(bad))
         with pytest.raises(ValueError, match="simple"):
             HessenbergSpace(C, 3, frozenset(bad[:2]))
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_closure_check_and_generators_against_poset_loops(self, lt, n):
+        # seeded random root sets: the space is accepted iff no pair below < r
+        # with r in it and below outside it exists (the per-pair loop), the
+        # error names such a pair, and from_generators is the loop's closure
+        pos, delta = positive_roots(lt, n), frozenset(simple_roots(lt, n))
+        rng = random.Random(100 * n + (lt is C))
+        for _ in range(60):
+            roots = delta | {r for r in pos if rng.random() < 0.4}
+            gaps = {(b, r) for r in roots for b in pos if poset_leq(b, r) and b not in roots}
+            if gaps:
+                with pytest.raises(ValueError, match="not downward closed") as err:
+                    HessenbergSpace(lt, n, roots)
+                assert any(f"{b} < {r} is missing" in str(err.value) for b, r in gaps)
+            else:
+                assert HessenbergSpace(lt, n, roots).roots == roots
+            gens = [r for r in pos if rng.random() < 0.2]
+            closure = delta | {b for g in gens for b in pos if poset_leq(b, g)}
+            assert HessenbergSpace.from_generators(gens, lt, n).roots == closure
+
+    def test_generator_that_is_not_a_positive_root(self):
+        with pytest.raises(ValueError, match=r"\[333\] is not a positive root of B_3"):
+            HessenbergSpace.from_generators([parse_root("[333]", B)], B, 3)
 
     def test_serialization_round_trip(self):
         H = realize_tset(frozenset({2}), 3, B)
