@@ -45,7 +45,6 @@ from .linalg import (
 )
 from .roots import LieType, label_matrix, positive_roots
 from .splines import (
-    Spline,
     edges_ok,
     labels_pairwise_independent,
     triangular_pivots,
@@ -66,13 +65,15 @@ def poly_action_matrix(w: SignedPerm) -> np.ndarray:
     return mat
 
 
-def dot_action(w: SignedPerm, rho: Spline) -> Spline:
-    """(w . rho)(v) = w(rho(w^{-1} v))."""
-    if w.n != rho.n:
+def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
+    """(w . rho)(v) = w(rho(w^{-1} v)) for each spline of the stack (..., N, n).
+    Negating the dtype's minimum wraps, so an entry there raises OverflowError."""
+    if w.n != values.shape[-1]:
         raise ValueError("rank mismatch")
-    table = rho.table
-    src = table.left_mult_indices(w.inverse())
-    return Spline(table, rho.num[src] @ poly_action_matrix(w).T)
+    if values.dtype.kind == "i" and (values == np.iinfo(values.dtype).min).any():
+        raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
+    src = group_table(w.n).left_mult_indices(w.inverse())
+    return values[..., src, :] @ poly_action_matrix(w).T
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +305,9 @@ def _labels_equivariant(lie_type: LieType, n: int) -> bool:
     of label(v): g acts invertibly and labels are nonzero.  So the elements
     that pass are closed under products, and s_1, ..., s_n generate W_n.
     """
-    table = group_table(n)
     labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
     for i in range(1, n + 1):
-        g = SignedPerm.simple(i, n)
-        src = table.left_mult_indices(g.inverse())
-        if not _rows_proportional(labs[:, src] @ poly_action_matrix(g).T, labs).all():
+        if not _rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
             return False
     return True
 

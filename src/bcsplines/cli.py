@@ -48,15 +48,6 @@ from .hessenberg import (
     tset_str,
 )
 from .roots import LieType
-from .splines import (
-    edges_ok,
-    f_spline,
-    g_spline,
-    h_spline,
-    r_spline,
-    t_spline,
-    y_spline,
-)
 
 
 def _lie(s: str) -> LieType:
@@ -313,7 +304,9 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
 
 def _suite_families(n: int, lie_type: LieType):
     from .hessenberg import classify, on_divergent_branch
-    from .splines import f_family, g_family, h_family, phi_family, unbalanced_sets, y_family
+    from .splines import (
+        edges_ok, f_family, g_family, h_family, phi_family, unbalanced_sets, y_family
+    )
 
     families = {
         ("g",): g_family(range(1, n + 1), n),
@@ -470,6 +463,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dump_spline(args) -> int:
     from .characters import dot_action
+    from .splines import dump, f_spline, g_spline, h_spline, r_spline, t_spline, y_spline
 
     n, fam = args.n, args.family
     build = {
@@ -491,7 +485,7 @@ def cmd_dump_spline(args) -> int:
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return 1
-    print(rho.dump())
+    print(dump(rho))
     return 0
 
 

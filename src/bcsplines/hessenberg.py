@@ -104,8 +104,9 @@ def _enumerate_cached(lie_type: LieType, n: int) -> tuple[HessenbergSpace, ...]:
         (r for r in positive_roots(lie_type, n) if r not in delta),
         key=lambda r: (sum(r.coords), r.coords),
     )
+    index, leq = _root_order(lie_type, n)
     below = {
-        r: [s for s in upper if s != r and poset_leq(s, r)] for r in upper
+        r: [s for s in upper if s != r and leq[index[s], index[r]]] for r in upper
     }
     ideals: list[frozenset[Root]] = []
 

@@ -4,9 +4,10 @@ Degree-one splines on W_n.
 A spline assigns to every group element a homogeneous linear polynomial
 so that along each edge (w, w s_alpha) with alpha in H the difference of
 values is a scalar multiple of the edge label w(alpha).  Every spline
-built here has integer coefficients, so values are kept as an integer
-matrix and everything is exact; the identification x_{-i} = -x_i is
-applied when polynomials are built, never stored.
+built here has integer coefficients, so a spline is an integer array
+(N, n), row w the coefficients of its value at the w-th element of the
+group table; the identification x_{-i} = -x_i is applied when polynomials
+are built, never stored.
 
 The named families:
 
@@ -24,10 +25,10 @@ over those of size n.
 Each family has one writer over `GroupTable.windows_array` (`t_family` ...
 `phi_family`) that returns the int8 values (M, N, n) of the members the
 caller names, in that order; `t_spline` ... `phi_spline` check their input
-and return one member as a `Spline`.  A bundle (a generating set, a basis)
-is one read-only int8 array (m, N, n), row j the values of the j-th spline
-in the documented build order, sliced, concatenated and added from family
-stacks (`_combine`) without a `Spline`.  Every certificate reads that
+and return one member (N, n).  A bundle (a generating set, a basis) is one
+read-only int8 array (m, N, n), row j the values of the j-th spline in the
+documented build order, sliced, concatenated and added from family stacks
+(`_combine`, the one checked sum).  Every certificate reads that
 layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
 A spline of H is determined by its values at the identity and at the
 elements with exactly one H-inversion, so `bundle_rank` ranks bundles there.
@@ -36,14 +37,13 @@ elements with exactly one H-inversion, so `bundle_rank` ranks bundles there.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
 
-from .group import GroupTable, SignedPerm, group_table, order_key
+from .group import SignedPerm, group_table, order_key
 from .hessenberg import (
     HessenbergSpace,
     _inversion_counts,
@@ -57,94 +57,26 @@ from .linalg import RankDeficientError, pivots, sparse_kernel_basis
 from .roots import Root, label_matrix, positive_roots, root_to_reflection
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _peak(num: np.ndarray) -> int:
     """Largest absolute entry as a Python int (0 for an empty array)."""
     return max(int(num.max(initial=0)), -int(num.min(initial=0)))
 
 
-def _widened(num: np.ndarray, bound: int) -> np.ndarray:
-    """num as Python integers (object dtype) if results may reach `bound` > int64."""
-    return num.astype(object) if bound > _INT64_MAX else num
-
-
-class Spline:
-    """A map from W_n to linear polynomials, dense over the group table.
-
-    Values are integers stored in int64; arithmetic that could leave that
-    range runs on Python integers, and a result that does not fit back
-    raises OverflowError instead of wrapping.
-    """
-
-    __slots__ = ("table", "num")
-
-    def __init__(self, table: GroupTable, num: np.ndarray):
-        num = np.asarray(num)
-        if num.dtype == object:
-            if not all(type(v) is int for v in num.flat):
-                raise TypeError("object-array spline values must be Python integers")
-        elif num.dtype.kind not in "iu":
-            raise TypeError(f"spline values must be integers, got dtype {num.dtype}")
-        if num.dtype.kind != "i" and _peak(num) > _INT64_MAX:
-            raise OverflowError("spline values do not fit in int64")
-        if num.shape != (table.size, table.n):
-            raise ValueError("value matrix has wrong shape")
-        num = num.astype(np.int64)
-        num.setflags(write=False)
-        self.table = table
-        self.num = num
-
-    @property
-    def n(self) -> int:
-        return self.table.n
-
-    @classmethod
-    def zero(cls, n: int) -> "Spline":
-        table = group_table(n)
-        return cls(table, np.zeros((table.size, table.n), dtype=np.int64))
-
-    def is_zero(self) -> bool:
-        return not self.num.any()
-
-    def __add__(self, other: "Spline") -> "Spline":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        bound = _peak(self.num) + _peak(other.num)
-        return Spline(self.table, _widened(self.num, bound) + _widened(other.num, bound))
-
-    def __sub__(self, other: "Spline") -> "Spline":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "Spline":
-        c = operator.index(c)
-        # the bound covers c itself, which numpy cannot mix with int64 past that range
-        num = _widened(self.num, max(_peak(self.num), 1) * abs(c))
-        return Spline(self.table, num * c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Spline)
-            and self.n == other.n
-            and np.array_equal(self.num, other.num)
-        )
-
-    def dump(self) -> str:
-        """One line per group element: "window TAB polynomial", the
-        polynomial written like "2*x1 - 1*x3" ("0" when it vanishes)."""
-        lines = []
-        for win, row in zip(self.table.windows_array.tolist(), self.num.tolist()):
-            terms = []
-            for i, c in enumerate(row, start=1):
-                if not c:
-                    continue
-                if terms:
-                    terms.append(f"{'-' if c < 0 else '+'} {abs(c)}*x{i}")
-                else:
-                    terms.append(f"{c}*x{i}")
-            lines.append(",".join(map(str, win)) + "\t" + (" ".join(terms) or "0"))
-        return "\n".join(lines)
+def dump(values: np.ndarray) -> str:
+    """One line per group element of the values (N, n): "window TAB polynomial",
+    the polynomial written like "2*x1 - 1*x3" ("0" when it vanishes)."""
+    lines = []
+    for win, row in zip(group_table(values.shape[-1]).windows_array.tolist(), values.tolist()):
+        terms = []
+        for i, c in enumerate(row, start=1):
+            if not c:
+                continue
+            if terms:
+                terms.append(f"{'-' if c < 0 else '+'} {abs(c)}*x{i}")
+            else:
+                terms.append(f"{c}*x{i}")
+        lines.append(",".join(map(str, win)) + "\t" + (" ".join(terms) or "0"))
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -212,18 +144,18 @@ def edges_ok(values: np.ndarray, roots) -> np.ndarray:
     return ok
 
 
-def is_spline(rho: Spline, space: HessenbergSpace, witness: bool = False):
-    """Check the edge conditions of rho for every root of H.
+def is_spline(values: np.ndarray, space: HessenbergSpace, witness: bool = False):
+    """Check the edge conditions of the spline values (N, n) for every root of H.
 
     With witness=True returns (ok, offending (element, root) or None): the
     first failing root in sorted order and its first failing element in
     table order.
     """
-    for root, lo, rows_ok in _edge_checks(rho.num[None], space.roots):
+    for root, lo, rows_ok in _edge_checks(values[None], space.roots):
         if not rows_ok.all():
             if witness:
                 bad = int(lo[np.argmin(rows_ok[0])])
-                return False, (SignedPerm(rho.table.windows_array[bad]), root)
+                return False, (SignedPerm(group_table(space.n).windows_array[bad]), root)
             return False
     return (True, None) if witness else True
 
@@ -358,79 +290,80 @@ def phi_family(sets, n: int) -> np.ndarray:
     return _scatter(sets, n, passes)
 
 
-def t_spline(k: int, n: int) -> Spline:
+def t_spline(k: int, n: int) -> np.ndarray:
     """Constant family: every element is sent to x_k (k may be negative)."""
     if k == 0 or abs(k) > n:
         raise ValueError(f"value index {k} out of range")
-    return Spline(group_table(n), t_family((k,), n)[0])
+    return t_family((k,), n)[0]
 
 
-def r_spline(i: int, n: int) -> Spline:
+def r_spline(i: int, n: int) -> np.ndarray:
     """Window family: w is sent to x_{w(i)}."""
     if not 1 <= i <= n:
         raise ValueError(f"index {i} out of range [1,{n}]")
-    return Spline(group_table(n), r_family((i,), n)[0])
+    return r_family((i,), n)[0]
 
 
-def f_spline(i: int, a, n: int) -> Spline:
+def f_spline(i: int, a, n: int) -> np.ndarray:
     """Coset family: supported where w([i]) = A."""
     a = tuple(a)
     support = {abs(x) for x in a}
     if i < 1 or len(a) != i or len(support) != i or not support <= set(range(1, n + 1)):
         raise ValueError(f"need an unbalanced set of size {i} with entries in ±1..±{n}, got {a}")
-    return Spline(group_table(n), f_family(i, (a,), n)[0])
+    return f_family(i, (a,), n)[0]
 
 
-def y_spline(i: int, k: int, n: int) -> Spline:
+def y_spline(i: int, k: int, n: int) -> np.ndarray:
     """Value x_k - x_{w(i+1)} on the elements with w^{-1}(k) in [i]."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"index {i} out of range [1,{n-1}]")
     if k == 0 or abs(k) > n:
         raise ValueError(f"value index {k} out of range")
-    return Spline(group_table(n), y_family(i, (k,), n)[0])
+    return y_family(i, (k,), n)[0]
 
 
-def g_spline(k: int, n: int) -> Spline:
+def g_spline(k: int, n: int) -> np.ndarray:
     """Value x_k on the elements with w^{-1}(k) < 0."""
     if k == 0 or abs(k) > n:
         raise ValueError(f"value index {k} out of range")
-    return Spline(group_table(n), g_family((k,), n)[0])
+    return g_family((k,), n)[0]
 
 
-def h_spline(n: int) -> Spline:
+def h_spline(n: int) -> np.ndarray:
     """Value x_{w(n)} on the elements with an odd number of negative entries."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return Spline(group_table(n), h_family(n)[0])
+    return h_family(n)[0]
 
 
-def phi_spline(b, n: int) -> Spline:
+def phi_spline(b, n: int) -> np.ndarray:
     """phi^B for an unbalanced n-set B (see `phi_family`)."""
     b = tuple(b)
     if len(b) != n or len({abs(x) for x in b}) != n:
         raise ValueError(f"need an unbalanced set of size {n}, got {b}")
     if n < 2:
         raise ValueError("need n >= 2")
-    return Spline(group_table(n), phi_family((b,), n)[0])
+    return phi_family((b,), n)[0]
 
 
-def f_tail_sum(p: int, m: int, k: int, n: int) -> Spline:
-    """sum over p < i <= m of the coset splines f_i^A with k in A."""
-    tail = (f_spline(i, a, n) for i in range(p + 1, m + 1) for a in unbalanced_sets(i, n) if k in a)
-    return sum(tail, Spline.zero(n))
+def f_tail_sum(p: int, m: int, k: int, n: int) -> np.ndarray:
+    """sum over p < i <= m of the coset splines f_i^A with k in A, int64 (N, n)."""
+    total = np.zeros((group_table(n).size, n), dtype=np.int64)
+    for i in range(p + 1, m + 1):
+        total += f_family(i, [a for a in unbalanced_sets(i, n) if k in a], n).sum(axis=0)
+    return total
 
 
 def telescoping_identity(p: int, m: int, k: int, n: int) -> bool:
     """y_{p,k} + sum_{p<i<=m} sum_{A∋k} f_i^A = y_{m,k}; p = 0 reads y_0 = 0."""
-    lhs = y_spline(p, k, n) if p else Spline.zero(n)
-    return lhs + f_tail_sum(p, m, k, n) == y_spline(m, k, n)
+    lhs = f_tail_sum(p, m, k, n) + (y_spline(p, k, n) if p else 0)
+    return np.array_equal(lhs, y_spline(m, k, n))
 
 
 def y_f_g_identity(p: int, k: int, n: int) -> bool:
     """y_{p,k} + sum_{p<i<=n} sum_{A∋k} f_i^A + g_{-k} = 0; p = 0 reads y_0 = 0."""
-    lhs = y_spline(p, k, n) if p else Spline.zero(n)
-    total = lhs + f_tail_sum(p, n, k, n) + g_spline(-k, n)
-    return total.is_zero()
+    total = f_tail_sum(p, n, k, n) + g_spline(-k, n) + (y_spline(p, k, n) if p else 0)
+    return not total.any()
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +524,7 @@ def expand(targets: np.ndarray, bundle: np.ndarray) -> tuple[tuple[Fraction, ...
     # no entry or partial sum of either side exceeds this in absolute value
     peak = max(_peak(mat), _peak(flat))
     bound = peak * max((sum(map(abs, row)) + d for row, d in zip(scaled, dens)), default=0)
-    dtype = object if bound > _INT64_MAX else np.int64
+    dtype = object if bound > np.iinfo(np.int64).max else np.int64
     lhs = np.array(scaled, dtype=dtype).reshape(len(flat), len(mat)) @ mat.astype(dtype)
     if (lhs != np.array(dens, dtype=dtype)[:, None] * flat.astype(dtype)).any():
         raise ValueError("spline is not in the span of the bundle")

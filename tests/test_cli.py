@@ -51,6 +51,26 @@ def run_cli(*args):
     )
 
 
+class TestImports:
+    def test_parser_loads_no_arithmetic_modules(self):
+        # the modules each subcommand needs are imported when it runs
+        code = (
+            "import sys, bcsplines.cli\n"
+            "bcsplines.cli.build_parser()\n"
+            "print(sorted(m for m in ('bcsplines.splines', 'bcsplines.characters',\n"
+            "    'bcsplines.linalg', 'bcsplines.symfunc', 'fractions') if m in sys.modules))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        r = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
+
 class TestTable:
     def test_rank_two_full(self):
         r = run_cli("table", "--n", "2", "--level", "full", "--format", "tsv")
@@ -285,28 +305,6 @@ class TestSplineSuites:
             False,
             "phi family fails on the divergent branch",
         )
-
-    def test_certificates_build_no_spline(self, monkeypatch):
-        # every bundle and family stack is written as int8 values directly
-        from bcsplines import characters
-        from bcsplines.hessenberg import from_tset
-
-        expected = {lt: (cli._suite_bases(3, lt), cli._suite_families(3, lt)) for lt in LieType}
-
-        def no_spline(self, table, num):
-            raise AssertionError("a certificate built a Spline")
-
-        monkeypatch.setattr(splines.Spline, "__init__", no_spline)
-        with pytest.raises(AssertionError):
-            splines.t_spline(1, 3)
-        characters._trace_data.cache_clear()
-        try:
-            for lt in LieType:
-                for ts in realizable_tsets(lt, 3):
-                    assert characters._trace_data(from_tset(ts, 3, lt))
-                assert (cli._suite_bases(3, lt), cli._suite_families(3, lt)) == expected[lt]
-        finally:
-            characters._trace_data.cache_clear()
 
     def test_fails_on_rank_deficient_left_basis(self, monkeypatch):
         # correctly sized, but its last row repeats its first

@@ -1,5 +1,5 @@
 """Every function and class in the package is used by the package, or kept on
-purpose with a stated reason."""
+purpose with a stated reason, and every import of a module is read in it."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bcsplines"
 KEEP = {
     "expand": "exact reference the tests compare the traces against",
     "is_spline": "per-spline reference the tests compare edges_ok against",
-    "phi_spline": "one phi^B as a Spline, the per-member reference the tests check phi_family against",
+    "phi_spline": "one checked phi^B (N, n), the per-member reference the tests check phi_family against",
     "spline_space_basis": "kernel basis from the edge conditions, the tests' reference",
     "telescoping_identity": "acceptance criterion 4",
     "y_f_g_identity": "acceptance criterion 4",
@@ -48,3 +48,26 @@ def unreferenced_definitions() -> set[str]:
 
 def test_unreferenced_definitions_are_the_keep_list():
     assert unreferenced_definitions() == set(KEEP)
+
+
+def unused_imports() -> set[str]:
+    """module:name for each name a module imports and never reads (the
+    package's __init__ and `from __future__` imports aside)."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.stem}:{name}" for name in bound - read}
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports() == set()
