@@ -2,7 +2,9 @@
 The dot action on splines and the degree-one characters.
 
 The group acts on a spline by (w . rho)(v) = w(rho(w^{-1} v)), where w
-acts on polynomials by permuting and signing the variables.  Quotienting
+acts on polynomials by permuting and signing the variables, so the image
+is one signed gather of rho's coefficients at the rows w^{-1} v
+(`dot_action`; the traces gather only the pivot coordinates).  Quotienting
 the degree-one spline space by the span of the constant family t_1..t_n
 (left) or of the window family r_1..r_n (right) yields two W_n-modules;
 their characters are computed two ways:
@@ -18,7 +20,9 @@ their characters are computed two ways:
         s(w)   = #{k in [n] : |w(k)| = k}.
 
 The two routes are cross-checked; disagreements are reported by the
-verification suites, never silently resolved.
+verification suites, never silently resolved.  Only the trace route
+imports `splines` and `linalg`, when it first runs, so a process that
+needs the closed forms alone never loads them.
 """
 
 from __future__ import annotations
@@ -29,51 +33,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import SignedPerm, conjugacy_classes, group_table
+from .group import SignedPerm, conjugacy_classes, group_table, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
     classify,
     dim_degree_one,
     on_divergent_branch,
 )
-from .linalg import (
-    PRIMES,
-    RankDeficientError,
-    inverse_mod_p,
-    symmetric_lift,
-    trace_product_mod_p,
-)
 from .roots import LieType, label_matrix, positive_roots
-from .splines import (
-    edges_ok,
-    labels_pairwise_independent,
-    triangular_pivots,
-    unbalanced_sets,
-    witness_basis,
-    _rows_proportional,
-)
 
 
-def poly_action_matrix(w: SignedPerm) -> np.ndarray:
-    """Matrix sending a coefficient row of p to the row of w applied to p: a
-    signed permutation matrix, int8, so products keep int8 values int8."""
-    n = w.n
-    mat = np.zeros((n, n), dtype=np.int8)
-    for i in range(1, n + 1):
-        img = w(i)
-        mat[abs(img) - 1, i - 1] = 1 if img > 0 else -1
-    return mat
+def _signed_columns(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(col, sign) with (w p)[r] = sign[r] * p[col[r]] for a coefficient row p,
+    for each window w of the stack (..., n): w sends x_i to sign(w(i)) x_{|w(i)|},
+    so col[r] is the i with |w(i)| = r + 1.  The signs are int8, so they keep
+    a signed integer dtype when multiplied."""
+    col = np.argsort(np.abs(windows), axis=-1)
+    return col, np.sign(np.take_along_axis(windows, col, axis=-1)).astype(np.int8)
 
 
 def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
-    """(w . rho)(v) = w(rho(w^{-1} v)) for each spline of the stack (..., N, n).
-    Negating the dtype's minimum wraps, so an entry there raises OverflowError."""
+    """(w . rho)(v) = w(rho(w^{-1} v)) for each spline of the stack (..., N, n):
+    one signed gather.  Negating the dtype's minimum wraps, so an entry there
+    raises OverflowError."""
     if w.n != values.shape[-1]:
         raise ValueError("rank mismatch")
     if values.dtype.kind == "i" and (values == np.iinfo(values.dtype).min).any():
         raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
     src = group_table(w.n).left_mult_indices(w.inverse())
-    return values[..., src, :] @ poly_action_matrix(w).T
+    col, sign = _signed_columns(np.array(w.window))
+    return values[..., src[:, None], col] * sign
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +294,8 @@ def _labels_equivariant(lie_type: LieType, n: int) -> bool:
     of label(v): g acts invertibly and labels are nonzero.  So the elements
     that pass are closed under products, and s_1, ..., s_n generate W_n.
     """
+    from .splines import _rows_proportional
+
     labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
     for i in range(1, n + 1):
         if not _rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
@@ -335,12 +326,18 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     space's type.
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
-    and pv holds the images of the basis at the pivot coordinates, both with
-    the rows in bundle order, the build order of `witness_basis` (a row
+    and pv holds the images of the basis at the pivot coordinates (the
+    signed gather of `dot_action`, at those coordinates only), both with the
+    rows in bundle order, the build order of `witness_basis` (a row
     permutation does not change the trace).
     On a W_n-stable space of dimension m a trace is an integer of absolute
     value at most m < p/2, so its symmetric residue is exact.
     """
+    from .linalg import (
+        PRIMES, RankDeficientError, inverse_mod_p, symmetric_lift, trace_product_mod_p
+    )
+    from .splines import edges_ok, labels_pairwise_independent, triangular_pivots, witness_basis
+
     n = space.n
     bundle = witness_basis(space)  # (m, N, n)
     m, p = len(bundle), PRIMES[0]
@@ -355,12 +352,11 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
         raise AssertionError("dot action does not preserve the edge ideals")
     piv_rows, piv_slots = np.divmod(cols, n)
     inv = inverse_mod_p(bundle[:, piv_rows, piv_slots], p)
-    traces = []
-    for cl, src in zip(conjugacy_classes(n), _class_sources(n)):
-        imgs = bundle[:, src[piv_rows], :] @ poly_action_matrix(cl.rep).T  # (m, m, n)
-        pv = imgs[:, np.arange(m), piv_slots]  # (m, m): images at pivot coordinates
-        traces.append(symmetric_lift(trace_product_mod_p(pv, inv, p), p, m))
-    return tuple(traces)
+    col, sign = _signed_columns(np.array([cl.rep.window for cl in conjugacy_classes(n)]))
+    # (m, classes, m): the dot images of the basis at the pivot coordinates
+    pv = bundle[:, _class_sources(n)[:, piv_rows], col[:, piv_slots]] * sign[:, piv_slots]
+    traces = trace_product_mod_p(pv.transpose(1, 0, 2), inv, p)
+    return tuple(symmetric_lift(int(t), p, m) for t in traces)
 
 
 def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:

@@ -26,8 +26,14 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 import time
+
+# OpenBLAS starts a busy-waiting worker per core when numpy loads it, but the
+# package makes no BLAS call: its matrix products are on integer arrays, which
+# numpy computes without BLAS.  A user's own value still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -303,10 +309,9 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
 
 
 def _suite_families(n: int, lie_type: LieType):
+    from .group import unbalanced_sets
     from .hessenberg import classify, on_divergent_branch
-    from .splines import (
-        edges_ok, f_family, g_family, h_family, phi_family, unbalanced_sets, y_family
-    )
+    from .splines import edges_ok, f_family, g_family, h_family, phi_family, y_family
 
     families = {
         ("g",): g_family(range(1, n + 1), n),
@@ -550,8 +555,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """Write "--set -1,-2" as "--set=-1,-2" (and likewise for --act): argparse
+    reads a value that starts with "-" and is not a plain number as an option,
+    while the "=" spelling means the same on every Python version."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--set", "--act") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -9,7 +9,8 @@ entry (acting on the right).  Its cardinality is 2^n * n!.
 
 Throughout the package the set {±1,...,±n} is totally ordered by
 -n < -(n-1) < ... < -1 < 1 < ... < n, skipping 0; lexicographic
-orderings of windows and of unbalanced sets use this order.
+orderings of windows and of unbalanced sets (`unbalanced_sets`, the sets
+with no pair {a, -a}) use this order.
 
 Whole-group work runs on `GroupTable.windows_array`, the (N, n) integer
 array of all windows in table order.  Reading each entry's order_key as a
@@ -43,6 +44,24 @@ MAX_FULL_RANK = 5  # the limit for --level full: traces and bases of every space
 def order_key(k: int, n: int) -> int:
     """Rank of k in the total order -n < ... < -1 < 1 < ... < n."""
     return k + n if k < 0 else k + n - 1
+
+
+def unbalanced_sets(i: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """All unbalanced subsets of {±1,...,±n} of size i, in lexicographic order.
+
+    Sets are returned as tuples sorted by the global order
+    -n < ... < -1 < 1 < ... < n, and the enumeration is lexicographic on
+    those tuples; there are 2^i * binomial(n, i) of them.
+    """
+    def key(k):
+        return order_key(k, n)
+
+    out = [
+        tuple(sorted((s * a for a, s in zip(support, signs)), key=key))
+        for support in itertools.combinations(range(1, n + 1), i)
+        for signs in itertools.product((1, -1), repeat=i)
+    ]
+    return tuple(sorted(out, key=lambda t: tuple(map(key, t))))
 
 
 class SignedPerm:

@@ -118,19 +118,22 @@ def inverse_mod_p(mat, p: int) -> np.ndarray:
     return aug[:, m:]
 
 
-def trace_product_mod_p(a, b, p: int) -> int:
-    """tr(a @ b) modulo p for square integer matrices of the same size.
+def trace_product_mod_p(a, b, p: int) -> np.ndarray:
+    """tr(a_k @ b) modulo p for each square integer matrix a_k of the stack
+    a (..., m, m) and one b (m, m), as an int64 array of shape a.shape[:-2].
 
-    Each product of residues is reduced before it is summed, so no partial
-    sum exceeds m * p; sizes for which that could leave int64 raise.
+    b is reduced into [0, p) and a is used as it is, so each trace is a sum
+    of m^2 products of absolute value at most max|a| * (p - 1); sizes for
+    which that sum could leave int64 raise OverflowError.
     """
-    a, b = _residues(a, p), _residues(b, p)
-    m = a.shape[0]
-    if a.shape != (m, m) or b.shape != (m, m):
+    a, b = np.asarray(a), _residues(b, p)
+    m = b.shape[0]
+    if a.shape[-2:] != (m, m) or b.shape != (m, m):
         raise ValueError(f"need square matrices of one size, got {a.shape} and {b.shape}")
-    if m * p >= 2**63:
-        raise OverflowError(f"{m} residues modulo {p} may overflow int64")
-    return int(((a * b.T % p).sum(axis=1) % p).sum() % p)
+    peak = max(int(a.max(initial=0)), -int(a.min(initial=0)))
+    if peak * (p - 1) * m * m >= 2**63:
+        raise OverflowError(f"{m} x {m} products of {peak} and residues mod {p} may overflow int64")
+    return np.einsum("...jk,kj->...", a, b) % p  # in int64, b's dtype
 
 
 def symmetric_lift(residue: int, p: int, bound: int) -> int:

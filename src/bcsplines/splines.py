@@ -39,11 +39,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .group import SignedPerm, group_table, order_key
+from .group import SignedPerm, group_table, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
     _inversion_counts,
@@ -179,24 +179,6 @@ def labels_pairwise_independent(lie_type, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
-
-
-def unbalanced_sets(i: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """All unbalanced subsets of {±1,...,±n} of size i, in lexicographic order.
-
-    Sets are returned as tuples sorted by the global order
-    -n < ... < -1 < 1 < ... < n, and the enumeration is lexicographic on
-    those tuples; there are 2^i * binomial(n, i) of them.
-    """
-    def key(k):
-        return order_key(k, n)
-
-    out = [
-        tuple(sorted((s * a for a, s in zip(support, signs)), key=key))
-        for support in combinations(range(1, n + 1), i)
-        for signs in product((1, -1), repeat=i)
-    ]
-    return tuple(sorted(out, key=lambda t: tuple(map(key, t))))
 
 
 def _hits(members, entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

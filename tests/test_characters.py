@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bcsplines import characters
+from bcsplines import characters, splines
 from bcsplines.characters import (
     CharacterExpression,
     ClassFunction,
@@ -203,6 +203,26 @@ class TestDotActionRange:
             assert out.dtype == np.int8 and out.shape == stack.shape
             for rho, image in zip(stack, out):
                 assert image.tolist() == reference_dot_action(w, rho)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_gather_equals_matmul_on_every_element(self, dtype):
+        # the signed gather against the matrix of w on coefficient rows:
+        # column i of that matrix is sign(w(i)) e_{|w(i)|}
+        n = 3
+        table = group_table(n)
+        ks = [k for k in range(-n, n + 1) if k]
+        stack = np.concatenate(
+            [t_family(ks, n), g_family(ks, n), h_family(n), f_family(2, unbalanced_sets(2, n), n)]
+        ).astype(dtype)
+        stack[::3] *= 2
+        for w in elements(table):
+            mat = np.zeros((n, n), dtype=np.int64)
+            for i, img in enumerate(w.window):
+                mat[abs(img) - 1, i] = 1 if img > 0 else -1
+            src = table.left_mult_indices(w.inverse())
+            out = dot_action(w, stack)
+            assert out.dtype == dtype
+            assert np.array_equal(out, stack[:, src, :].astype(np.int64) @ mat.T)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank mismatch"):
@@ -440,7 +460,7 @@ class TestComputedCharacters:
             built.append((space, out))
             return out
 
-        monkeypatch.setattr(characters, "witness_basis", recording)
+        monkeypatch.setattr(splines, "witness_basis", recording)
         _trace_data.cache_clear()
         for ts in (frozenset(), frozenset({1}), frozenset({3})):
             space = realize_tset(ts, 3, B)
@@ -460,7 +480,7 @@ class TestComputedCharacters:
             refs.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(characters, "witness_basis", recording)
+        monkeypatch.setattr(splines, "witness_basis", recording)
         _trace_data.cache_clear()
         space = from_tset(frozenset({1}), 3, C)
         computed_char(space, "left")
@@ -585,7 +605,7 @@ class TestWitnessCertificate:
         _trace_data.cache_clear()
 
         def install(values):
-            monkeypatch.setattr(characters, "witness_basis", lambda sp: values)
+            monkeypatch.setattr(splines, "witness_basis", lambda sp: values)
             _trace_data.cache_clear()
             return space
 

@@ -51,6 +51,21 @@ def run_cli(*args):
     )
 
 
+def run_python(code, **env):
+    """Run `code` in a fresh interpreter with this checkout's package first on
+    its path and the given environment changes (None unsets a variable)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    child = {**os.environ, "PYTHONPATH": path, **env}
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={k: v for k, v in child.items() if v is not None},
+    )
+    assert r.returncode == 0, r.stderr
+    return r.stdout
+
+
 class TestImports:
     def test_parser_loads_no_arithmetic_modules(self):
         # the modules each subcommand needs are imported when it runs
@@ -60,15 +75,24 @@ class TestImports:
             "print(sorted(m for m in ('bcsplines.splines', 'bcsplines.characters',\n"
             "    'bcsplines.linalg', 'bcsplines.symfunc', 'fractions') if m in sys.modules))\n"
         )
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        r = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
+        assert run_python(code) == "[]\n"
+
+    def test_formula_char_loads_no_trace_modules(self):
+        # the closed forms need neither the spline families nor the modular solver
+        code = (
+            "import contextlib, io, sys, bcsplines.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = bcsplines.cli.main(['char', '--n', '3', '--tset', 't1'])\n"
+            "print(code, sorted(m for m in ('bcsplines.splines', 'bcsplines.linalg')\n"
+            "    if m in sys.modules))\n"
         )
-        assert r.returncode == 0, r.stderr
-        assert r.stdout == "[]\n"
+        assert run_python(code) == "0 []\n"
+
+    @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
+    def test_blas_threads_default_to_one(self, given, expected):
+        # the package makes no BLAS call; a user's own value is kept
+        code = "import os, bcsplines.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_python(code, OPENBLAS_NUM_THREADS=given) == expected + "\n"
 
 
 class TestTable:
@@ -460,6 +484,20 @@ class TestDumpSpline:
         lines = dict(l.split("\t") for l in r.stdout.strip().splitlines())
         nonzero = {w for w, p in lines.items() if p != "0"}
         assert nonzero == {"-1,2", "-1,-2"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "f", "--index", "2", "--set", "-1,-2"),
+            ("--family", "y", "--index", "1", "--k", "-2", "--act", "-3,-1,2"),
+        ],
+    )
+    def test_negative_list_value_in_either_spelling(self, args):
+        # "--set -1,-2" reads like an option to argparse; it means "--set=-1,-2"
+        spaced = run_cli("dump-spline", "--n", "3", *args)
+        joined = run_cli("dump-spline", "--n", "3", *args[:-2], f"{args[-2]}={args[-1]}")
+        assert spaced.returncode == joined.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout and spaced.stdout.count("\n") == 48
 
     def test_parity_family(self):
         r = run_cli("dump-spline", "--n", "2", "--family", "h")

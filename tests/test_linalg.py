@@ -206,6 +206,32 @@ def test_trace_product_mod_p_with_large_residues(seed):
     assert trace_product_mod_p(np.array(a), np.array(b), p) == exact % p
 
 
+def test_trace_product_mod_p_stacked():
+    # one residue per matrix of a stack, as the single-matrix calls give
+    rng = np.random.default_rng(12)
+    p = PRIMES[0]
+    a = rng.integers(-2, 3, size=(5, 7, 7)).astype(np.int8)
+    b = rng.integers(p - 1000, p, size=(7, 7))
+    got = trace_product_mod_p(a, b, p)
+    assert got.tolist() == [trace_product_mod_p(x, b, p) for x in a]
+    exact = [int(np.trace(x.astype(object) @ b.astype(object))) % p for x in a]
+    assert got.tolist() == exact
+
+
+def test_trace_product_mod_p_overflow_guard():
+    # the largest entry for which m^2 products with residues below p fit int64
+    # is exact; one more raises instead of wrapping
+    p, m = PRIMES[0], 4
+    peak = (2**63 - 1) // ((p - 1) * m * m)
+    b = np.full((m, m), p - 1)
+    assert trace_product_mod_p(np.full((m, m), peak), b, p) == peak * (p - 1) * m * m % p
+    assert trace_product_mod_p(np.full((m, m), -peak), b, p) == -peak * (p - 1) * m * m % p
+    with pytest.raises(OverflowError):
+        trace_product_mod_p(np.full((m, m), peak + 1), b, p)
+    with pytest.raises(OverflowError):
+        trace_product_mod_p(np.full((2, m, m), -peak - 1), b, p)
+
+
 def test_symmetric_lift_in_bound():
     p, bound = PRIMES[0], 5
     for value in range(-bound, bound + 1):
