@@ -6,8 +6,8 @@ containing the simple roots, the degree-one splines on W_n form a finite
 dimensional vector space carrying a W_n-action; this package computes that
 space, the characters of its two natural quotients, and their expansions
 in two-variable symmetric functions, with closed-form results cross-checked
-against brute-force scans.  Spline values are integers; `Fraction` appears
-only in `splines.expand`, the kernel solve and the Frobenius transform.
+against brute-force scans.  Spline values are integers and every
+certificate is modular; `Fraction` appears only in the Frobenius transform.
 """
 
 __version__ = "0.1.0"

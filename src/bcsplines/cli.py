@@ -93,7 +93,9 @@ def _all_tsets(n: int) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _table_row(tset: frozenset, n: int, lie_type: LieType, level: str) -> dict:
+def _table_row(tset: frozenset, n: int, space: HessenbergSpace | None) -> dict:
+    """The closed forms of the t-set, verified against the computed
+    characters of the space when one is given (at --level full)."""
     from .characters import computed_char, published_formula_char
 
     left = published_formula_char(tset, n, "left")
@@ -105,8 +107,7 @@ def _table_row(tset: frozenset, n: int, lie_type: LieType, level: str) -> dict:
         "dim": left.dimension(),
         "verified": "",
     }
-    if level == "full":
-        space = realize_tset(tset, n, lie_type)
+    if space is not None:
         ok = computed_char(space, "left") == left.evaluate() and computed_char(
             space, "right"
         ) == right.evaluate()
@@ -115,19 +116,22 @@ def _table_row(tset: frozenset, n: int, lie_type: LieType, level: str) -> dict:
 
 
 def cmd_table(args) -> int:
-    n = args.n
-    if args.level == "full" and n > MAX_FULL_RANK:
+    n, full = args.n, args.level == "full"
+    if full and n > MAX_FULL_RANK:
         print(f"full-oracle table needs n <= {MAX_FULL_RANK}, got {n}", file=sys.stderr)
         return 1
     if args.by_ideal:
         rows = []
         for space in enumerate_hessenberg(args.type, n):
-            row = _table_row(t_set(space), n, args.type, args.level)
+            row = _table_row(t_set(space), n, space if full else None)
             row = {"ideal": space.serialize(), **row}
             rows.append(row)
         cols = ["ideal", "tset", "left_char", "right_char", "dim", "verified"]
     else:
-        rows = [_table_row(ts, n, args.type, args.level) for ts in _all_tsets(n)]
+        rows = [
+            _table_row(ts, n, realize_tset(ts, n, args.type) if full else None)
+            for ts in _all_tsets(n)
+        ]
         cols = ["tset", "left_char", "right_char", "dim", "verified"]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -140,7 +144,7 @@ def cmd_table(args) -> int:
         print("  ".join(c.ljust(widths[c]) for c in cols))
         for r in rows:
             print("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-    if args.level == "full" and any(r["verified"] == "NO" for r in rows):
+    if full and any(r["verified"] == "NO" for r in rows):
         return 2
     return 0
 

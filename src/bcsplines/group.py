@@ -19,7 +19,7 @@ along the table, so `GroupTable.indices_of` maps stacked windows to table
 indices by binary search and raises on anything that is not a window.
 `compose` and `invert` multiply and invert stacked windows, and the
 table's `lengths` and `descents` (bitmasks) are computed by one
-vectorised formula each, which `length` and `descent_set` also read.
+vectorised formula each.
 Conjugacy classes come from the window array too: one pass follows the
 cycles of |w| position by position, and `SignedPerm` is built once per
 class, for its representative.  `SignedPerm` stays the per-element type
@@ -219,17 +219,6 @@ def _window_descents(windows) -> np.ndarray:
     a, b = win[:-1], win[1:]
     down = np.concatenate([np.where(np.abs(a) < np.abs(b), a < 0, b > 0), win[-1:] < 0])
     return (down.astype(np.int64) << np.arange(len(win))[:, None]).sum(axis=0)
-
-
-def length(w: SignedPerm) -> int:
-    """Coxeter length of w over s_1,...,s_n."""
-    return int(_window_lengths([w.window])[0])
-
-
-def descent_set(w: SignedPerm) -> frozenset[int]:
-    """{i : length(w * s_i) < length(w)}."""
-    mask = int(_window_descents([w.window])[0])
-    return frozenset(i for i in range(1, w.n + 1) if mask >> (i - 1) & 1)
 
 
 def _window_codes(windows, n: int) -> np.ndarray:

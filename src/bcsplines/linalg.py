@@ -8,13 +8,12 @@ mod p, hence a nonzero integer), so pivots found mod p are never spurious; a
 trace known to be an integer of absolute value below p/2 is its symmetric
 residue (`symmetric_lift`).  Inverses mod p serve pivot blocks whose
 independence is proved over the integers elsewhere (a triangular block, see
-`splines.triangular_pivots`).  The Fraction route, the sparse kernel solve,
-is the exact reference that reads the edge conditions directly.
+`splines.triangular_pivots`).  Nothing here uses rational arithmetic; the
+exact kernel solve that reads the edge conditions directly is the tests'
+reference, in `tests/reference.py`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -153,38 +152,3 @@ def symmetric_lift(residue: int, p: int, bound: int) -> int:
             f"residue {residue} mod {p} lifts to {value}, outside [-{bound}, {bound}]"
         )
     return value
-
-
-def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:
-    """Exact kernel basis of a sparse integer constraint system.
-
-    Gaussian elimination over Fraction with least-column pivoting, then
-    back substitution from the last pivot column; each returned vector sets
-    one free coordinate to 1 and the others to 0.
-    """
-    piv: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        cur = {c: Fraction(v) for c, v in row.items() if v}
-        while cur:
-            c = min(cur)
-            if c in piv:
-                prow = piv[c]
-                f = cur[c] / prow[c]
-                for cc, vv in prow.items():
-                    nv = cur.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        cur[cc] = nv
-                    else:
-                        cur.pop(cc, None)
-            else:
-                piv[c] = cur
-                break
-    basis = []
-    for free in (c for c in range(ncols) if c not in piv):
-        x = {free: Fraction(1)}
-        for pc in sorted(piv, reverse=True):
-            row = piv[pc]
-            s = sum(v * x.get(c, 0) for c, v in row.items() if c != pc)
-            x[pc] = -Fraction(s) / row[pc]
-        basis.append({c: v for c, v in x.items() if v})
-    return basis

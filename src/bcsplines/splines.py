@@ -24,7 +24,7 @@ over those of size n.
 
 Each family has one writer over `GroupTable.windows_array` (`t_family` ...
 `phi_family`) that returns the int8 values (M, N, n) of the members the
-caller names, in that order; `t_spline` ... `phi_spline` check their input
+caller names, in that order; `t_spline` ... `h_spline` check their input
 and return one member (N, n).  A bundle (a generating set, a basis) is one
 read-only int8 array (m, N, n), row j the values of the j-th spline in the
 documented build order, sliced, concatenated and added from family stacks
@@ -32,18 +32,19 @@ documented build order, sliced, concatenated and added from family stacks
 layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
 A spline of H is determined by its values at the identity and at the
 elements with exactly one H-inversion, so `bundle_rank` ranks bundles there.
+Everything here is integer or modular; the exact references the tests
+compare against (the kernel basis from the edge conditions, expansion in a
+basis, the per-spline predicate, the family relations) are in
+`tests/reference.py`.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
-from .group import SignedPerm, group_table, unbalanced_sets
+from .group import group_table, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
     _inversion_counts,
@@ -53,7 +54,7 @@ from .hessenberg import (
     on_divergent_branch,
     t_set,
 )
-from .linalg import RankDeficientError, pivots, sparse_kernel_basis
+from .linalg import RankDeficientError, pivots
 from .roots import Root, label_matrix, positive_roots, root_to_reflection
 
 
@@ -142,22 +143,6 @@ def edges_ok(values: np.ndarray, roots) -> np.ndarray:
         if not ok.any():
             break
     return ok
-
-
-def is_spline(values: np.ndarray, space: HessenbergSpace, witness: bool = False):
-    """Check the edge conditions of the spline values (N, n) for every root of H.
-
-    With witness=True returns (ok, offending (element, root) or None): the
-    first failing root in sorted order and its first failing element in
-    table order.
-    """
-    for root, lo, rows_ok in _edge_checks(values[None], space.roots):
-        if not rows_ok.all():
-            if witness:
-                bad = int(lo[np.argmin(rows_ok[0])])
-                return False, (SignedPerm(group_table(space.n).windows_array[bad]), root)
-            return False
-    return (True, None) if witness else True
 
 
 @lru_cache(maxsize=None)
@@ -318,36 +303,6 @@ def h_spline(n: int) -> np.ndarray:
     return h_family(n)[0]
 
 
-def phi_spline(b, n: int) -> np.ndarray:
-    """phi^B for an unbalanced n-set B (see `phi_family`)."""
-    b = tuple(b)
-    if len(b) != n or len({abs(x) for x in b}) != n:
-        raise ValueError(f"need an unbalanced set of size {n}, got {b}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return phi_family((b,), n)[0]
-
-
-def f_tail_sum(p: int, m: int, k: int, n: int) -> np.ndarray:
-    """sum over p < i <= m of the coset splines f_i^A with k in A, int64 (N, n)."""
-    total = np.zeros((group_table(n).size, n), dtype=np.int64)
-    for i in range(p + 1, m + 1):
-        total += f_family(i, [a for a in unbalanced_sets(i, n) if k in a], n).sum(axis=0)
-    return total
-
-
-def telescoping_identity(p: int, m: int, k: int, n: int) -> bool:
-    """y_{p,k} + sum_{p<i<=m} sum_{A∋k} f_i^A = y_{m,k}; p = 0 reads y_0 = 0."""
-    lhs = f_tail_sum(p, m, k, n) + (y_spline(p, k, n) if p else 0)
-    return np.array_equal(lhs, y_spline(m, k, n))
-
-
-def y_f_g_identity(p: int, k: int, n: int) -> bool:
-    """y_{p,k} + sum_{p<i<=n} sum_{A∋k} f_i^A + g_{-k} = 0; p = 0 reads y_0 = 0."""
-    total = f_tail_sum(p, n, k, n) + g_spline(-k, n) + (y_spline(p, k, n) if p else 0)
-    return not total.any()
-
-
 # ---------------------------------------------------------------------------
 # Bundles: generating sets and bases, as stacked values (m, N, n)
 # ---------------------------------------------------------------------------
@@ -431,7 +386,7 @@ def permutohedral_basis(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact expansion and the generic kernel basis
+# Certificates: rank and triangular pivot blocks
 # ---------------------------------------------------------------------------
 
 
@@ -477,87 +432,6 @@ def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "no triangular pivot block: it is not upper triangular with a nonzero diagonal"
         )
     return rows, elems * n + coords
-
-
-def expand(targets: np.ndarray, bundle: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact coefficients in the bundle of each of the stacked targets
-    (k, N, n), one tuple per target; raises if one is not in the span.
-
-    The coefficients c solve c P = target at the pivot columns of
-    `triangular_pivots` by forward substitution, with the pivots found once
-    for all targets.  The full residuals are then checked, so a successful
-    return is a proof of membership.
-    """
-    rows, cols = triangular_pivots(bundle)
-    mat = bundle.reshape(len(bundle), -1)
-    flat = np.asarray(targets).reshape(len(targets), mat.shape[1])
-    block = mat[np.ix_(rows, cols)].tolist()
-    order = rows.tolist()
-    out, scaled, dens = [], [], []
-    for target in flat[:, cols].tolist():
-        coeffs = [Fraction(0)] * len(bundle)
-        for j, r in enumerate(order):
-            s = target[j] - sum(coeffs[order[i]] * block[i][j] for i in range(j) if block[i][j])
-            coeffs[r] = Fraction(s) / block[j][j]
-        den = math.lcm(1, *(c.denominator for c in coeffs))
-        out.append(tuple(coeffs))
-        scaled.append([int(c * den) for c in coeffs])
-        dens.append(den)
-    # no entry or partial sum of either side exceeds this in absolute value
-    peak = max(_peak(mat), _peak(flat))
-    bound = peak * max((sum(map(abs, row)) + d for row, d in zip(scaled, dens)), default=0)
-    dtype = object if bound > np.iinfo(np.int64).max else np.int64
-    lhs = np.array(scaled, dtype=dtype).reshape(len(flat), len(mat)) @ mat.astype(dtype)
-    if (lhs != np.array(dens, dtype=dtype)[:, None] * flat.astype(dtype)).any():
-        raise ValueError("spline is not in the span of the bundle")
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
-    """A basis of the degree-one spline space from the edge conditions alone.
-
-    Solves the proportionality constraints exactly and certifies the result
-    (every vector passes the spline predicate; the count matches the scan
-    dimension; independence is certified by modular pivots on all N * n
-    coordinates).  The tests use it as the reference that reads the
-    definition directly.  The result is cached and shared, so it is
-    read-only; its values are int64, since a kernel vector scaled to
-    integers has no bound known in advance.
-    """
-    n = space.n
-    table = group_table(n)
-    rows: list[dict[int, int]] = []
-    for root in sorted(space.roots):
-        perm = reflection_perm(n, root)
-        lab = label_matrix(n, root)
-        for widx in range(table.size):
-            wsidx = int(perm[widx])
-            if wsidx < widx:
-                continue
-            lw = lab[widx].tolist()
-            for p, q in combinations(range(n), 2):
-                # the four columns are distinct, since w s_alpha != w
-                if lw[p] or lw[q]:
-                    terms = (widx, p, lw[q]), (wsidx, p, -lw[q]), (widx, q, -lw[p])
-                    terms += ((wsidx, q, lw[p]),)
-                    rows.append({u * n + k: v for u, k, v in terms if v})
-    vectors = sparse_kernel_basis(rows, table.size * n)
-    bundle = np.zeros((len(vectors), table.size, n), dtype=np.int64)
-    for vec, values in zip(vectors, bundle.reshape(len(vectors), -1)):
-        # scale to integer values; a scalar multiple spans the same line
-        den = math.lcm(1, *(v.denominator for v in vec.values()))
-        values[list(vec)] = [int(v * den) for v in vec.values()]
-    bundle.setflags(write=False)
-    if not edges_ok(bundle, space.roots).all():
-        raise RankDeficientError("kernel vector fails the spline predicate")
-    if len(bundle) != dim_degree_one(space):
-        raise RankDeficientError(
-            f"kernel dimension {len(bundle)} does not match the scan dimension"
-        )
-    if len(pivots(bundle.reshape(len(bundle), -1))[0]) != len(bundle):
-        raise RankDeficientError("kernel vectors are not independent")
-    return bundle
 
 
 # ---------------------------------------------------------------------------

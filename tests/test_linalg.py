@@ -12,10 +12,11 @@ from bcsplines.linalg import (
     RankDeficientError,
     inverse_mod_p,
     pivots,
-    sparse_kernel_basis,
     symmetric_lift,
     trace_product_mod_p,
 )
+
+from reference import sparse_kernel_basis
 
 
 def fraction_pivot_columns(mat) -> list[int]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bcsplines.group import SignedPerm, group_table, length
+from bcsplines.group import SignedPerm, group_table
 from bcsplines.hessenberg import _root_negativity
 from bcsplines.roots import (
     LieType,
@@ -19,6 +19,8 @@ from bcsplines.roots import (
     simple_root,
     simple_roots,
 )
+
+from reference import length
 
 B, C = LieType.B, LieType.C
 
