@@ -233,7 +233,7 @@ def _suite_group_laws(n: int, lie_type: LieType):
     import random
 
     table = group_table(n)
-    win = table.windows_array.astype(np.int8)  # |entries| <= 6: small whole-group temporaries
+    win = table.windows_array
     rng = random.Random(20_000 + n)
     ids = range(table.size)
     triples = np.array(
@@ -261,8 +261,10 @@ def _suite_group_laws(n: int, lie_type: LieType):
 
 def _suite_length_bfs(n: int, lie_type: LieType):
     table = group_table(n)
-    right = np.stack([table.right_mult_indices(SignedPerm.simple(i, n)) for i in range(1, n + 1)])
-    dist = np.full(table.size, -1)
+    right = np.empty((n, table.size), dtype=np.int32)  # right[i - 1, k]: index of w_k s_i
+    for i in range(1, n + 1):
+        right[i - 1] = table.right_mult_indices(SignedPerm.simple(i, n))
+    dist = np.full(table.size, -1, dtype=np.int8)  # lengths are at most n^2
     frontier = np.array([table.index_of(SignedPerm.identity(n))])  # table indices
     dist[frontier] = 0
     step = 0
@@ -297,13 +299,14 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
     pairs = [(space, t_set(space), i) for space in spaces for i in range(1, n + 1)]
     formulas = [published_descent_formula(ts, n, i) for _, ts, i in pairs]
     # every closed-form element of every pair, mapped to table indices at once
-    windows = np.array([w.window for f in formulas for w in f], dtype=np.int64).reshape(-1, n)
+    windows = np.array([w.window for f in formulas for w in f], dtype=np.int8).reshape(-1, n)
     found = np.split(group_table(n).indices_of(windows), np.cumsum([len(f) for f in formulas])[:-1])
+    scans = [scan for space in spaces for scan in h_descent_indices(space)]  # in pair order
     bad = sorted(
         {
             (tset_str(ts), i)
-            for (space, ts, i), idx in zip(pairs, found)
-            if not np.array_equal(np.sort(idx), h_descent_indices(space, i))
+            for (space, ts, i), idx, scan in zip(pairs, found, scans)
+            if not np.array_equal(np.sort(idx), scan)
         }
     )
     if bad:
@@ -472,20 +475,27 @@ def cmd_verify(args) -> int:
 
 def cmd_dump_spline(args) -> int:
     from .characters import dot_action
-    from .splines import dump, f_spline, g_spline, h_spline, r_spline, t_spline, y_spline
+    from .splines import (
+        dump, f_spline, g_spline, h_spline, phi_spline, r_spline, t_spline, y_spline
+    )
 
     n, fam = args.n, args.family
+
+    def given_set() -> tuple[int, ...]:
+        return tuple(int(x) for x in args.set.split(","))
+
     build = {
         "t": lambda: t_spline(args.index, n),
         "r": lambda: r_spline(args.index, n),
-        "f": lambda: f_spline(args.index, tuple(int(x) for x in args.set.split(",")), n),
+        "f": lambda: f_spline(args.index, given_set(), n),
         "y": lambda: y_spline(args.index, args.k, n),
         "g": lambda: g_spline(args.index, n),
         "h": lambda: h_spline(n),
+        "phi": lambda: phi_spline(given_set(), n),
     }
     try:
-        if fam == "f" and args.set is None:
-            raise ValueError("family f needs --set")
+        if fam in ("f", "phi") and args.set is None:
+            raise ValueError(f"family {fam} needs --set")
         if fam == "y" and args.k is None:
             raise ValueError("family y needs --k")
         rho = build[fam]()
@@ -549,11 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump = sub.add_parser("dump-spline", help="print a family spline")
     p_dump.add_argument("--n", type=_rank(MAX_ENUM_RANK), required=True, help="rank")
     p_dump.add_argument(
-        "--family", choices=("t", "r", "f", "y", "g", "h"), required=True
+        "--family", choices=("t", "r", "f", "y", "g", "h", "phi"), required=True
     )
     p_dump.add_argument("--index", type=int, default=1, help="family index i")
     p_dump.add_argument("--k", type=int, help="value index for family y")
-    p_dump.add_argument("--set", help='unbalanced set for family f, e.g. "2,-1"')
+    p_dump.add_argument("--set", help='unbalanced set for family f or phi, e.g. "2,-1"')
     p_dump.add_argument("--act", help="window of an element to act by first")
     p_dump.set_defaults(fn=cmd_dump_spline)
     return parser

@@ -12,14 +12,16 @@ Throughout the package the set {±1,...,±n} is totally ordered by
 orderings of windows and of unbalanced sets (`unbalanced_sets`, the sets
 with no pair {a, -a}) use this order.
 
-Whole-group work runs on `GroupTable.windows_array`, the (N, n) integer
-array of all windows in table order.  Reading each entry's order_key as a
-digit in base 2n gives every window a code; the codes increase strictly
-along the table, so `GroupTable.indices_of` maps stacked windows to table
-indices by binary search and raises on anything that is not a window.
-`compose` and `invert` multiply and invert stacked windows, and the
-table's `lengths` and `descents` (bitmasks) are computed by one
-vectorised formula each.
+Whole-group work runs on `GroupTable.windows_array`, the read-only int8
+(N, n) array of all windows in table order.  Reading each entry's
+order_key as a digit in base 2n gives every window a code; the codes
+increase strictly along the table, so `GroupTable.indices_of` maps stacked
+windows to table indices by binary search and raises on anything that is
+not a window.  `compose` and `invert` multiply and invert stacked windows,
+and the table's `lengths` and `descents` (bitmasks) are int8 too, each
+computed by one vectorised formula.  Comparisons, gathers and signs of
+window entries stay in int8; arithmetic whose result can leave int8
+(codes, bit masks of entries) widens first.
 Conjugacy classes come from the window array too: one pass follows the
 cycles of |w| position by position, and `SignedPerm` is built once per
 class, for its representative.  `SignedPerm` stays the per-element type
@@ -193,32 +195,33 @@ class SignedPerm:
 
 
 def _window_lengths(windows) -> np.ndarray:
-    """Coxeter lengths of stacked windows, shape (N, n) -> (N,).
+    """Coxeter lengths of stacked windows, shape (N, n) -> int8 (N,).
 
     Counts the type-B positive roots sent to negative roots: e_i for each
     negative entry w(i); for each pair i < j, both e_i - e_j and e_i + e_j
     when |w(i)| < |w(j)| and w(i) < 0, and exactly one of them when
-    |w(i)| > |w(j)|.  The count is the same for the type C root data.
+    |w(i)| > |w(j)|.  The count is the same for the type C root data; it is
+    at most n^2, so int8 holds it, and every temporary is one (N,) row.
     """
-    win = np.asarray(windows)
-    win = np.ascontiguousarray(win.T, dtype=np.min_scalar_type(-win.shape[-1]))  # row k: w(k)
-    neg, mag = win < 0, np.abs(win)
-    total = neg.sum(axis=0, dtype=np.int64)
+    win = np.asarray(windows, dtype=np.int8).T  # row k: w(k)
+    neg, mag = (win < 0).view(np.int8), np.abs(win)
+    total = neg.sum(axis=0, dtype=np.int8)
     for i, j in itertools.combinations(range(len(win)), 2):
         total += np.where(mag[i] < mag[j], 2 * neg[i], 1)
     return total
 
 
 def _window_descents(windows) -> np.ndarray:
-    """Descent sets of stacked windows as bitmasks: bit i-1 is set iff i is a descent.
+    """Descent sets of stacked windows as int8 bitmasks: bit i-1 is set iff i
+    is a descent (n <= 7 bits).
 
     i < n is a descent iff w(e_i - e_{i+1}) is a negative vector, n iff w(n) < 0.
     """
-    win = np.asarray(windows)
-    win = np.ascontiguousarray(win.T, dtype=np.min_scalar_type(-win.shape[-1]))  # row k: w(k)
-    a, b = win[:-1], win[1:]
-    down = np.concatenate([np.where(np.abs(a) < np.abs(b), a < 0, b > 0), win[-1:] < 0])
-    return (down.astype(np.int64) << np.arange(len(win))[:, None]).sum(axis=0)
+    win = np.asarray(windows, dtype=np.int8).T  # row k: w(k)
+    out = (win[-1] < 0).view(np.int8) << len(win) - 1
+    for k, (a, b) in enumerate(zip(win[:-1], win[1:])):
+        out |= np.where(np.abs(a) < np.abs(b), a < 0, b > 0).view(np.int8) << k
+    return out
 
 
 def _window_codes(windows, n: int) -> np.ndarray:
@@ -287,7 +290,9 @@ class GroupTable:
     """All of W_n in lexicographic window order, with cached per-element data.
 
     Immutable after construction; safe to share.  The ordering is
-    lexicographic on windows under -n < ... < -1 < 1 < ... < n.
+    lexicographic on windows under -n < ... < -1 < 1 < ... < n.  The
+    windows, lengths and descent masks are read-only int8 arrays: entries
+    are at most n, lengths at most n^2 and masks n bits.
     """
 
     def __init__(self, n: int):
@@ -296,10 +301,10 @@ class GroupTable:
         self.n = n
         perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
         signs = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int8)
-        arr = (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)  # int8 until sorted
+        arr = (perms[:, None, :] * signs[None, :, :]).reshape(-1, n)
         codes = _window_codes(arr, n)
         order = np.argsort(codes)
-        arr, codes = arr[order].astype(np.int64), codes[order]
+        arr, codes = arr[order], codes[order]
         for a in (arr, codes):
             a.setflags(write=False)
         self.windows_array: np.ndarray = arr
@@ -344,13 +349,12 @@ class GroupTable:
         return int(self.indices_of([w.window])[0])
 
     def right_mult_indices(self, s: SignedPerm) -> np.ndarray:
-        """Array r with r[i] = index of elements[i] * s (int8 columns: a cheap gather)."""
-        win = self.windows_array.astype(np.int8)
-        return self.indices_of(compose(win, np.array([s.window], dtype=np.int8)))
+        """Array r with r[i] = index of elements[i] * s (a gather of int8 columns)."""
+        return self.indices_of(compose(self.windows_array, np.array([s.window], dtype=np.int8)))
 
     def left_mult_indices(self, g: SignedPerm) -> np.ndarray:
         """Array r with r[i] = index of g * elements[i]."""
-        return self.indices_of(compose([g.window], self.windows_array))
+        return self.indices_of(compose(np.array([g.window], dtype=np.int8), self.windows_array))
 
 
 @lru_cache(maxsize=None)
@@ -383,7 +387,7 @@ def _conjugacy_classes_cached(n: int) -> tuple[ConjClass, ...]:
     least member of its class, and the code's count is the class size.
     """
     table = group_table(n)
-    win = table.windows_array.astype(np.int8)
+    win = table.windows_array
     nxt = (np.abs(win) - 1).ravel()  # |w(p)| - 1, flattened row by row
     neg = (win < 0).ravel()
     base = np.arange(table.size) * n

@@ -225,7 +225,7 @@ def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
     the root goes negative iff w(i) < 0 when |w(i)| < |w(j)|, and iff
     (w(j) < 0) xor (c < 0) otherwise; e_i and 2e_i go negative iff w(i) < 0.
     """
-    win = np.ascontiguousarray(group_table(n).windows_array.T, dtype=np.int8)  # row i: w(i)
+    win = np.ascontiguousarray(group_table(n).windows_array.T)  # row i: w(i)
     mag = np.abs(win)
     neg = win < 0
     out = {}
@@ -243,28 +243,30 @@ def _root_negativity(lie_type: LieType, n: int) -> dict[Root, np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _inversion_counts(space: HessenbergSpace) -> np.ndarray:
     """|H-inversions of w| for every w in the group table.
 
     A count is at most the number of positive roots, n^2 <= 36 through
-    rank 6, so uint8 holds it: 46 KB per space at rank 6.
+    rank 6, so uint8 holds it: 46 KB at rank 6.  It takes one pass of adds
+    over the cached root vectors, so it is recomputed on each call rather
+    than kept per space.
     """
     neg = _root_negativity(space.lie_type, space.n)
     counts = np.zeros(group_table(space.n).size, dtype=np.uint8)
     for r in space.roots:
         counts += neg[r].view(np.uint8)  # uint8 + uint8 needs no cast
-    counts.setflags(write=False)
     return counts
 
 
-def h_descent_indices(space: HessenbergSpace, i: int) -> np.ndarray:
-    """Brute-force scan: the sorted table indices of the elements whose
-    unique H-inversion is alpha_i."""
-    if not 1 <= i <= space.n:
-        raise ValueError(f"index {i} out of range")
-    alpha = _root_negativity(space.lie_type, space.n)[simple_root(i, space.lie_type, space.n)]
-    return np.flatnonzero((_inversion_counts(space) == 1) & alpha)
+def h_descent_indices(space: HessenbergSpace) -> tuple[np.ndarray, ...]:
+    """Brute-force scan: for i = 1..n, the sorted table indices of the
+    elements whose unique H-inversion is alpha_i (one count for all i)."""
+    neg = _root_negativity(space.lie_type, space.n)
+    once = _inversion_counts(space) == 1
+    return tuple(
+        np.flatnonzero(once & neg[simple_root(i, space.lie_type, space.n)])
+        for i in range(1, space.n + 1)
+    )
 
 
 def dim_degree_one(space: HessenbergSpace) -> int:

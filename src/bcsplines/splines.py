@@ -173,6 +173,8 @@ def _hits(members, entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     bit per entry, at its order_key."""
 
     def codes(sets):
+        # the bits reach 2^(2n-1): widen the (int8) entries before the shift
+        sets = np.asarray(sets, dtype=np.int64)
         return (1 << np.where(sets < 0, sets + n, sets + n - 1)).sum(axis=-1)
 
     want = codes(np.asarray(members, dtype=np.int64).reshape(len(members), entries.shape[-1]))
@@ -301,6 +303,16 @@ def h_spline(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need n >= 2")
     return h_family(n)[0]
+
+
+def phi_spline(b, n: int) -> np.ndarray:
+    """phi^B for an unbalanced n-set B (see `phi_family`)."""
+    b = tuple(b)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if sorted(map(abs, b)) != list(range(1, n + 1)):
+        raise ValueError(f"need an unbalanced set of size {n} in ±1..±{n}, got {b}")
+    return phi_family((b,), n)[0]
 
 
 # ---------------------------------------------------------------------------

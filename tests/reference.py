@@ -24,8 +24,6 @@ it and whether it is independent of the package's batch code:
   `SignedPerm`.  Not independent: they call the package's whole-table
   kernels on a single window; the tests check them against `bfs_lengths`
   (word length by breadth-first search) and `loop_descent_set`.
-- `phi_spline`: one checked member phi^B of `splines.phi_family`; the tests
-  check it against its coset combination and its value formula.
 - `f_tail_sum`, `telescoping_identity`, `y_f_g_identity`: the linear
   relations among the families (acceptance criterion 4), built from the
   package's family writers.
@@ -56,7 +54,6 @@ from bcsplines.splines import (
     edges_ok,
     f_family,
     g_spline,
-    phi_family,
     reflection_perm,
     triangular_pivots,
     y_spline,
@@ -123,16 +120,6 @@ def is_spline(values: np.ndarray, space: HessenbergSpace, witness: bool = False)
                 return False, (SignedPerm(group_table(space.n).windows_array[bad]), root)
             return False
     return (True, None) if witness else True
-
-
-def phi_spline(b, n: int) -> np.ndarray:
-    """phi^B for an unbalanced n-set B (see `phi_family`)."""
-    b = tuple(b)
-    if len(b) != n or len({abs(x) for x in b}) != n:
-        raise ValueError(f"need an unbalanced set of size {n}, got {b}")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return phi_family((b,), n)[0]
 
 
 def f_tail_sum(p: int, m: int, k: int, n: int) -> np.ndarray:

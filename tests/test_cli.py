@@ -420,6 +420,36 @@ def test_rank_six_verify_builds_no_element_per_scan_hit(monkeypatch, capsys):
     assert len(built) <= 8000
 
 
+def test_rank_six_suites_keep_whole_group_data_narrow():
+    # traced in a fresh interpreter, in decimal MB, the suites in the order of
+    # `verify --n 6 --type C`: what the table retains (int8 windows), the peak
+    # of the length search over its start (int32 successors, int8 distances),
+    # and what the descent suite retains (no count vector kept per space)
+    code = (
+        "import json, tracemalloc\n"
+        "from bcsplines import cli\n"
+        "from bcsplines.group import group_table\n"
+        "from bcsplines.roots import LieType\n"
+        "tracemalloc.start()\n"
+        "group_table(6)\n"
+        "out = {'table': tracemalloc.get_traced_memory()[0]}\n"
+        "cli._suite_group_laws(6, LieType.C)\n"
+        "start = tracemalloc.get_traced_memory()[0]\n"
+        "tracemalloc.reset_peak()\n"
+        "assert cli._suite_length_bfs(6, LieType.C)[0]\n"
+        "out['bfs_peak'] = tracemalloc.get_traced_memory()[1] - start\n"
+        "cli._suite_root_bijection(6, LieType.C)\n"
+        "start = tracemalloc.get_traced_memory()[0]\n"
+        "cli._suite_descents(6, LieType.C, 'formula')\n"
+        "out['descents'] = tracemalloc.get_traced_memory()[0] - start\n"
+        "print(json.dumps({k: v / 1e6 for k, v in out.items()}))\n"
+    )
+    got = json.loads(run_python(code))
+    assert got["table"] <= 1.0, got
+    assert got["bfs_peak"] <= 3.5, got
+    assert got["descents"] <= 2.5, got
+
+
 def _swap_first_entries(fn):
     """fn with window entries 1 and 2 swapped on every third row of its result."""
 
@@ -484,7 +514,7 @@ class TestDescentSuiteNamesThePair:
 
     def test_element_swapped_for_one_of_the_same_count(self, monkeypatch, capsys):
         space = from_tset(self.TSET, 3, LieType.B)
-        k = h_descent_indices(space, 1)[0]  # one H-inversion, alpha_1 instead of alpha_2
+        k = h_descent_indices(space)[0][0]  # one H-inversion, alpha_1 instead of alpha_2
         assert _inversion_counts(space)[k] == 1
         other = SignedPerm(group_table(3).windows_array[k].tolist())
 
@@ -557,6 +587,30 @@ class TestDumpSpline:
     def test_missing_parameters(self):
         assert run_cli("dump-spline", "--n", "2", "--family", "f").returncode == 1
         assert run_cli("dump-spline", "--n", "2", "--family", "y").returncode == 1
+
+    @pytest.mark.parametrize(
+        "n, b, act",
+        [(3, (1, -2, 3), None), (3, (-3, -1, 2), (2, -3, 1)), (4, (-4, 1, -2, 3), (-2, 1, 4, -3))],
+    )
+    def test_phi_family_prints_phi_spline(self, n, b, act):
+        from bcsplines.characters import dot_action
+
+        args = ["dump-spline", "--n", str(n), "--family", "phi", "--set", ",".join(map(str, b))]
+        rho = splines.phi_spline(b, n)
+        if act:
+            args += ["--act", ",".join(map(str, act))]
+            rho = dot_action(SignedPerm(act), rho)
+        r = run_cli(*args)
+        assert r.returncode == 0, r.stderr
+        assert rho.any() and r.stdout == splines.dump(rho) + "\n"
+
+    @pytest.mark.parametrize("given", [None, "1,2", "1,-1,2", "1,2,4", "0,1,2", "1,2,3,-4"])
+    def test_phi_family_needs_an_unbalanced_n_set(self, given):
+        args = ["dump-spline", "--n", "3", "--family", "phi"]
+        r = run_cli(*args, *(["--set", given] if given else []))
+        assert r.returncode == 1 and r.stdout == ""
+        want = "family phi needs --set" if given is None else "unbalanced set of size 3"
+        assert r.stderr.startswith("invalid parameters:") and want in r.stderr, r.stderr
 
     def test_index_out_of_range_is_invalid_input(self):
         for args in (

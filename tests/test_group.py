@@ -177,6 +177,29 @@ class TestLength:
             assert descent_set(w) == bits == loop_descent_set(w.window) == expected
 
 
+class TestNarrowTables:
+    """Windows, lengths and descent masks are stored as read-only int8."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_windows_are_read_only_int8(self, n):
+        win = group_table(n).windows_array
+        assert win.dtype == np.int8 and win.shape == (math.factorial(n) * 2**n, n)
+        assert not win.flags.writeable
+        with pytest.raises(ValueError):
+            win[0, 0] = 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_lengths_and_descents_are_int8_and_exact(self, n):
+        table = group_table(n)
+        assert table.lengths.dtype == table.descents.dtype == np.int8
+        assert not table.lengths.flags.writeable and not table.descents.flags.writeable
+        windows = table.windows_array.tolist()
+        dist = bfs_lengths(n)
+        assert table.lengths.tolist() == [dist[tuple(win)] for win in windows]
+        masks = [sum(1 << (i - 1) for i in loop_descent_set(win)) for win in windows]
+        assert table.descents.tolist() == masks
+
+
 class TestArrayKernels:
     """compose, invert and indices_of against the per-element arithmetic."""
 

@@ -44,7 +44,9 @@ B, C = LieType.B, LieType.C
 
 def h_descent_oracle(space, i) -> frozenset[SignedPerm]:
     """The scan's hits as elements, to compare with the closed forms."""
-    rows = group_table(space.n).windows_array[h_descent_indices(space, i)]
+    if not 1 <= i <= space.n:
+        raise ValueError(f"index {i} out of range")
+    rows = group_table(space.n).windows_array[h_descent_indices(space)[i - 1]]
     return frozenset(SignedPerm(w) for w in rows.tolist())
 
 

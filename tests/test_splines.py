@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bcsplines.splines
 from bcsplines.group import SignedPerm, group_table, min_coset_reps
 from bcsplines.hessenberg import (
     HessenbergSpace,
@@ -39,6 +40,7 @@ from bcsplines.splines import (
     left_basis,
     permutohedral_basis,
     phi_family,
+    phi_spline,
     r_family,
     r_spline,
     right_basis,
@@ -59,7 +61,6 @@ from reference import (
     expand,
     is_spline,
     length,
-    phi_spline,
     spline_space_basis,
     telescoping_identity,
     y_f_g_identity,
@@ -439,6 +440,31 @@ class TestFamilyWriters:
             assert build([]).shape == (0,) + whole.shape[1:]
 
 
+class TestNarrowWindows:
+    """The writers read the int8 windows of the table; each result equals the
+    one computed from int64 windows, so no set code, bit or index wraps.  The
+    set codes reach 2^(2n-1), past int8 from n = 4 on."""
+
+    def test_writers_equal_int64(self, monkeypatch):
+        n = 6
+        table = group_table(n)
+        ks = [k for k in range(-n, n + 1) if k]
+        writers = [lambda i=i: f_family(i, unbalanced_sets(i, n)[::7], n) for i in range(1, n + 1)]
+        writers += [lambda i=i: y_family(i, ks, n) for i in range(1, n)]
+        writers += [lambda: g_family(ks, n), lambda: phi_family(unbalanced_sets(n, n)[::3], n)]
+
+        class WideTable:
+            size, windows_array = table.size, table.windows_array.astype(np.int64)
+
+        assert table.windows_array.dtype == np.int8
+        for build in writers:
+            narrow = build()
+            with monkeypatch.context() as m:
+                m.setattr(bcsplines.splines, "group_table", lambda _: WideTable)
+                wide = build()
+            assert narrow.any() and np.array_equal(narrow, wide)
+
+
 class TestCheckedNarrowing:
     """A sum of family members is int8 only where its bound fits."""
 
@@ -576,6 +602,10 @@ class TestPhiFamily:
             phi_spline((1, -1, 2), 3)
         with pytest.raises(ValueError):
             phi_spline((1, 2), 3)
+        with pytest.raises(ValueError):
+            phi_spline((1, 2, 4), 3)
+        with pytest.raises(ValueError):
+            phi_spline((1,), 1)
 
 
 class TestShortestSupports:
