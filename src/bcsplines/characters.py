@@ -19,6 +19,12 @@ their characters are computed two ways:
         h_i(w) = #{unbalanced A, |A| = i, w(A) = A},
         s(w)   = #{k in [n] : |w(k)| = k}.
 
+A class function is an int64 array of values in `conjugacy_classes(n)`
+order.  The named characters and the traces read one stack of the class
+representatives' windows (`_class_windows`); each named character is one
+vectorised expression over it, and the traces compute g^{-1} v only at the
+pivot elements v.  Cached arrays are read-only.
+
 The two routes are cross-checked; disagreements are reported by the
 verification suites, never silently resolved.  Only the trace route
 imports `splines` and `linalg`, when it first runs, so a process that
@@ -28,12 +34,13 @@ needs the closed forms alone never loads them.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .group import SignedPerm, conjugacy_classes, group_table, unbalanced_sets
+from .group import SignedPerm, compose, conjugacy_classes, group_table, invert, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
     classify,
@@ -66,74 +73,47 @@ def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Class functions and named characters
+# Named characters
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassFunction:
-    """Integer values indexed by the conjugacy classes of W_n."""
-
-    n: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(conjugacy_classes(self.n)):
-            raise ValueError("wrong number of class values")
-
-    @classmethod
-    def from_callable(cls, n: int, fn) -> "ClassFunction":
-        return cls(n, tuple(fn(c.rep) for c in conjugacy_classes(n)))
-
-    def dimension(self) -> int:
-        for c, v in zip(conjugacy_classes(self.n), self.values):
-            if c.rep == SignedPerm.identity(self.n):
-                return v
-        raise AssertionError("identity class missing")
-
-    def __add__(self, other):
-        return ClassFunction(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other):
-        return ClassFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scale(self, c: int) -> "ClassFunction":
-        return ClassFunction(self.n, tuple(c * v for v in self.values))
-
-    def items(self):
-        return zip(conjugacy_classes(self.n), self.values)
-
-
-def defining_char_value(w: SignedPerm) -> int:
-    return sum(1 for i in range(1, w.n + 1) if w(i) == i) - sum(
-        1 for i in range(1, w.n + 1) if w(i) == -i
-    )
+@lru_cache(maxsize=None)
+def _class_windows(n: int) -> np.ndarray:
+    """The windows of the class representatives, one row per class in
+    `conjugacy_classes(n)` order: a read-only int8 (classes, n) stack."""
+    reps = np.array([c.rep.window for c in conjugacy_classes(n)], dtype=np.int8)
+    reps.setflags(write=False)
+    return reps
 
 
 @lru_cache(maxsize=None)
-def named_char(kind: str, n: int, i: int | None = None) -> ClassFunction:
-    """One of the building blocks: trivial, delta, defining, h_i, s."""
+def named_char(kind: str, n: int, i: int | None = None) -> np.ndarray:
+    """One of the building blocks (trivial, delta, defining, h_i, s) as a
+    read-only int64 array over `conjugacy_classes(n)`, read off the stacked
+    class representatives."""
+    reps = _class_windows(n)
     if kind == "h_i":
         if i is None:
             raise ValueError("h_i needs an index")
         # w fixes a set iff its sorted image equals the set's (sorted) row
         sets = np.array(unbalanced_sets(i, n), dtype=np.int64).reshape(-1, i)
-        reps = np.array([c.rep.window for c in conjugacy_classes(n)])
         images = np.sort(np.sign(sets) * reps[:, np.abs(sets) - 1], axis=-1)  # (classes, sets, i)
-        return ClassFunction(n, tuple((images == sets).all(axis=-1).sum(axis=1).tolist()))
-    if i is not None:
+        values = (images == sets).all(axis=-1).sum(axis=1)
+    elif i is not None:
         raise ValueError(f"{kind} takes no index")
-    if kind == "trivial":
-        return ClassFunction.from_callable(n, lambda w: 1)
-    if kind == "delta":
-        return ClassFunction.from_callable(n, lambda w: (-1) ** len(w.neg_set()))
-    if kind == "defining":
-        return ClassFunction.from_callable(n, defining_char_value)
-    if kind == "s":
-        return ClassFunction.from_callable(
-            n, lambda w: sum(1 for k in range(1, n + 1) if abs(w(k)) == k)
-        )
-    raise ValueError(f"unknown character {kind!r}")
+    elif kind == "trivial":
+        values = np.ones(len(reps))
+    elif kind == "delta":
+        values = 1 - 2 * ((reps < 0).sum(axis=1) % 2)
+    elif kind in ("defining", "s"):
+        pos = np.arange(1, n + 1)
+        fixed, negated = (reps == pos).sum(axis=1), (reps == -pos).sum(axis=1)
+        values = fixed - negated if kind == "defining" else fixed + negated
+    else:
+        raise ValueError(f"unknown character {kind!r}")
+    values = values.astype(np.int64)
+    values.setflags(write=False)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -143,49 +123,41 @@ def named_char(kind: str, n: int, i: int | None = None) -> ClassFunction:
 
 @dataclass(frozen=True)
 class CharacterExpression:
-    """a*1 + sum_{i in I} h_i + b*h_1 + c*s + d*delta + chi*defining - offset*1.
+    """a*1 + sum_{i in I} h_i + c*s + d*delta + chi*defining - offset*1.
 
-    I is a multiset (b contributes extra copies of h_1 separately, so an
-    uncovered index 1 and the surrounded count coexist without collapsing).
+    I is a multiset, so an uncovered index 1 and the copies of h_1 for the
+    surrounded indices coexist without collapsing.
     """
 
     n: int
     a: int = 0
     h_indices: tuple[int, ...] = ()
-    b: int = 0
     c: int = 0
     d: int = 0
     chi: int = 0
     one_offset: int = 0
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.c not in (0, 1) or self.d not in (0, 1):
+        if self.a < 0 or self.c not in (0, 1) or self.d not in (0, 1):
             raise ValueError("coefficients out of range")
         if self.c and self.d:
             raise ValueError("c and d are never simultaneously 1")
 
-    def h_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(self.h_indices + (1,) * self.b))
-
     def dimension(self) -> int:
         n = self.n
         total = self.a - self.one_offset + self.chi * n + self.c * n + self.d
-        for i in self.h_multiset():
-            total += 2**i * math.comb(n, i)
-        return total
+        return total + sum(2**i * math.comb(n, i) for i in self.h_indices)
 
-    def evaluate(self) -> ClassFunction:
+    def evaluate(self) -> np.ndarray:
+        """The values over `conjugacy_classes(n)`, an int64 array."""
         n = self.n
-        out = named_char("trivial", n).scale(self.a - self.one_offset)
-        for i in self.h_multiset():
-            out = out + named_char("h_i", n, i)
-        if self.c:
-            out = out + named_char("s", n)
-        if self.d:
-            out = out + named_char("delta", n)
-        if self.chi:
-            out = out + named_char("defining", n).scale(self.chi)
-        return out
+        terms = [
+            (self.a - self.one_offset) * named_char("trivial", n),
+            self.chi * named_char("defining", n),
+            self.c * named_char("s", n),
+            self.d * named_char("delta", n),
+        ]
+        return sum(terms + [named_char("h_i", n, i) for i in self.h_indices])
 
     def canonical_str(self) -> str:
         terms: list[str] = []
@@ -197,9 +169,7 @@ class CharacterExpression:
             terms.append(coeff(self.chi, "chi"))
         if self.a:
             terms.append(coeff(self.a, "1"))
-        counts: dict[int, int] = {}
-        for i in self.h_multiset():
-            counts[i] = counts.get(i, 0) + 1
+        counts = Counter(self.h_indices)
         for i in sorted(counts):
             terms.append(coeff(counts[i], f"h{i}"))
         if self.c:
@@ -222,8 +192,8 @@ def formula_char(tset, n: int, side: str) -> CharacterExpression:
     trivial on the right); every other t-set goes through the index
     classification.  On the divergent branch (n >= 3) the signed
     one-dimensional family gives way to h_n - 1 - chi: the left side is
-    (a-1)*1 + sum h_i + b*h_1 + h_n - chi and the right side
-    sum h_i + b*h_1 + h_n - (|uncovered| + b + 1)*1.
+    (a-1)*1 + sum h_i + h_n - chi and the right side
+    sum h_i + h_n - (|I| + 1)*1, with I the multiset of `_classified_char`.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -237,30 +207,20 @@ def formula_char(tset, n: int, side: str) -> CharacterExpression:
     if not (n >= 3 and on_divergent_branch(tset, n)):
         return _classified_char(cls, side)
     # h_n - 1 - chi in place of delta (c = 0 here since t_n is present)
-    hs = tuple(sorted(cls.uncovered)) + (n,)
-    b = len(cls.surrounded)
+    hs = tuple(sorted(cls.uncovered)) + (1,) * len(cls.surrounded) + (n,)
     if side == "left":
-        return CharacterExpression(n, a=len(cls.shaded) - 1, h_indices=hs, b=b, chi=-1)
-    return CharacterExpression(n, h_indices=hs, b=b, one_offset=len(hs) + b)
+        return CharacterExpression(n, a=len(cls.shaded) - 1, h_indices=hs, chi=-1)
+    return CharacterExpression(n, h_indices=hs, one_offset=len(hs))
 
 
 def _classified_char(cls, side: str) -> CharacterExpression:
     """The paper's expression read off the index classification."""
-    n = cls.n
-    uncovered = tuple(sorted(cls.uncovered))
-    b = len(cls.surrounded)
+    # the uncovered indices, then one h_1 per surrounded index
+    n, hs = cls.n, tuple(sorted(cls.uncovered)) + (1,) * len(cls.surrounded)
     if side == "left":
-        return CharacterExpression(
-            n, a=len(cls.shaded), h_indices=uncovered, b=b, c=cls.c, d=cls.d
-        )
+        return CharacterExpression(n, a=len(cls.shaded), h_indices=hs, c=cls.c, d=cls.d)
     return CharacterExpression(
-        n,
-        h_indices=uncovered,
-        b=b,
-        c=cls.c,
-        d=cls.d,
-        chi=1,
-        one_offset=len(uncovered) + b + cls.c,
+        n, h_indices=hs, c=cls.c, d=cls.d, chi=1, one_offset=len(hs) + cls.c
     )
 
 
@@ -304,15 +264,6 @@ def _labels_equivariant(lie_type: LieType, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _class_sources(n: int) -> np.ndarray:
-    """Row k: the index of g^{-1} v for each v, g the k-th class representative."""
-    table = group_table(n)
-    sources = np.stack([table.left_mult_indices(c.rep.inverse()) for c in conjugacy_classes(n)])
-    sources.setflags(write=False)
-    return sources
-
-
-@lru_cache(maxsize=None)
 def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     """Build, certify and trace the witness basis of the space; keep only the
     per-class traces on the full degree-one space.
@@ -327,8 +278,9 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
     and pv holds the images of the basis at the pivot coordinates (the
-    signed gather of `dot_action`, at those coordinates only), both with the
-    rows in bundle order, the build order of `witness_basis` (a row
+    signed gather of `dot_action`, at those coordinates only, from sources
+    g^{-1} v found for the m pivot elements v alone), both with the rows in
+    bundle order, the build order of `witness_basis` (a row
     permutation does not change the trace).
     On a W_n-stable space of dimension m a trace is an integer of absolute
     value at most m < p/2, so its symmetric residue is exact.
@@ -352,15 +304,21 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
         raise AssertionError("dot action does not preserve the edge ideals")
     piv_rows, piv_slots = np.divmod(cols, n)
     inv = inverse_mod_p(bundle[:, piv_rows, piv_slots], p)
-    col, sign = _signed_columns(np.array([cl.rep.window for cl in conjugacy_classes(n)]))
+    reps, table = _class_windows(n), group_table(n)
+    # (classes, m): the index of g^{-1} v for each representative g and pivot element v
+    inverses = np.repeat(invert(reps), m, axis=0)
+    pivots = np.tile(table.windows_array[piv_rows], (len(reps), 1))
+    sources = table.indices_of(compose(inverses, pivots)).reshape(len(reps), m)
+    col, sign = _signed_columns(reps)
     # (m, classes, m): the dot images of the basis at the pivot coordinates
-    pv = bundle[:, _class_sources(n)[:, piv_rows], col[:, piv_slots]] * sign[:, piv_slots]
+    pv = bundle[:, sources, col[:, piv_slots]] * sign[:, piv_slots]
     traces = trace_product_mod_p(pv.transpose(1, 0, 2), inv, p)
     return tuple(symmetric_lift(int(t), p, m) for t in traces)
 
 
-def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
-    """Trace of the dot action on a certified basis, minus the invariant part.
+def computed_char(space: HessenbergSpace, side: str) -> np.ndarray:
+    """Trace of the dot action on a certified basis, minus the invariant part,
+    as an int64 array over `conjugacy_classes(n)`.
 
     The span of t_1..t_n carries the defining character and the span of
     r_1..r_n the n-fold trivial character, so the quotient characters are
@@ -368,11 +326,5 @@ def computed_char(space: HessenbergSpace, side: str) -> ClassFunction:
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    n = space.n
-    values = []
-    for cl, tr in zip(conjugacy_classes(n), _trace_data(space)):
-        if side == "left":
-            values.append(tr - defining_char_value(cl.rep))
-        else:
-            values.append(tr - n)
-    return ClassFunction(n, tuple(values))
+    traces = np.array(_trace_data(space), dtype=np.int64)
+    return traces - (named_char("defining", space.n) if side == "left" else space.n)

@@ -152,10 +152,6 @@ class SignedPerm:
                 w[-x - 1] = -i
         return SignedPerm(w)
 
-    def neg_set(self) -> frozenset:
-        """The negative window entries {w(i) : i in [n], w(i) < 0}."""
-        return frozenset(x for x in self.window if x < 0)
-
     def signed_cycle_type(self) -> tuple[Partition, Partition]:
         """Pair (lambda, mu) of partitions: lengths of positive / negative cycles.
 

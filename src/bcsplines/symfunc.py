@@ -23,8 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .characters import ClassFunction
-from .group import Partition, cycle_type_str
+from .group import Partition, conjugacy_classes, cycle_type_str
 
 
 @lru_cache(maxsize=None)
@@ -196,15 +195,16 @@ class BCSymFunc:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def frobenius_bc(f: ClassFunction) -> BCSymFunc:
-    """The two-variable Frobenius characteristic, in the P basis.
+def frobenius_bc(values, n: int) -> BCSymFunc:
+    """The two-variable Frobenius characteristic, in the P basis, of the class
+    function with the given integer array of values over `conjugacy_classes(n)`.
 
     Computed classwise with scan-based class sizes and expanded through
-    p_r(x+y) = p_r(x) + p_r(y), p_r(x-y) = p_r(x) - p_r(y).
+    p_r(x+y) = p_r(x) + p_r(y), p_r(x-y) = p_r(x) - p_r(y).  The values
+    become Python integers first, so no product can overflow.
     """
-    n = f.n
     out: dict[Key, int] = {}  # |W_n| times the coefficients
-    for cl, val in f.items():
+    for cl, val in zip(conjugacy_classes(n), values.tolist(), strict=True):
         if not val:
             continue
         weight = val * cl.size
@@ -256,8 +256,8 @@ def h_to_s(f: BCSymFunc) -> BCSymFunc:
     return BCSymFunc(f.degree, "S", out)
 
 
-def h_basis(f: ClassFunction) -> BCSymFunc:
-    return p_to_h(frobenius_bc(f))
+def h_basis(values, n: int) -> BCSymFunc:
+    return p_to_h(frobenius_bc(values, n))
 
 
 def h_positivity(f: BCSymFunc) -> tuple[bool, list[tuple[Key, Fraction]]]:
@@ -292,10 +292,10 @@ def verify_table_rows(n: int) -> dict[str, bool]:
     from .characters import named_char
 
     report: dict[str, bool] = {}
-    report["trivial"] = h_basis(named_char("trivial", n)) == h_elem((n,), ())
-    report["delta"] = h_basis(named_char("delta", n)) == h_elem((), (n,))
-    report["defining"] = h_basis(named_char("defining", n)) == h_elem((n - 1,), (1,))
-    report["s"] = h_basis(named_char("s", n)) == h_elem((n - 1, 1), ())
+    report["trivial"] = h_basis(named_char("trivial", n), n) == h_elem((n,), ())
+    report["delta"] = h_basis(named_char("delta", n), n) == h_elem((), (n,))
+    report["defining"] = h_basis(named_char("defining", n), n) == h_elem((n - 1,), (1,))
+    report["s"] = h_basis(named_char("s", n), n) == h_elem((n - 1, 1), ())
     for k in range(1, n + 1):
-        report[f"h_{k}"] = h_basis(named_char("h_i", n, i=k)) == coset_action_h_expansion(k, n)
+        report[f"h_{k}"] = h_basis(named_char("h_i", n, i=k), n) == coset_action_h_expansion(k, n)
     return report

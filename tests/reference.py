@@ -24,6 +24,10 @@ it and whether it is independent of the package's batch code:
   `SignedPerm`.  Not independent: they call the package's whole-table
   kernels on a single window; the tests check them against `bfs_lengths`
   (word length by breadth-first search) and `loop_descent_set`.
+- `defining_char_value` and `named_char_value`: trivial, delta, chi and s
+  at one element, a loop over its window; the tests compare the package's
+  arrays, read off the stacked class representatives, against them at each
+  class representative.  Independent.
 - `f_tail_sum`, `telescoping_identity`, `y_f_g_identity`: the linear
   relations among the families (acceptance criterion 4), built from the
   package's family writers.
@@ -69,6 +73,27 @@ def descent_set(w: SignedPerm) -> frozenset[int]:
     """{i : length(w * s_i) < length(w)}."""
     mask = int(_window_descents([w.window])[0])
     return frozenset(i for i in range(1, w.n + 1) if mask >> (i - 1) & 1)
+
+
+def defining_char_value(w: SignedPerm) -> int:
+    return sum(1 for i in range(1, w.n + 1) if w(i) == i) - sum(
+        1 for i in range(1, w.n + 1) if w(i) == -i
+    )
+
+
+def named_char_value(kind: str, w: SignedPerm) -> int:
+    """A named character other than h_i at one element, by its per-element
+    definition (the tests count the sets h_i fixes themselves)."""
+    n = w.n
+    if kind == "trivial":
+        return 1
+    if kind == "delta":
+        return (-1) ** sum(1 for x in w.window if x < 0)
+    if kind == "defining":
+        return defining_char_value(w)
+    if kind == "s":
+        return sum(1 for k in range(1, n + 1) if abs(w(k)) == k)
+    raise ValueError(f"unknown character {kind!r}")
 
 
 def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int, Fraction]]:

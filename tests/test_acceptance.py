@@ -16,13 +16,11 @@ README document the divergence.
 import itertools
 import random
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bcsplines.characters import (
-    ClassFunction,
     computed_char,
     dot_action,
     formula_char,
@@ -63,7 +61,9 @@ from bcsplines.symfunc import (
     verify_table_rows,
 )
 
-from reference import length, spline_space_basis, telescoping_identity, y_f_g_identity
+from reference import (
+    length, named_char_value, spline_space_basis, telescoping_identity, y_f_g_identity
+)
 
 B, C = LieType.B, LieType.C
 
@@ -118,19 +118,19 @@ REFERENCE_ROWS_RANK_FOUR = {
 }
 
 
-def reference_class_function(tset, n, side) -> tuple[ClassFunction, int]:
+def reference_class_function(tset, n, side) -> tuple[np.ndarray, int]:
     one = named_char("trivial", n)
     chi = named_char("defining", n)
     if not tset:
-        total = ClassFunction(n, tuple(Fraction(0) for _ in one.values))
+        total = 0 * one
         for i in range(1, n + 1):
             total = total + named_char("h_i", n, i)
-        total = total - (chi if side == "left" else one.scale(n))
+        total = total - (chi if side == "left" else n * one)
         return total, 76
     a, hs, b, c, d, dim = REFERENCE_ROWS_RANK_FOUR[tset]
     hs = tuple(hs) + (1,) * b
     offset = 0 if side == "left" else len(hs) + c
-    total = one.scale(a - offset) if side == "left" else chi + one.scale(-offset)
+    total = (a - offset) * one if side == "left" else chi + (-offset) * one
     for i in hs:
         total = total + named_char("h_i", n, i)
     if c:
@@ -149,7 +149,7 @@ def test_criterion_01_reference_table_rank_four():
         for side in ("left", "right"):
             expr = published_formula_char(ts, n, side)
             ref, dim = reference_class_function(ts, n, side)
-            if expr.evaluate() != ref or expr.dimension() != dim:
+            if not np.array_equal(expr.evaluate(), ref) or expr.dimension() != dim:
                 bad.append((tset_str(ts), side))
     # full-oracle pass, timed from cold character caches
     import bcsplines.characters as chars
@@ -161,7 +161,7 @@ def test_criterion_01_reference_table_rank_four():
     for ts in all_tsets(n):
         space = realize_tset(ts, n, B)
         for side in ("left", "right"):
-            if computed_char(space, side) != formula_char(ts, n, side).evaluate():
+            if not np.array_equal(computed_char(space, side), formula_char(ts, n, side).evaluate()):
                 unverified.append((tset_str(ts), side))
     elapsed = time.monotonic() - start
     detail = (
@@ -303,7 +303,7 @@ def test_criterion_05_dot_action_lemmas():
                 assert _check_family_action(kind, param, w, n)
             h = h_spline(n)
             rn = r_spline(n, n)
-            odd = len(w.neg_set()) % 2 == 1
+            odd = named_char_value("delta", w) == -1
             assert np.array_equal(dot_action(w, h), rn - h if odd else h)
             combo = rn - 2 * h
             assert np.array_equal(dot_action(w, combo), -combo if odd else combo)
@@ -318,7 +318,7 @@ def test_criterion_05_dot_action_lemmas():
         w = rng.choice(elements(table))
         kind, param = rng.choice(items)
         assert _check_family_action(kind, param, w, n)
-        odd = len(w.neg_set()) % 2 == 1
+        odd = named_char_value("delta", w) == -1
         assert np.array_equal(dot_action(w, combo), -combo if odd else combo)
     report(5, "dot-action-lemmas", True, "exhaustive n<=3, 1000 samples n=4")
 
@@ -332,9 +332,9 @@ def test_criterion_06_character_closed_form():
             for space in enumerate_hessenberg(lt, n):
                 ts = t_set(space)
                 for side in ("left", "right"):
-                    if computed_char(space, side) != formula_char(
-                        ts, n, side
-                    ).evaluate():
+                    if not np.array_equal(
+                        computed_char(space, side), formula_char(ts, n, side).evaluate()
+                    ):
                         bad.append((str(lt), n, tset_str(ts), side))
     bad = sorted(set(bad))
     report(
@@ -356,7 +356,7 @@ def test_criterion_07_large_rank_formula_only():
     left = formula_char({2, 5, 6, 8}, 8, "left")
     ok = (
         left.a == 5
-        and left.h_multiset() == (1, 1, 4)
+        and sorted(left.h_indices) == [1, 1, 4]
         and left.c == 0
         and left.d == 1
         and left.dimension() == 1158
@@ -370,7 +370,7 @@ def test_criterion_07_large_rank_formula_only():
 
 def test_criterion_08_frobenius():
     """The two-variable Frobenius images of the named characters."""
-    assert h_basis(named_char("defining", 3)) == h_elem((2,), (1,))
+    assert h_basis(named_char("defining", 3), 3) == h_elem((2,), (1,))
     for n in (2, 3, 4):
         rep = verify_table_rows(n)
         assert all(rep.values()), f"failed rows at n={n}: {rep}"
@@ -384,7 +384,7 @@ def test_criterion_09_h_positivity():
     for n in (2, 3, 4):
         for ts in all_tsets(n):
             space = realize_tset(ts, n, B)
-            hh = h_basis(computed_char(space, "left"))
+            hh = h_basis(computed_char(space, "left"), n)
             ok, witness = h_positivity(hh)
             if not ok:
                 bad.append((n, tset_str(ts), witness))

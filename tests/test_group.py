@@ -298,11 +298,6 @@ class TestCycleTypes:
         assert SignedPerm([-1, 3, 2]).signed_cycle_type() == ((2,), (1,))
         assert SignedPerm([-1, -2, -3]).signed_cycle_type() == ((), (1, 1, 1))
 
-    def test_neg_set(self):
-        assert SignedPerm([1, 2, 3]).neg_set() == frozenset()
-        assert SignedPerm([-1, 3, 2]).neg_set() == {-1}
-        assert SignedPerm([-1, -2, -3]).neg_set() == {-1, -2, -3}
-
     def test_serialization(self):
         assert cycle_type_str((2,), (1,)) == "2|1"
         assert cycle_type_str((2, 1), ()) == "2,1|"

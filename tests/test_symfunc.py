@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bcsplines.characters import named_char
@@ -230,11 +231,11 @@ class TestPowerToHomogeneous:
 class TestFrobenius:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trivial_and_sign(self, n):
-        assert h_basis(named_char("trivial", n)) == h_elem((n,), ())
-        assert h_basis(named_char("delta", n)) == h_elem((), (n,))
+        assert h_basis(named_char("trivial", n), n) == h_elem((n,), ())
+        assert h_basis(named_char("delta", n), n) == h_elem((), (n,))
 
     def test_defining_rank_three(self):
-        assert h_basis(named_char("defining", 3)) == h_elem((2,), (1,))
+        assert h_basis(named_char("defining", 3), 3) == h_elem((2,), (1,))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_linearity(self, n):
@@ -242,22 +243,28 @@ class TestFrobenius:
         f = named_char("s", n)
         g = named_char("delta", n)
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
-        combo = f.scale(a) + g.scale(b)
-        lhs = frobenius_bc(combo)
-        rhs = frobenius_bc(f).scale(a) + frobenius_bc(g).scale(b)
+        combo = a * f + b * g  # an object array of Fractions
+        lhs = frobenius_bc(combo, n)
+        rhs = frobenius_bc(f, n).scale(a) + frobenius_bc(g, n).scale(b)
         assert lhs == rhs
+
+    def test_values_must_cover_every_class(self):
+        values = named_char("trivial", 3)
+        for wrong in (values[:-1], np.append(values, 1)):
+            with pytest.raises(ValueError):
+                frobenius_bc(wrong, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_table_rows(self, n):
         assert all(verify_table_rows(n).values())
 
     def test_coset_action_expansion_rank_three(self):
-        got = h_basis(named_char("h_i", 3, i=1))
+        got = h_basis(named_char("h_i", 3, i=1), 3)
         assert got == h_elem((2,), (1,)) + h_elem((2, 1), ())
         assert got == coset_action_h_expansion(1, 3)
 
     def test_s_rank_three(self):
-        assert h_basis(named_char("s", 3)) == h_elem((2, 1), ())
+        assert h_basis(named_char("s", 3), 3) == h_elem((2, 1), ())
 
     def test_class_sizes_consistency(self):
         # the Frobenius image of the trivial character forces the class sizes
@@ -296,14 +303,14 @@ class TestHPositivity:
         from bcsplines.characters import formula_char
 
         left = formula_char({2}, 4, "left").evaluate()
-        ok, _ = h_positivity(h_basis(left))
+        ok, _ = h_positivity(h_basis(left, 4))
         assert ok
 
     def test_right_empty_tset_negative(self):
         from bcsplines.characters import formula_char
 
         right = formula_char(set(), 4, "right").evaluate()
-        ok, wit = h_positivity(h_basis(right))
+        ok, wit = h_positivity(h_basis(right, 4))
         assert not ok
         assert (((4,), ()), Fraction(-3)) in wit
 
@@ -311,7 +318,7 @@ class TestHPositivity:
         from bcsplines.characters import formula_char
 
         left = formula_char({3, 4}, 4, "left").evaluate()
-        s = h_to_s(h_basis(left))
+        s = h_to_s(h_basis(left, 4))
         assert all(c > 0 for _, c in s.items_sorted())
 
 
