@@ -7,7 +7,8 @@ dimensional vector space carrying a W_n-action; this package computes that
 space, the characters of its two natural quotients, and their expansions
 in two-variable symmetric functions, with closed-form results cross-checked
 against brute-force scans.  Spline values are integers and every
-certificate is modular; `Fraction` appears only in the Frobenius transform.
+certificate is modular; the Frobenius image of a virtual character has
+integer coefficients, found by one exact division.
 """
 
 __version__ = "0.1.0"

@@ -170,7 +170,7 @@ def _parse_space(args) -> tuple[frozenset[int], HessenbergSpace | None]:
 
 def cmd_char(args) -> int:
     from .characters import computed_char, published_formula_char
-    from .symfunc import h_basis, h_positivity, h_to_s
+    from .symfunc import h_basis, h_positivity, h_to_s, pretty
 
     try:
         tset, space = _parse_space(args)
@@ -203,9 +203,9 @@ def cmd_char(args) -> int:
         left_fn = None
     if left_fn is not None:
         hh = h_basis(left_fn, n)
-        pos, witness = h_positivity(hh)
-        out["left_frobenius_h"] = hh.pretty()
-        out["left_frobenius_s"] = h_to_s(hh).pretty()
+        pos, witness = h_positivity(hh, n)
+        out["left_frobenius_h"] = pretty(hh, n, "h")
+        out["left_frobenius_s"] = pretty(h_to_s(hh, n), n, "s")
         out["left_h_positive"] = pos
         if witness:
             out["left_h_negative_terms"] = [
@@ -421,11 +421,11 @@ def _suite_h_positivity(n: int, lie_type: LieType):
     bad = []
     for ts in _in_order(realizable_tsets(lie_type, n)):
         space = from_tset(ts, n, lie_type)
-        ok, witness = h_positivity(h_basis(computed_char(space, "left"), n))
+        ok, _ = h_positivity(h_basis(computed_char(space, "left"), n), n)
         if not ok:
-            bad.append((tset_str(ts), witness))
+            bad.append(tset_str(ts))
     if bad:
-        detail = "; ".join(f"{{{t}}}" for t, _ in bad)
+        detail = "; ".join(f"{{{t}}}" for t in bad)
         return False, f"negative H-coefficients at t-sets: {detail}"
     return True, "left characters are H-positive"
 

@@ -7,45 +7,48 @@ Lambda(x, y) = sum_k Lambda_k(x) (x) Lambda_{n-k}(y) via
     frob(f) = 1/(2^n n!) * sum_w f(w) p_{lam(w)}(x+y) p_{mu(w)}(x-y),
 
 where (lam(w), mu(w)) is the signed cycle type and p_r(x+y) = p_r(x) + p_r(y),
-p_r(x-y) = p_r(x) - p_r(y).  Supported bases: P (p_lam(x) p_mu(y)),
-H (h_lam(x) h_mu(y)) and S (s_lam(x) s_mu(y)); conversions are exact.
+p_r(x-y) = p_r(x) - p_r(y).  The image of an irreducible character of W_n is
+s_lam(x) s_mu(y), and h_lam(x) h_mu(y) is the image of a permutation
+character, so the image of a virtual character has integer coefficients in
+both bases: the denominator 2^n n! always divides out.
+
+An element is therefore an int64 array over the pairs (lam, mu) of
+partitions with |lam| + |mu| = n, in `conjugacy_classes(n)` order (the
+order of the signed cycle types, sorted by (lam, mu)); the array holds its
+H coefficients (h_lam(x) h_mu(y)) or its S coefficients (s_lam(x) s_mu(y)).
+`h_basis` is one product with a cached integer matrix followed by one exact
+division, which raises `ValueError` if the class function is not a virtual
+character; `h_to_s` is one product with the double Kostka matrix.
 
 The P -> H transition within one variable family is the Newton recurrence
 r h_r = sum_k p_k h_{r-k}, solved for p_r and multiplied out over the parts
-of a partition; the tests check it against an independent route through
-the monomial basis.
+of a partition; its coefficients are integers.  The tests check it against
+an independent route through the monomial basis.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .group import Partition, conjugacy_classes, cycle_type_str
+import numpy as np
 
-
-@lru_cache(maxsize=None)
-def partitions(k: int) -> tuple[Partition, ...]:
-    """All partitions of k, parts weakly decreasing."""
-    if k == 0:
-        return ((),)
-    out = []
-
-    def rec(rest: int, cap: int, acc: tuple):
-        if rest == 0:
-            out.append(acc)
-            return
-        for part in range(min(rest, cap), 0, -1):
-            rec(rest - part, part, acc + (part,))
-
-    rec(k, k, ())
-    return tuple(out)
+from .group import Partition, conjugacy_classes
 
 
 def _merge(lam: Partition, mu: Partition) -> Partition:
     return tuple(sorted(lam + mu, reverse=True))
+
+
+def _matmul(a, b) -> np.ndarray:
+    """a @ b in int64; sizes whose sums of products could leave int64 raise
+    OverflowError."""
+    a, b = np.asarray(a), np.asarray(b)
+    peak = [max(int(m.max(initial=0)), -int(m.min(initial=0))) for m in (a, b)]
+    if peak[0] * peak[1] * b.shape[0] >= 2**63:
+        raise OverflowError(f"products of {peak[0]} and {peak[1]} may overflow int64")
+    return a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -98,189 +101,153 @@ def _strip_removals(gamma: Partition, size: int):
 
 
 @lru_cache(maxsize=None)
-def p_in_h_newton(r: int) -> dict[Partition, Fraction]:
+def p_in_h_newton(r: int) -> dict[Partition, int]:
     """p_r in the h basis via the Newton recurrence r h_r = sum p_k h_{r-k}."""
     if r == 0:
-        return {(): Fraction(1)}
-    out = {(r,): Fraction(r)}
+        return {(): 1}
+    out = {(r,): r}
     for k in range(1, r):
         for mu, c in p_in_h_newton(k).items():
             key = _merge(mu, (r - k,))
-            out[key] = out.get(key, Fraction(0)) - c
+            out[key] = out.get(key, 0) - c
     return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
-def p_in_h(lam: Partition) -> dict[Partition, Fraction]:
+def p_in_h(lam: Partition) -> dict[Partition, int]:
     """Expansion of p_lam in the complete homogeneous basis: the product of
     the Newton expansions of its parts."""
-    out = {(): Fraction(1)}
+    out = {(): 1}
     for part in lam:
-        nxt: dict[Partition, Fraction] = {}
+        nxt: dict[Partition, int] = {}
         for mu, c in out.items():
             for nu, d in p_in_h_newton(part).items():
                 key = _merge(mu, nu)
-                nxt[key] = nxt.get(key, Fraction(0)) + c * d
+                nxt[key] = nxt.get(key, 0) + c * d
         out = nxt
     return {k: v for k, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------
-# Two-variable symmetric functions
+# Two-variable symmetric functions as arrays over conjugacy_classes(n)
 # ---------------------------------------------------------------------------
 
 Key = tuple[Partition, Partition]
 
 
-class BCSymFunc:
-    """An element of degree-n type B/C symmetric functions in one basis."""
+@lru_cache(maxsize=None)
+def _frobenius_matrix(n: int) -> np.ndarray:
+    """Read-only int64 (classes, classes) matrix whose row for the class of
+    signed cycle type (lam, mu) is |class| times the H coefficients of
+    p_lam(x+y) p_mu(x-y).
 
-    __slots__ = ("degree", "basis", "coeffs")
-
-    def __init__(self, degree: int, basis: str, coeffs: dict[Key, Fraction]):
-        if basis not in ("P", "H", "S"):
-            raise ValueError("basis must be P, H or S")
-        clean = {}
-        for (lam, mu), c in coeffs.items():
-            c = Fraction(c)
-            if sum(lam) + sum(mu) != degree:
-                raise ValueError(f"key {cycle_type_str(lam, mu)} has wrong degree")
-            if c:
-                clean[(tuple(lam), tuple(mu))] = c
-        self.degree = degree
-        self.basis = basis
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BCSymFunc)
-            and self.degree == other.degree
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __add__(self, other):
-        if self.basis != other.basis or self.degree != other.degree:
-            raise ValueError("basis or degree mismatch")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return BCSymFunc(self.degree, self.basis, out)
-
-    def scale(self, c) -> "BCSymFunc":
-        c = Fraction(c)
-        return BCSymFunc(self.degree, self.basis, {k: c * v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items())
-
-    def pretty(self) -> str:
-        letter = self.basis.lower()
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (lam, mu), c in self.items_sorted():
-            lam_s = ",".join(map(str, lam)) if lam else "∅"
-            mu_s = ",".join(map(str, mu)) if mu else "∅"
-            term = f"{letter}[{lam_s}|{mu_s}]"
-            if c == 1:
-                parts.append(term)
-            elif c == -1:
-                parts.append(f"-{term}")
-            else:
-                parts.append(f"{c} {term}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-def frobenius_bc(values, n: int) -> BCSymFunc:
-    """The two-variable Frobenius characteristic, in the P basis, of the class
-    function with the given integer array of values over `conjugacy_classes(n)`.
-
-    Computed classwise with scan-based class sizes and expanded through
-    p_r(x+y) = p_r(x) + p_r(y), p_r(x-y) = p_r(x) - p_r(y).  The values
-    become Python integers first, so no product can overflow.
+    The product is first expanded into P keys through p_r(x+y) = p_r(x) +
+    p_r(y), p_r(x-y) = p_r(x) - p_r(y), with j of the m equal parts r sent
+    to y in binomial(m, j) ways; one P -> H matrix then expands every P key
+    at once.
     """
-    out: dict[Key, int] = {}  # |W_n| times the coefficients
-    for cl, val in zip(conjugacy_classes(n), values.tolist(), strict=True):
-        if not val:
-            continue
-        weight = val * cl.size
-        parts = [(p, 1) for p in cl.lam] + [(p, -1) for p in cl.mu]
-        for assignment in product((0, 1), repeat=len(parts)):
-            xs, ys = [], []
-            sign = 1
-            for (part, eps), to_y in zip(parts, assignment):
-                if to_y:
-                    ys.append(part)
-                    sign *= eps
-                else:
-                    xs.append(part)
+    classes = conjugacy_classes(n)
+    index = {(cl.lam, cl.mu): i for i, cl in enumerate(classes)}
+    to_p = [[0] * len(classes) for _ in classes]
+    to_h = [[0] * len(classes) for _ in classes]
+    for i, cl in enumerate(classes):
+        runs = [(r, 1, cl.lam.count(r)) for r in sorted(set(cl.lam), reverse=True)]
+        runs += [(r, -1, cl.mu.count(r)) for r in sorted(set(cl.mu), reverse=True)]
+        for split in product(*(range(m + 1) for _, _, m in runs)):
+            xs, ys, weight = [], [], cl.size
+            for (r, sign, m), j in zip(runs, split):
+                xs += [r] * (m - j)
+                ys += [r] * j
+                weight *= math.comb(m, j) * sign**j
             key = (tuple(sorted(xs, reverse=True)), tuple(sorted(ys, reverse=True)))
-            out[key] = out.get(key, 0) + sign * weight
-    order = 2**n * math.factorial(n)
-    return BCSymFunc(n, "P", {key: Fraction(c, order) for key, c in out.items()})
+            to_p[i][index[key]] += weight
+        for lam, c1 in p_in_h(cl.lam).items():
+            for mu, c2 in p_in_h(cl.mu).items():
+                to_h[i][index[lam, mu]] = c1 * c2
+    out = _matmul(*(np.array(m, dtype=np.int64) for m in (to_p, to_h)))
+    out.setflags(write=False)
+    return out
 
 
-def p_to_h(f: BCSymFunc) -> BCSymFunc:
-    """Exact change of basis, applied factorwise in x and y."""
-    if f.basis != "P":
-        raise ValueError("expected a P-basis element")
-    out: dict[Key, Fraction] = {}
-    for (lam, mu), c in f.coeffs.items():
-        for lam2, c1 in p_in_h(lam).items():
-            for mu2, c2 in p_in_h(mu).items():
-                key = (lam2, mu2)
-                out[key] = out.get(key, Fraction(0)) + c * c1 * c2
-    return BCSymFunc(f.degree, "H", out)
+@lru_cache(maxsize=None)
+def _kostka_matrix(n: int) -> np.ndarray:
+    """Read-only int64 (classes, classes) matrix of the double Kostka
+    expansion h_lam(x) h_mu(y) = sum K_{gamma,lam} K_{nu,mu} s_gamma(x) s_nu(y),
+    read from one table of Kostka numbers over the partitions of 0..n."""
+    classes = conjugacy_classes(n)
+    shapes = sorted({cl.lam for cl in classes})
+    table = np.array(
+        [[kostka(g, c) if sum(g) == sum(c) else 0 for g in shapes] for c in shapes],
+        dtype=np.int64,
+    )
+    where = {shape: k for k, shape in enumerate(shapes)}
+    lam = np.array([where[cl.lam] for cl in classes])
+    mu = np.array([where[cl.mu] for cl in classes])
+    out = table[np.ix_(lam, lam)] * table[np.ix_(mu, mu)]
+    out.setflags(write=False)
+    return out
 
 
-def h_to_s(f: BCSymFunc) -> BCSymFunc:
-    """Double-Kostka expansion h_lam(x) h_mu(y) = sum K K s_gamma(x) s_nu(y)."""
-    if f.basis != "H":
-        raise ValueError("expected an H-basis element")
-    out: dict[Key, Fraction] = {}
-    for (lam, mu), c in f.coeffs.items():
-        for gamma in partitions(sum(lam)):
-            k1 = kostka(gamma, lam)
-            if not k1:
-                continue
-            for nu in partitions(sum(mu)):
-                k2 = kostka(nu, mu)
-                if not k2:
-                    continue
-                key = (gamma, nu)
-                out[key] = out.get(key, Fraction(0)) + c * k1 * k2
-    return BCSymFunc(f.degree, "S", out)
+def h_basis(values, n: int) -> np.ndarray:
+    """H coefficients of the Frobenius image of the class function with the
+    given integer values over `conjugacy_classes(n)`.
+
+    Raises ValueError if the values do not cover every class once, or if a
+    coefficient is not an integer (the class function is then not a virtual
+    character).
+    """
+    coeffs, rest = np.divmod(_matmul(values, _frobenius_matrix(n)), 2**n * math.factorial(n))
+    if rest.any():
+        raise ValueError("not a virtual character: its H coefficients are not integers")
+    return coeffs
 
 
-def h_basis(values, n: int) -> BCSymFunc:
-    return p_to_h(frobenius_bc(values, n))
+def h_to_s(coeffs, n: int) -> np.ndarray:
+    """S coefficients of the element with the given H coefficients."""
+    return _matmul(coeffs, _kostka_matrix(n))
 
 
-def h_positivity(f: BCSymFunc) -> tuple[bool, list[tuple[Key, Fraction]]]:
-    """Whether all H-basis coefficients are nonnegative; witnesses otherwise."""
-    if f.basis != "H":
-        raise ValueError("expected an H-basis element")
-    witness = [(k, c) for k, c in f.items_sorted() if c < 0]
+def pretty(coeffs, n: int, letter: str) -> str:
+    """The nonzero terms, e.g. "2 h[1|1,1] + h[2,1|∅]"."""
+    parts = []
+    for cl, c in zip(conjugacy_classes(n), coeffs.tolist(), strict=True):
+        if not c:
+            continue
+        lam_s = ",".join(map(str, cl.lam)) if cl.lam else "∅"
+        mu_s = ",".join(map(str, cl.mu)) if cl.mu else "∅"
+        term = f"{letter}[{lam_s}|{mu_s}]"
+        if c == 1:
+            parts.append(term)
+        elif c == -1:
+            parts.append(f"-{term}")
+        else:
+            parts.append(f"{c} {term}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def h_positivity(coeffs, n: int) -> tuple[bool, list[tuple[Key, int]]]:
+    """Whether all H coefficients are nonnegative; witnesses otherwise."""
+    witness = [
+        ((cl.lam, cl.mu), c)
+        for cl, c in zip(conjugacy_classes(n), coeffs.tolist(), strict=True)
+        if c < 0
+    ]
     return (not witness, witness)
 
 
-def h_elem(lam: Partition, mu: Partition) -> BCSymFunc:
-    return BCSymFunc(sum(lam) + sum(mu), "H", {(tuple(lam), tuple(mu)): Fraction(1)})
+def _terms(n: int, *keys: Key) -> np.ndarray:
+    """The sum of the basis elements at the given keys."""
+    return np.array([keys.count((cl.lam, cl.mu)) for cl in conjugacy_classes(n)], dtype=np.int64)
 
 
-def coset_action_h_expansion(k: int, n: int) -> BCSymFunc:
+def coset_action_h_expansion(k: int, n: int) -> np.ndarray:
     """Stated H-expansion of the action on cosets of S_k x W_{n-k}:
     h_{(n-k)}(x) * sum_{j=0..k} h_{(j)}(x) h_{(k-j)}(y)."""
-    total = BCSymFunc(n, "H", {})
+    keys = []
     for j in range(k + 1):
-        lam = tuple(p for p in ((n - k), j) if p)
-        mu = (k - j,) if k - j else ()
-        total = total + h_elem(tuple(sorted(lam, reverse=True)), mu)
-    return total
+        lam = tuple(sorted((p for p in (n - k, j) if p), reverse=True))
+        keys.append((lam, (k - j,) if k - j else ()))
+    return _terms(n, *keys)
 
 
 def verify_table_rows(n: int) -> dict[str, bool]:
@@ -291,11 +258,16 @@ def verify_table_rows(n: int) -> dict[str, bool]:
     """
     from .characters import named_char
 
-    report: dict[str, bool] = {}
-    report["trivial"] = h_basis(named_char("trivial", n), n) == h_elem((n,), ())
-    report["delta"] = h_basis(named_char("delta", n), n) == h_elem((), (n,))
-    report["defining"] = h_basis(named_char("defining", n), n) == h_elem((n - 1,), (1,))
-    report["s"] = h_basis(named_char("s", n), n) == h_elem((n - 1, 1), ())
+    stated = {
+        "trivial": _terms(n, ((n,), ())),
+        "delta": _terms(n, ((), (n,))),
+        "defining": _terms(n, ((n - 1,), (1,))),
+        "s": _terms(n, ((n - 1, 1), ())),
+    }
+    report = {}
+    for kind, want in stated.items():
+        report[kind] = np.array_equal(h_basis(named_char(kind, n), n), want)
     for k in range(1, n + 1):
-        report[f"h_{k}"] = h_basis(named_char("h_i", n, i=k), n) == coset_action_h_expansion(k, n)
+        got = h_basis(named_char("h_i", n, i=k), n)
+        report[f"h_{k}"] = np.array_equal(got, coset_action_h_expansion(k, n))
     return report

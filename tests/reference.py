@@ -31,6 +31,15 @@ it and whether it is independent of the package's batch code:
 - `f_tail_sum`, `telescoping_identity`, `y_f_g_identity`: the linear
   relations among the families (acceptance criterion 4), built from the
   package's family writers.
+- `frobenius_bc`, `p_to_h` and `h_to_s`: the Frobenius image over
+  `Fraction`, as a `BCSymFunc` dict from keys (lam, mu) to coefficients:
+  the P-basis image divided by 2^n n! key by key, then expanded into the H
+  and S bases one key at a time; the tests compare the package's integer
+  arrays against it.  Not independent in its building blocks: it reads the
+  package's `p_in_h` and `kostka`, which the tests check against a
+  monomial-basis route and a brute-force tableau count.
+- `partitions`: all partitions of k, for the reference `h_to_s` and the
+  Kostka and P -> H tests.
 """
 
 from __future__ import annotations
@@ -38,14 +47,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from bcsplines.group import (
+    Partition,
     SignedPerm,
     _window_descents,
     _window_lengths,
+    conjugacy_classes,
+    cycle_type_str,
     group_table,
     unbalanced_sets,
 )
@@ -62,6 +74,7 @@ from bcsplines.splines import (
     triangular_pivots,
     y_spline,
 )
+from bcsplines.symfunc import kostka, p_in_h
 
 
 def length(w: SignedPerm) -> int:
@@ -246,3 +259,105 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
     if len(pivots(bundle.reshape(len(bundle), -1))[0]) != len(bundle):
         raise RankDeficientError("kernel vectors are not independent")
     return bundle
+
+
+@lru_cache(maxsize=None)
+def partitions(k: int) -> tuple[Partition, ...]:
+    """All partitions of k, parts weakly decreasing."""
+    if k == 0:
+        return ((),)
+    out = []
+
+    def rec(rest: int, cap: int, acc: tuple):
+        if rest == 0:
+            out.append(acc)
+            return
+        for part in range(min(rest, cap), 0, -1):
+            rec(rest - part, part, acc + (part,))
+
+    rec(k, k, ())
+    return tuple(out)
+
+
+Key = tuple[Partition, Partition]
+
+
+class BCSymFunc:
+    """An element of degree-n type B/C symmetric functions in one basis."""
+
+    __slots__ = ("degree", "basis", "coeffs")
+
+    def __init__(self, degree: int, basis: str, coeffs: dict[Key, Fraction]):
+        if basis not in ("P", "H", "S"):
+            raise ValueError("basis must be P, H or S")
+        clean = {}
+        for (lam, mu), c in coeffs.items():
+            c = Fraction(c)
+            if sum(lam) + sum(mu) != degree:
+                raise ValueError(f"key {cycle_type_str(lam, mu)} has wrong degree")
+            if c:
+                clean[(tuple(lam), tuple(mu))] = c
+        self.degree = degree
+        self.basis = basis
+        self.coeffs = clean
+
+
+def frobenius_bc(values, n: int) -> BCSymFunc:
+    """The two-variable Frobenius characteristic, in the P basis, of the class
+    function with the given integer array of values over `conjugacy_classes(n)`.
+
+    Computed classwise with scan-based class sizes and expanded through
+    p_r(x+y) = p_r(x) + p_r(y), p_r(x-y) = p_r(x) - p_r(y).  The values
+    become Python integers first, so no product can overflow.
+    """
+    out: dict[Key, int] = {}  # |W_n| times the coefficients
+    for cl, val in zip(conjugacy_classes(n), values.tolist(), strict=True):
+        if not val:
+            continue
+        weight = val * cl.size
+        parts = [(p, 1) for p in cl.lam] + [(p, -1) for p in cl.mu]
+        for assignment in product((0, 1), repeat=len(parts)):
+            xs, ys = [], []
+            sign = 1
+            for (part, eps), to_y in zip(parts, assignment):
+                if to_y:
+                    ys.append(part)
+                    sign *= eps
+                else:
+                    xs.append(part)
+            key = (tuple(sorted(xs, reverse=True)), tuple(sorted(ys, reverse=True)))
+            out[key] = out.get(key, 0) + sign * weight
+    order = 2**n * math.factorial(n)
+    return BCSymFunc(n, "P", {key: Fraction(c, order) for key, c in out.items()})
+
+
+def p_to_h(f: BCSymFunc) -> BCSymFunc:
+    """Exact change of basis, applied factorwise in x and y."""
+    if f.basis != "P":
+        raise ValueError("expected a P-basis element")
+    out: dict[Key, Fraction] = {}
+    for (lam, mu), c in f.coeffs.items():
+        for lam2, c1 in p_in_h(lam).items():
+            for mu2, c2 in p_in_h(mu).items():
+                key = (lam2, mu2)
+                out[key] = out.get(key, Fraction(0)) + c * c1 * c2
+    return BCSymFunc(f.degree, "H", out)
+
+
+def h_to_s(f: BCSymFunc) -> BCSymFunc:
+    """Double-Kostka expansion h_lam(x) h_mu(y) = sum K K s_gamma(x) s_nu(y)."""
+    if f.basis != "H":
+        raise ValueError("expected an H-basis element")
+    out: dict[Key, Fraction] = {}
+    for (lam, mu), c in f.coeffs.items():
+        for gamma in partitions(sum(lam)):
+            k1 = kostka(gamma, lam)
+            if not k1:
+                continue
+            for nu in partitions(sum(mu)):
+                k2 = kostka(nu, mu)
+                if not k2:
+                    continue
+                key = (gamma, nu)
+                out[key] = out.get(key, Fraction(0)) + c * k1 * k2
+    return BCSymFunc(f.degree, "S", out)

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -98,6 +99,30 @@ class TestImports:
             "print(code, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
         )
         assert run_python(code) == "2 []\n"
+
+    @pytest.mark.parametrize("level", ["formula", "full"])
+    def test_char_loads_no_rational_arithmetic(self, level):
+        # the Frobenius image is an integer array with one exact division
+        code = (
+            "import contextlib, io, sys, bcsplines.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = bcsplines.cli.main(['char', '--n', '3', '--tset', 't1', '--level', '{level}'])\n"
+            "print(code, sorted(m for m in ('fractions', 'decimal') if m in sys.modules))\n"
+        )
+        assert run_python(code) == "0 []\n"
+
+    def test_no_module_imports_fractions_or_decimal(self):
+        importers = {
+            path.stem
+            for path in (SRC / "bcsplines").glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.ImportFrom) and node.module in ("fractions", "decimal"))
+            or (
+                isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] in ("fractions", "decimal") for a in node.names)
+            )
+        }
+        assert importers == set()
 
     @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")])
     def test_blas_threads_default_to_one(self, given, expected):
@@ -255,12 +280,10 @@ class TestChar:
             assert r.returncode == 1 and "needs n <= 5" in r.stderr
 
     def test_negative_h_terms_use_the_cycle_type_key(self, monkeypatch, capsys):
-        from fractions import Fraction
-
         from bcsplines import symfunc
 
-        witness = [(((2, 1), ()), Fraction(-1))]
-        monkeypatch.setattr(symfunc, "h_positivity", lambda f: (False, witness))
+        witness = [(((2, 1), ()), -1)]
+        monkeypatch.setattr(symfunc, "h_positivity", lambda coeffs, n: (False, witness))
         assert cli.main(["char", "--n", "3", "--tset", "t1", "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["left_h_negative_terms"] == [{"key": "2,1|", "coeff": "-1"}]

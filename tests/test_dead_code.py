@@ -105,20 +105,6 @@ def test_every_reference_is_read_by_a_test():
     assert used == set(defs)
 
 
-def test_only_symfunc_imports_fractions():
-    importers = {
-        path.stem
-        for path in SRC.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
-        or (
-            isinstance(node, ast.Import)
-            and any(a.name.split(".")[0] == "fractions" for a in node.names)
-        )
-    }
-    assert importers == {"symfunc"}
-
-
 def unused_imports() -> set[str]:
     """module:name for each name a module imports and never reads (the
     package's __init__ and `from __future__` imports aside)."""

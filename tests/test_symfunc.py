@@ -7,22 +7,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bcsplines.characters import named_char
+import reference
+from bcsplines.characters import computed_char, formula_char, named_char
 from bcsplines.group import conjugacy_classes, cycle_type_str
+from bcsplines.hessenberg import from_tset, realizable_tsets
+from bcsplines.roots import LieType
 from bcsplines.symfunc import (
-    BCSymFunc,
     coset_action_h_expansion,
-    frobenius_bc,
     h_basis,
-    h_elem,
     h_positivity,
     h_to_s,
     kostka,
     p_in_h,
-    p_to_h,
-    partitions,
+    pretty,
     verify_table_rows,
 )
+from reference import partitions
+
+
+def term(n, lam, mu):
+    """The basis element at (lam, mu), as an array over conjugacy_classes(n)."""
+    keys = [(cl.lam, cl.mu) for cl in conjugacy_classes(n)]
+    return np.array([key == (lam, mu) for key in keys], dtype=np.int64)
+
+
+def as_dict(coeffs, n):
+    """The nonzero coefficients of an array, by key (lam, mu)."""
+    keys = [(cl.lam, cl.mu) for cl in conjugacy_classes(n)]
+    return {key: c for key, c in zip(keys, coeffs.tolist(), strict=True) if c}
 
 
 def ssyt_count_brute_force(shape, content):
@@ -231,28 +243,39 @@ class TestPowerToHomogeneous:
 class TestFrobenius:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trivial_and_sign(self, n):
-        assert h_basis(named_char("trivial", n), n) == h_elem((n,), ())
-        assert h_basis(named_char("delta", n), n) == h_elem((), (n,))
+        assert pretty(h_basis(named_char("trivial", n), n), n, "h") == f"h[{n}|∅]"
+        assert pretty(h_basis(named_char("delta", n), n), n, "h") == f"h[∅|{n}]"
 
     def test_defining_rank_three(self):
-        assert h_basis(named_char("defining", 3), 3) == h_elem((2,), (1,))
+        assert pretty(h_basis(named_char("defining", 3), 3), 3, "h") == "h[2|1]"
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_linearity(self, n):
         rng = random.Random(50 + n)
         f = named_char("s", n)
         g = named_char("delta", n)
-        a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3), 2)
-        combo = a * f + b * g  # an object array of Fractions
-        lhs = frobenius_bc(combo, n)
-        rhs = frobenius_bc(f, n).scale(a) + frobenius_bc(g, n).scale(b)
-        assert lhs == rhs
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        lhs = h_basis(a * f + b * g, n)
+        assert np.array_equal(lhs, a * h_basis(f, n) + b * h_basis(g, n))
 
     def test_values_must_cover_every_class(self):
         values = named_char("trivial", 3)
         for wrong in (values[:-1], np.append(values, 1)):
             with pytest.raises(ValueError):
-                frobenius_bc(wrong, 3)
+                h_basis(wrong, 3)
+
+    def test_a_class_function_that_is_no_virtual_character_raises(self):
+        # the indicator of the identity class has H coefficients -1/48, 1/16, ...
+        indicator = term(3, (1, 1, 1), ())
+        assert conjugacy_classes(3)[indicator.argmax()].rep.window == (1, 2, 3)
+        with pytest.raises(ValueError, match="not a virtual character"):
+            h_basis(indicator, 3)
+
+    def test_overflow_raises(self):
+        # int64 products of these values would wrap around silently
+        values = np.full(len(conjugacy_classes(3)), 2**60, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            h_basis(values, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_table_rows(self, n):
@@ -260,11 +283,11 @@ class TestFrobenius:
 
     def test_coset_action_expansion_rank_three(self):
         got = h_basis(named_char("h_i", 3, i=1), 3)
-        assert got == h_elem((2,), (1,)) + h_elem((2, 1), ())
-        assert got == coset_action_h_expansion(1, 3)
+        assert pretty(got, 3, "h") == "h[2|1] + h[2,1|∅]"
+        assert np.array_equal(got, coset_action_h_expansion(1, 3))
 
     def test_s_rank_three(self):
-        assert h_basis(named_char("s", 3), 3) == h_elem((2, 1), ())
+        assert pretty(h_basis(named_char("s", 3), 3), 3, "h") == "h[2,1|∅]"
 
     def test_class_sizes_consistency(self):
         # the Frobenius image of the trivial character forces the class sizes
@@ -277,64 +300,85 @@ class TestFrobenius:
             assert total == order
 
 
+def reference_agrees(values, n):
+    """Whether h_basis and h_to_s equal the Fraction route of `reference`."""
+    hh = reference.p_to_h(reference.frobenius_bc(values, n))
+    got = h_basis(values, n)
+    return as_dict(got, n) == hh.coeffs and as_dict(h_to_s(got, n), n) == reference.h_to_s(hh).coeffs
+
+
+class TestAgainstFractionRoute:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_named_and_closed_form_characters(self, n):
+        values = [named_char(kind, n) for kind in ("trivial", "delta", "defining", "s")]
+        values += [named_char("h_i", n, i=i) for i in range(1, n + 1)]
+        for mask in range(2**n):
+            ts = {i + 1 for i in range(n) if mask >> i & 1}
+            values += [formula_char(ts, n, side).evaluate() for side in ("left", "right")]
+        for k, v in enumerate(values):
+            assert reference_agrees(v, n), k
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("lie_type", [LieType.B, LieType.C])
+    def test_computed_characters(self, n, lie_type):
+        for ts in realizable_tsets(lie_type, n):
+            space = from_tset(ts, n, lie_type)
+            for side in ("left", "right"):
+                assert reference_agrees(computed_char(space, side), n), (ts, side)
+
+
 class TestBasisChanges:
     def test_h_to_s_examples(self):
-        assert h_to_s(h_elem((3,), ())) == BCSymFunc(
-            3, "S", {((3,), ()): Fraction(1)}
-        )
-        got = h_to_s(h_elem((1, 1), ()))
-        assert got == BCSymFunc(
-            2, "S", {((1, 1), ()): Fraction(1), ((2,), ()): Fraction(1)}
-        )
+        assert pretty(h_to_s(term(3, (3,), ()), 3), 3, "s") == "s[3|∅]"
+        assert pretty(h_to_s(term(2, (1, 1), ()), 2), 2, "s") == "s[1,1|∅] + s[2|∅]"
 
     def test_y_factor_only(self):
-        got = h_to_s(h_elem((), (2, 1)))
-        assert got == BCSymFunc(
-            3, "S", {((), (2, 1)): Fraction(1), ((), (3,)): Fraction(1)}
-        )
+        got = h_to_s(term(3, (), (2, 1)), 3)
+        assert pretty(got, 3, "s") == "s[∅|2,1] + s[∅|3]"
 
 
 class TestHPositivity:
     def test_zero_is_positive(self):
-        ok, wit = h_positivity(BCSymFunc(3, "H", {}))
+        ok, wit = h_positivity(np.zeros(len(conjugacy_classes(3)), dtype=np.int64), 3)
         assert ok and not wit
 
     def test_left_single_tset_positive(self):
-        from bcsplines.characters import formula_char
-
         left = formula_char({2}, 4, "left").evaluate()
-        ok, _ = h_positivity(h_basis(left, 4))
+        ok, _ = h_positivity(h_basis(left, 4), 4)
         assert ok
 
     def test_right_empty_tset_negative(self):
-        from bcsplines.characters import formula_char
-
         right = formula_char(set(), 4, "right").evaluate()
-        ok, wit = h_positivity(h_basis(right, 4))
+        ok, wit = h_positivity(h_basis(right, 4), 4)
         assert not ok
-        assert (((4,), ()), Fraction(-3)) in wit
+        assert (((4,), ()), -3) in wit
 
     def test_schur_expansion_of_positive_is_positive(self):
-        from bcsplines.characters import formula_char
-
         left = formula_char({3, 4}, 4, "left").evaluate()
-        s = h_to_s(h_basis(left, 4))
-        assert all(c > 0 for _, c in s.items_sorted())
+        s = h_to_s(h_basis(left, 4), 4)
+        assert s.any() and (s >= 0).all()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("lie_type", [LieType.B, LieType.C])
+    def test_computed_characters_have_nonnegative_s_multiplicities(self, n, lie_type):
+        # each quotient is a representation, so its S coefficients (the
+        # multiplicities of the irreducibles) are nonnegative integers
+        for ts in realizable_tsets(lie_type, n):
+            space = from_tset(ts, n, lie_type)
+            for side in ("left", "right"):
+                s = h_to_s(h_basis(computed_char(space, side), n), n)
+                assert s.dtype == np.int64 and (s >= 0).all(), (ts, side)
 
 
 class TestSerialization:
     def test_key_round_trip(self):
-        ((key, coeff),) = h_elem((2, 1), (3,)).items_sorted()
-        assert key == ((2, 1), (3,)) and coeff == 1
+        ok, [(key, coeff)] = h_positivity(-term(6, (2, 1), (3,)), 6)
+        assert not ok and key == ((2, 1), (3,)) and coeff == -1
         assert cycle_type_str(*key) == "2,1|3"
         assert cycle_type_str((), ()) == "|"
 
     def test_pretty(self):
-        f = h_elem((2, 1), ()) + h_elem((1,), (1, 1)).scale(2)
-        assert f.pretty() == "2 h[1|1,1] + h[2,1|∅]"
-
-    def test_wrong_basis_raises(self):
-        with pytest.raises(ValueError):
-            p_to_h(h_elem((2,), ()))
-        with pytest.raises(ValueError):
-            h_to_s(BCSymFunc(2, "P", {((2,), ()): Fraction(1)}))
+        f = term(3, (2, 1), ()) + 2 * term(3, (1,), (1, 1))
+        assert pretty(f, 3, "h") == "2 h[1|1,1] + h[2,1|∅]"
+        assert pretty(-f, 3, "s") == "-2 s[1|1,1] - s[2,1|∅]"
+        assert pretty(0 * f, 3, "h") == "0"
