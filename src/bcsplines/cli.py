@@ -18,6 +18,13 @@ descent-formula and characters suites of `verify`, are the paper's published
 case (published_descent_formula, published_formula_char), so the output
 shows where it disagrees with the definition: on the divergent branch the
 verdicts read NO / FAIL.
+
+Importing this module, building the parser and every check of the command
+line (the rank bounds, --type, the --level full limit) load no numpy: the
+parser reads `LieType` and the rank limits from the package's `__init__`,
+and each command and verification suite imports the modules it runs (numpy,
+`group`, `hessenberg`, and the others it needs) when it runs.  So --help and
+a usage error cost only the interpreter and argparse.
 """
 
 from __future__ import annotations
@@ -35,26 +42,7 @@ import time
 # numpy computes without BLAS.  A user's own value still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-from .group import (
-    MAX_ENUM_RANK, MAX_FULL_RANK, SignedPerm, compose, conjugacy_classes, cycle_type_str,
-    group_table, invert
-)
-from .hessenberg import (
-    HessenbergSpace,
-    enumerate_hessenberg,
-    from_tset,
-    dim_degree_one,
-    h_descent_indices,
-    parse_tset,
-    published_descent_formula,
-    realizable_tsets,
-    realize_tset,
-    t_set,
-    tset_str,
-)
-from .roots import LieType
+from . import MAX_ENUM_RANK, MAX_FULL_RANK, LieType
 
 
 def _lie(s: str) -> LieType:
@@ -94,10 +82,14 @@ def _all_tsets(n: int) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _table_row(tset: frozenset, n: int, space: HessenbergSpace | None) -> dict:
+def _table_row(tset: frozenset, n: int, space) -> dict:
     """The closed forms of the t-set, verified against the computed
-    characters of the space when one is given (at --level full)."""
+    characters of the space (a HessenbergSpace) when one is given (at
+    --level full)."""
+    import numpy as np
+
     from .characters import computed_char, published_formula_char
+    from .hessenberg import tset_str
 
     left = published_formula_char(tset, n, "left")
     right = published_formula_char(tset, n, "right")
@@ -117,6 +109,8 @@ def _table_row(tset: frozenset, n: int, space: HessenbergSpace | None) -> dict:
 
 
 def cmd_table(args) -> int:
+    from .hessenberg import enumerate_hessenberg, realize_tset, t_set
+
     n, full = args.n, args.level == "full"
     if args.by_ideal:
         rows = []
@@ -152,7 +146,11 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_space(args) -> tuple[frozenset[int], HessenbergSpace | None]:
+def _parse_space(args) -> tuple:
+    """The t-set of the command line and its HessenbergSpace (None above
+    MAX_ENUM_RANK, where only the closed forms are computed)."""
+    from .hessenberg import HessenbergSpace, parse_tset, realize_tset, t_set
+
     n = args.n
     if args.tset is not None and args.ideal is not None:
         raise ValueError("give either --tset or --ideal, not both")
@@ -169,7 +167,11 @@ def _parse_space(args) -> tuple[frozenset[int], HessenbergSpace | None]:
 
 
 def cmd_char(args) -> int:
+    import numpy as np
+
     from .characters import computed_char, published_formula_char
+    from .group import SignedPerm, conjugacy_classes, cycle_type_str
+    from .hessenberg import tset_str
     from .symfunc import h_basis, h_positivity, h_to_s, pretty
 
     try:
@@ -229,6 +231,10 @@ def cmd_char(args) -> int:
 def _suite_group_laws(n: int, lie_type: LieType):
     import random
 
+    import numpy as np
+
+    from .group import SignedPerm, compose, group_table, invert
+
     table = group_table(n)
     win = table.windows_array
     rng = random.Random(20_000 + n)
@@ -257,6 +263,10 @@ def _suite_group_laws(n: int, lie_type: LieType):
 
 
 def _suite_length_bfs(n: int, lie_type: LieType):
+    import numpy as np
+
+    from .group import SignedPerm, group_table
+
     table = group_table(n)
     right = np.empty((n, table.size), dtype=np.int32)  # right[i - 1, k]: index of w_k s_i
     for i in range(1, n + 1):
@@ -289,6 +299,19 @@ def _suite_root_bijection(n: int, lie_type: LieType):
 
 
 def _suite_descents(n: int, lie_type: LieType, level: str):
+    import numpy as np
+
+    from .group import group_table
+    from .hessenberg import (
+        enumerate_hessenberg,
+        from_tset,
+        h_descent_indices,
+        published_descent_formula,
+        realizable_tsets,
+        t_set,
+        tset_str,
+    )
+
     if level == "full":
         spaces = enumerate_hessenberg(lie_type, n)
     else:
@@ -314,7 +337,7 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
 
 def _suite_families(n: int, lie_type: LieType):
     from .group import unbalanced_sets
-    from .hessenberg import classify, on_divergent_branch
+    from .hessenberg import classify, enumerate_hessenberg, on_divergent_branch, t_set
     from .splines import edges_ok, f_family, g_family, h_family, phi_family, y_family
 
     families = {
@@ -364,6 +387,7 @@ def _suite_families(n: int, lie_type: LieType):
 
 
 def _suite_bases(n: int, lie_type: LieType):
+    from .hessenberg import dim_degree_one, from_tset, realizable_tsets, tset_str
     from .splines import bundle_rank, generating_set, left_basis, permutohedral_basis, right_basis
 
     def ranks_to_dim(build, space, basis=True) -> bool:
@@ -388,7 +412,10 @@ def _suite_bases(n: int, lie_type: LieType):
 
 
 def _suite_characters(n: int, lie_type: LieType):
+    import numpy as np
+
     from .characters import computed_char, published_formula_char
+    from .hessenberg import from_tset, realizable_tsets, tset_str
 
     tsets = _in_order(realizable_tsets(lie_type, n))
     bad = []
@@ -416,6 +443,7 @@ def _suite_frobenius(n: int, lie_type: LieType):
 
 def _suite_h_positivity(n: int, lie_type: LieType):
     from .characters import computed_char
+    from .hessenberg import from_tset, realizable_tsets, tset_str
     from .symfunc import h_basis, h_positivity
 
     bad = []
@@ -470,6 +498,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dump_spline(args) -> int:
     from .characters import dot_action
+    from .group import SignedPerm
     from .splines import (
         dump, f_spline, g_spline, h_spline, phi_spline, r_spline, t_spline, y_spline
     )
@@ -477,7 +506,10 @@ def cmd_dump_spline(args) -> int:
     n, fam = args.n, args.family
 
     def given_set() -> tuple[int, ...]:
-        return tuple(int(x) for x in args.set.split(","))
+        try:
+            return tuple(int(x) for x in args.set.split(","))
+        except ValueError:
+            raise ValueError(f"malformed set {args.set!r}; expected e.g. \"2,-1\"") from None
 
     build = {
         "t": lambda: t_spline(args.index, n),
@@ -494,7 +526,7 @@ def cmd_dump_spline(args) -> int:
         if fam == "y" and args.k is None:
             raise ValueError("family y needs --k")
         rho = build[fam]()
-        if args.act:
+        if args.act is not None:
             rho = dot_action(SignedPerm.from_string(args.act), rho)
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)

@@ -37,10 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-Partition = tuple[int, ...]
+from . import MAX_ENUM_RANK
 
-MAX_ENUM_RANK = 6  # W_6 has 46080 elements, the practical limit for full scans
-MAX_FULL_RANK = 5  # the limit for --level full: traces and bases of every space
+Partition = tuple[int, ...]
 
 
 def order_key(k: int, n: int) -> int:
@@ -178,7 +177,11 @@ class SignedPerm:
 
     @classmethod
     def from_string(cls, s: str) -> "SignedPerm":
-        return cls(int(p) for p in s.split(","))
+        try:
+            window = [int(p) for p in s.split(",")]
+        except ValueError:
+            raise ValueError(f"malformed window {s!r}; expected e.g. \"-2,1,3\"") from None
+        return cls(window)
 
     def __eq__(self, other):
         return isinstance(other, SignedPerm) and self.window == other.window

@@ -17,24 +17,16 @@ transpositions of W_n:
 
 from __future__ import annotations
 
-import enum
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from . import LieType
 from .group import SignedPerm, group_table
 
 EVector = tuple[int, ...]
-
-
-class LieType(enum.Enum):
-    B = "B"
-    C = "C"
-
-    def __str__(self):
-        return self.value
 
 
 @dataclass(frozen=True, order=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcsplines import cli, group, splines
+from bcsplines import cli, group, hessenberg, splines
 from bcsplines.group import SignedPerm, group_table
 from bcsplines.hessenberg import (
     _inversion_counts,
@@ -68,16 +68,114 @@ def run_python(code, **env):
     return r.stdout
 
 
+# numpy and the package modules that load it when imported; a command imports
+# those it runs, and nothing before it runs needs them
+ARITHMETIC = ("numpy", "bcsplines.group", "bcsplines.hessenberg", "bcsplines.roots")
+
+
+def _loads_numpy(module: str, seen=()) -> bool:
+    """Whether importing the module loads numpy: it is numpy, or it is a
+    module of this package that imports one that does at module level."""
+    if module.split(".")[0] == "numpy":
+        return True
+    if module.split(".")[0] != "bcsplines" or module in seen:
+        return False
+    return any(_loads_numpy(m, (*seen, module)) for m in _module_level_imports(module))
+
+
+def _module_level_imports(module: str) -> set[str]:
+    """The modules a package module imports outside its function bodies."""
+    pkg = SRC / "bcsplines"
+    path = pkg / f"{module.partition('.')[2] or '__init__'}.py"
+    out, todo = set(), list(ast.parse(path.read_text()).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module:  # from .group import name
+            out.add(f"bcsplines.{node.module}")
+        elif isinstance(node, ast.ImportFrom):  # from . import name: a module or a name
+            out |= {
+                f"bcsplines.{a.name}" if (pkg / f"{a.name}.py").is_file() else "bcsplines"
+                for a in node.names
+            }
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _main_in_fresh_interpreter(argv: list[str], stream: str):
+    """Exit code of main(argv) in a fresh interpreter (argparse's by
+    SystemExit), what it wrote to the stream ("stdout" or "stderr"), and the
+    ARITHMETIC modules it loaded."""
+    child = (
+        "import contextlib, io, json, sys, bcsplines.cli\n"
+        "text = io.StringIO()\n"
+        f"with contextlib.redirect_{stream}(text):\n"
+        "    try:\n"
+        f"        code = bcsplines.cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"loaded = sorted(m for m in {ARITHMETIC!r} if m in sys.modules)\n"
+        "print(json.dumps([code, text.getvalue(), loaded]))\n"
+    )
+    return json.loads(run_python(child))
+
+
 class TestImports:
     def test_parser_loads_no_arithmetic_modules(self):
         # the modules each subcommand needs are imported when it runs
+        modules = ARITHMETIC + (
+            "bcsplines.splines", "bcsplines.characters", "bcsplines.linalg", "bcsplines.symfunc",
+            "fractions",
+        )
         code = (
             "import sys, bcsplines.cli\n"
             "bcsplines.cli.build_parser()\n"
-            "print(sorted(m for m in ('bcsplines.splines', 'bcsplines.characters',\n"
-            "    'bcsplines.linalg', 'bcsplines.symfunc', 'fractions') if m in sys.modules))\n"
+            f"print(sorted(m for m in {modules!r} if m in sys.modules))\n"
         )
         assert run_python(code) == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "verify --n 9",
+                "bcsplines verify: error: argument --n: rank must be between 2 and 6, got 9",
+            ),
+            (
+                "table --n 3 --type Z",
+                "bcsplines table: error: argument --type: unknown type 'Z'; expected B or C",
+            ),
+            ("char --n 8 --tset t1 --level full", "--level full needs n <= 5, got 8"),
+        ],
+        ids=["rank", "type", "full-rank"],
+    )
+    def test_usage_errors_load_no_numpy(self, argv, message):
+        # the rank bounds, the type check and the full-level limit are read
+        # before any command runs
+        code, err, loaded = _main_in_fresh_interpreter(argv.split(), "stderr")
+        assert (code, err.splitlines()[-1], loaded) == (1, message, [])
+
+    @pytest.mark.parametrize(
+        "command",
+        [[], ["table"], ["char"], ["verify"], ["dump-spline"]],
+        ids=["bcsplines", "table", "char", "verify", "dump-spline"],
+    )
+    def test_help_loads_no_numpy(self, command):
+        code, out, loaded = _main_in_fresh_interpreter([*command, "--help"], "stdout")
+        usage = " ".join(["usage: bcsplines", *command])
+        assert (code, out.startswith(usage), loaded) == (0, True, [])
+
+    def test_front_end_imports_no_numpy_at_module_level(self):
+        # a module-level import of numpy, or of a package module that loads
+        # it, in `cli` or the package's __init__ would load numpy before the
+        # command line is read
+        assert all(_loads_numpy(m) for m in ARITHMETIC)  # the check can fail
+        front = _module_level_imports("bcsplines") | _module_level_imports("bcsplines.cli")
+        assert {m for m in front if _loads_numpy(m)} == set()
 
     def test_formula_char_loads_no_trace_modules(self):
         # the closed forms need neither the spline families nor the modular solver
@@ -491,14 +589,13 @@ class TestVerifyDetectsBrokenKernels:
     def test_broken_compose(self, monkeypatch, capsys):
         broken = _swap_first_entries(group.compose)
         monkeypatch.setattr(group, "compose", broken)
-        monkeypatch.setattr(cli, "compose", broken)
         assert cli.main(["verify", "--n", "3"]) == 2
         out = capsys.readouterr().out
         assert "FAIL  group-laws: product fails at SignedPerm([" in out
         assert "FAIL  length-bfs: length mismatch at SignedPerm([" in out
 
     def test_broken_invert(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "invert", _swap_first_entries(group.invert))
+        monkeypatch.setattr(group, "invert", _swap_first_entries(group.invert))
         assert cli.main(["verify", "--n", "3"]) == 2
         out = capsys.readouterr().out
         assert "FAIL  group-laws: inverse fails at SignedPerm([" in out
@@ -513,13 +610,13 @@ class TestDescentSuiteNamesThePair:
     TSET, I = frozenset({1}), 2
 
     def patch(self, monkeypatch, change):
-        real = cli.published_descent_formula
+        real = hessenberg.published_descent_formula
 
         def patched(ts, n, i):
             out = real(ts, n, i)
             return change(out) if (frozenset(ts), i) == (self.TSET, self.I) else out
 
-        monkeypatch.setattr(cli, "published_descent_formula", patched)
+        monkeypatch.setattr(hessenberg, "published_descent_formula", patched)
 
     def run(self, capsys):
         assert cli.main(["verify", "--n", "3"]) == 2
@@ -610,6 +707,24 @@ class TestDumpSpline:
     def test_missing_parameters(self):
         assert run_cli("dump-spline", "--n", "2", "--family", "f").returncode == 1
         assert run_cli("dump-spline", "--n", "2", "--family", "y").returncode == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--family", "t", "--act", "garbage"), "window 'garbage'; expected e.g. \"-2,1,3\""),
+            (("--family", "t", "--act", ""), "window ''; expected e.g. \"-2,1,3\""),
+            (
+                ("--family", "f", "--index", "2", "--set", "1,x"),
+                "set '1,x'; expected e.g. \"2,-1\"",
+            ),
+            (("--family", "phi", "--set", "1,x"), "set '1,x'; expected e.g. \"2,-1\""),
+        ],
+        ids=["act", "act-empty", "set-f", "set-phi"],
+    )
+    def test_malformed_list_names_the_value(self, args, message):
+        r = run_cli("dump-spline", "--n", "3", *args)
+        want = f"invalid parameters: malformed {message}\n"
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", want)
 
     @pytest.mark.parametrize(
         "n, b, act",
