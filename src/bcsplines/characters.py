@@ -41,12 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .group import SignedPerm, compose, conjugacy_classes, group_table, invert, unbalanced_sets
-from .hessenberg import (
-    HessenbergSpace,
-    classify,
-    dim_degree_one,
-    on_divergent_branch,
-)
+from .hessenberg import HessenbergSpace, classify, on_divergent_branch
 from .roots import LieType, label_matrix, positive_roots
 
 
@@ -64,7 +59,8 @@ def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
     one signed gather.  Negating the dtype's minimum wraps, so an entry there
     raises OverflowError."""
     if w.n != values.shape[-1]:
-        raise ValueError("rank mismatch")
+        window, n = ",".join(map(str, w.window)), values.shape[-1]
+        raise ValueError(f"rank mismatch: window {window} has rank {w.n}, the splines need rank {n}")
     if values.dtype.kind == "i" and (values == np.iinfo(values.dtype).min).any():
         raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
     src = group_table(w.n).left_mult_indices(w.inverse())
@@ -268,50 +264,45 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     """Build, certify and trace the witness basis of the space; keep only the
     per-class traces on the full degree-one space.
 
-    The certificate: the count equals the scan dimension, `triangular_pivots`
-    finds a pivot block that is upper triangular with a nonzero diagonal
-    after a row reordering (an exact integer test, so the elements are
-    independent), and every element meets the edge conditions (one
-    `edges_ok` call for the whole basis).  The dot action is defined on the
-    space: its labels are pairwise independent and equivariant in the
+    The certificate: `splines.witness_pivots` reads the pivots off E, the
+    elements with at most one H-inversion, checks that the count equals
+    their number (the scan dimension) and that the pivot block is upper
+    triangular with a nonzero diagonal (an exact integer test, so the
+    elements are independent), and every element meets the edge conditions
+    (one `edges_ok` call for the whole basis).  The dot action is defined on
+    the space: its labels are pairwise independent and equivariant in the
     space's type.
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
     and pv holds the images of the basis at the pivot coordinates (the
     signed gather of `dot_action`, at those coordinates only, from sources
     g^{-1} v found for the m pivot elements v alone), both with the rows in
-    bundle order, the build order of `witness_basis` (a row
-    permutation does not change the trace).
+    bundle order, the build order of `witness_basis`.
     On a W_n-stable space of dimension m a trace is an integer of absolute
     value at most m < p/2, so its symmetric residue is exact.
     """
-    from .linalg import (
-        PRIMES, RankDeficientError, inverse_mod_p, symmetric_lift, trace_product_mod_p
-    )
-    from .splines import edges_ok, labels_pairwise_independent, triangular_pivots, witness_basis
+    from .linalg import PRIMES, inverse_mod_p, symmetric_lift, trace_product_mod_p
+    from .splines import edges_ok, labels_pairwise_independent, witness_basis, witness_pivots
 
     n = space.n
     bundle = witness_basis(space)  # (m, N, n)
     m, p = len(bundle), PRIMES[0]
-    if m != dim_degree_one(space):
-        raise RankDeficientError("bundle does not span for this space")
-    _, cols = triangular_pivots(bundle)
+    elems, coords = witness_pivots(bundle, space)
     if not edges_ok(bundle, space.roots).all():
         raise AssertionError("bundle element violates an edge condition")
     if not labels_pairwise_independent(space.lie_type, n):
         raise AssertionError("edge labels are not pairwise independent")
     if not _labels_equivariant(space.lie_type, n):
         raise AssertionError("dot action does not preserve the edge ideals")
-    piv_rows, piv_slots = np.divmod(cols, n)
-    inv = inverse_mod_p(bundle[:, piv_rows, piv_slots], p)
+    inv = inverse_mod_p(bundle[:, elems, coords], p)
     reps, table = _class_windows(n), group_table(n)
     # (classes, m): the index of g^{-1} v for each representative g and pivot element v
     inverses = np.repeat(invert(reps), m, axis=0)
-    pivots = np.tile(table.windows_array[piv_rows], (len(reps), 1))
+    pivots = np.tile(table.windows_array[elems], (len(reps), 1))
     sources = table.indices_of(compose(inverses, pivots)).reshape(len(reps), m)
     col, sign = _signed_columns(reps)
     # (m, classes, m): the dot images of the basis at the pivot coordinates
-    pv = bundle[:, sources, col[:, piv_slots]] * sign[:, piv_slots]
+    pv = bundle[:, sources, col[:, coords]] * sign[:, coords]
     traces = trace_product_mod_p(pv.transpose(1, 0, 2), inv, p)
     return tuple(symmetric_lift(int(t), p, m) for t in traces)
 

@@ -258,6 +258,16 @@ def _inversion_counts(space: HessenbergSpace) -> np.ndarray:
     return counts
 
 
+def determining_elements(space: HessenbergSpace) -> np.ndarray:
+    """E: the table indices of the elements with at most one H-inversion, in
+    (length, table index) order, read-only; it starts at the identity, and
+    the values at E determine a spline of the space (`splines.bundle_rank`)."""
+    idx = np.flatnonzero(_inversion_counts(space) <= 1)
+    out = idx[np.argsort(group_table(space.n).lengths[idx], kind="stable")]
+    out.setflags(write=False)
+    return out
+
+
 def h_descent_indices(space: HessenbergSpace) -> tuple[np.ndarray, ...]:
     """Brute-force scan: for i = 1..n, the sorted table indices of the
     elements whose unique H-inversion is alpha_i (one count for all i)."""

@@ -7,10 +7,10 @@ are independent over Q (their pivot block has a determinant that is nonzero
 mod p, hence a nonzero integer), so pivots found mod p are never spurious; a
 trace known to be an integer of absolute value below p/2 is its symmetric
 residue (`symmetric_lift`).  Inverses mod p serve pivot blocks whose
-independence is proved over the integers elsewhere (a triangular block, see
-`splines.triangular_pivots`).  Nothing here uses rational arithmetic; the
-exact kernel solve that reads the edge conditions directly is the tests'
-reference, in `tests/reference.py`.
+independence is proved over the integers elsewhere (the triangular block of
+the witness basis, see `splines.witness_pivots`).  Nothing here uses
+rational arithmetic; the exact kernel solve that reads the edge conditions
+directly is the tests' reference, in `tests/reference.py`.
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ and return one member (N, n).  A bundle (a generating set, a basis) is one
 read-only int8 array (m, N, n), row j the values of the j-th spline in the
 documented build order, sliced, concatenated and added from family stacks
 (`_combine`, the one checked sum).  Every certificate reads that
-layout: `edges_ok`, `triangular_pivots`, `bundle_rank` and the traces.
-A spline of H is determined by its values at the identity and at the
-elements with exactly one H-inversion, so `bundle_rank` ranks bundles there.
+layout: `edges_ok`, `bundle_rank`, `witness_pivots` and the traces.  A
+spline of H is determined by its values at E, the elements with at most one
+H-inversion (`hessenberg.determining_elements`), so the certificates read E.
 Everything here is integer or modular; the exact references the tests
 compare against (the kernel basis from the edge conditions, expansion in a
 basis, the per-spline predicate, the family relations) are in
@@ -47,9 +47,9 @@ import numpy as np
 from .group import group_table, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
-    _inversion_counts,
     classify,
     descent_cases,
+    determining_elements,
     dim_degree_one,
     on_divergent_branch,
     t_set,
@@ -398,14 +398,14 @@ def permutohedral_basis(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Certificates: rank and triangular pivot blocks
+# Certificates: rank and the triangular pivot block of the witness basis
 # ---------------------------------------------------------------------------
 
 
 def bundle_rank(bundle: np.ndarray, space: HessenbergSpace) -> int:
-    """Certified rank of the bundle on E, the elements of the space with at
-    most one H-inversion (all n coordinates each): its pivot rows modulo a
-    prime, which are independent over Q.  The search stops at the dimension.
+    """Certified rank of the bundle on E (`determining_elements`, all n
+    coordinates each, in E's order): its pivot rows modulo a prime, which
+    are independent over Q.  The search stops at the dimension.
 
     Dropping columns never raises a rank, so rank = dim on E proves
     rank >= dim for any rows.  For splines of the space the restriction to E
@@ -415,35 +415,29 @@ def bundle_rank(bundle: np.ndarray, space: HessenbergSpace) -> int:
     and pairwise-independent labels (`labels_pairwise_independent`) allow
     one at most.
     """
-    cols = np.flatnonzero(_inversion_counts(space) <= 1)
+    cols = determining_elements(space)
     return len(pivots(bundle[:, cols].reshape(len(bundle), -1), dim_degree_one(space))[0])
 
 
-def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row order and pivot columns that make the pivot block of the stacked
-    values (m, N, n) upper triangular with a nonzero diagonal.
-
-    A row's pivot is its shortest-support element (smallest table index on
-    ties) at that element's first nonzero coordinate; rows are ordered by
-    (length, index, coordinate), and columns index the flattened values.
-    Each row then vanishes at the pivots of the rows before it unless two
-    rows share a pivot or a row is zero, and the block test catches both.
-    Its nonzero diagonal proves the rows independent over Q.  Raises
-    RankDeficientError when the block is not triangular.
+def witness_pivots(bundle: np.ndarray, space: HessenbergSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Certified pivot (elements, coordinates) of the witness basis, one per
+    row: e for t_1..t_n, then the rest of E (`determining_elements`) in order,
+    each at the row's first nonzero coordinate there.  A pivot block that is
+    upper triangular with a nonzero diagonal proves the rows independent over
+    Q, whatever chose the pivots.  Raises RankDeficientError when the row
+    count is not the number of pivot elements or the block is not triangular.
     """
-    m, _, n = values.shape
-    by_length = np.argsort(group_table(n).lengths, kind="stable")  # (length, index) order
-    first = np.argmax(values.any(axis=2)[:, by_length], axis=1)
-    elems = by_length[first]
-    coords = np.argmax(values[np.arange(m), elems] != 0, axis=1)
-    rows = np.argsort(first * n + coords, kind="stable")
-    elems, coords = elems[rows], coords[rows]
-    block = values[rows[:, None], elems, coords]
+    e = determining_elements(space)
+    elems = np.concatenate([np.repeat(e[:1], space.n), e[1:]])
+    if len(bundle) != len(elems):
+        raise RankDeficientError("bundle does not span for this space")
+    coords = np.argmax(bundle[np.arange(len(elems)), elems] != 0, axis=1)
+    block = bundle[:, elems, coords]
     if np.tril(block, -1).any() or not np.diag(block).all():
         raise RankDeficientError(
             "no triangular pivot block: it is not upper triangular with a nonzero diagonal"
         )
-    return rows, elems * n + coords
+    return elems, coords
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +470,11 @@ def witness_basis(space: HessenbergSpace) -> np.ndarray:
     """t_1..t_n, then for each element w of the closed-form descent sets the
     spline rho_w its `hessenberg.descent_cases` tag names, whose shortest
     support is w, by (length, table index); one int8 stack per index and
-    kind of tag is written into its rows.  This is the order
-    `triangular_pivots` gives: the pivot of t_i is coordinate i at e, that of
+    kind of tag is written into its rows.  This is the order of the pivots
+    of `witness_pivots`: the pivot of t_i is coordinate i at e, that of
     rho_w the first nonzero coordinate of rho_w(w), and rho_w vanishes at e
-    and at every other element no longer than w.
+    and at every other element no longer than w.  Where the descent sets are
+    the elements with exactly one H-inversion, the rho_w follow E.
     """
     n, table, tset = space.n, group_table(space.n), t_set(space)
     groups: dict[tuple, list] = {}  # (index, kind) -> [(window, tag arguments)]

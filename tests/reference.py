@@ -12,10 +12,16 @@ it and whether it is independent of the package's batch code:
   Independent: it reads the definition, not the closed forms.
 - `sparse_kernel_basis`: Gaussian elimination over `Fraction` on a sparse
   integer system.  Independent of the modular pivots in `linalg`.
+- `triangular_pivots`: a dense search for a row order and pivot columns
+  that make a bundle's pivot block upper triangular, from each row's
+  shortest-support element; the pivot finder of `expand`, and the
+  reference the package's witness certificate (`splines.witness_pivots`,
+  which reads its pivots off the elements with at most one H-inversion) is
+  checked against.  Independent: it never reads the H-inversions.
 - `expand`: exact coefficients of splines in a bundle with a triangular
   pivot block, by forward substitution over `Fraction`, proved by a full
   residual check; the tests compare the modular traces against it.
-  Independent of the modular trace (it shares `triangular_pivots` only).
+  Independent of the modular trace.
 - `is_spline`: the edge conditions of one spline, with the first failing
   (element, root) as a witness.  Not independent: it reads the package's
   `splines._edge_checks`; the tests check it against `reference_is_spline`,
@@ -71,7 +77,6 @@ from bcsplines.splines import (
     f_family,
     g_spline,
     reflection_perm,
-    triangular_pivots,
     y_spline,
 )
 from bcsplines.symfunc import kostka, p_in_h
@@ -178,6 +183,33 @@ def y_f_g_identity(p: int, k: int, n: int) -> bool:
     """y_{p,k} + sum_{p<i<=n} sum_{A∋k} f_i^A + g_{-k} = 0; p = 0 reads y_0 = 0."""
     total = f_tail_sum(p, n, k, n) + g_spline(-k, n) + (y_spline(p, k, n) if p else 0)
     return not total.any()
+
+
+def triangular_pivots(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row order and pivot columns that make the pivot block of the stacked
+    values (m, N, n) upper triangular with a nonzero diagonal.
+
+    A row's pivot is its shortest-support element (smallest table index on
+    ties) at that element's first nonzero coordinate; rows are ordered by
+    (length, index, coordinate), and columns index the flattened values.
+    Each row then vanishes at the pivots of the rows before it unless two
+    rows share a pivot or a row is zero, and the block test catches both.
+    Its nonzero diagonal proves the rows independent over Q.  Raises
+    RankDeficientError when the block is not triangular.
+    """
+    m, _, n = values.shape
+    by_length = np.argsort(group_table(n).lengths, kind="stable")  # (length, index) order
+    first = np.argmax(values.any(axis=2)[:, by_length], axis=1)
+    elems = by_length[first]
+    coords = np.argmax(values[np.arange(m), elems] != 0, axis=1)
+    rows = np.argsort(first * n + coords, kind="stable")
+    elems, coords = elems[rows], coords[rows]
+    block = values[rows[:, None], elems, coords]
+    if np.tril(block, -1).any() or not np.diag(block).all():
+        raise RankDeficientError(
+            "no triangular pivot block: it is not upper triangular with a nonzero diagonal"
+        )
+    return rows, elems * n + coords
 
 
 def expand(targets: np.ndarray, bundle: np.ndarray) -> tuple[tuple[Fraction, ...], ...]:

@@ -43,13 +43,13 @@ from bcsplines.splines import (
     r_spline,
     t_family,
     t_spline,
-    triangular_pivots,
     unbalanced_sets,
     witness_basis,
+    witness_pivots,
     y_spline,
 )
 
-from reference import expand, is_spline, named_char_value, spline_space_basis
+from reference import expand, is_spline, named_char_value, spline_space_basis, triangular_pivots
 
 B, C = LieType.B, LieType.C
 
@@ -633,26 +633,40 @@ class TestPivotSources:
         assert _trace_data(space) == full_table_traces(space)
 
 
-class TestWitnessCertificate:
-    """t_1..t_n and the witnesses ordered by length: a triangular pivot block."""
+# every realizable t-set at rank 5, both types
+RANK_FIVE_SPACES = [
+    from_tset(ts, 5, lt) for lt in (B, C) for ts in sorted(realizable_tsets(lt, 5), key=sorted)
+]
 
-    @pytest.mark.parametrize("space", SMALL_SPACES + [from_tset(frozenset({5}), 5, C)], ids=space_id)
+
+class TestWitnessCertificate:
+    """t_1..t_n and the witnesses ordered by length: the pivots read off E,
+    the elements with at most one H-inversion, make a triangular block."""
+
+    @pytest.mark.parametrize(
+        "space",
+        SMALL_SPACES + RANK_FIVE_SPACES + [from_tset(frozenset({2, 3, 6}), 6, C)],
+        ids=space_id,
+    )
     def test_pivot_block_is_triangular(self, space):
         bundle = witness_basis(space)
-        rows, cols = triangular_pivots(bundle)
-        # the basis is already in pivot order
-        assert rows.tolist() == list(range(len(bundle))) == list(range(dim_degree_one(space)))
-        piv_rows, piv_slots = np.divmod(cols, space.n)
-        block = bundle[:, piv_rows, piv_slots]
+        elems, coords = witness_pivots(bundle, space)
+        block = bundle[:, elems, coords]
         assert not np.tril(block, -1).any()
         assert set(np.abs(np.diag(block)).tolist()) <= {1, 2}
+        # the dense search over the whole group finds the same pivots, with
+        # the basis already in its row order
+        rows, cols = triangular_pivots(bundle)
+        assert rows.tolist() == list(range(len(bundle))) == list(range(dim_degree_one(space)))
+        assert (elems * space.n + coords).tolist() == cols.tolist()
 
     @pytest.fixture
     def tampered(self, monkeypatch):
         """Have the certificate read a modified copy of the witness basis of C3 {t3}."""
         space = from_tset(frozenset({3}), 3, C)
         bundle = witness_basis(space)
-        cols = triangular_pivots(bundle)[1].tolist()
+        elems, coords = witness_pivots(bundle, space)
+        cols = (elems * space.n + coords).tolist()
         _trace_data.cache_clear()
 
         def install(values):
@@ -687,13 +701,28 @@ class TestWitnessCertificate:
         with pytest.raises(AssertionError, match="bundle element violates an edge condition"):
             _trace_data(install(values))
 
+    def test_zero_at_its_element_raises(self, tampered):
+        bundle, cols, install = tampered
+        values = bundle.copy()
+        r = len(values) - 1
+        values[r, cols[r] // 3] = 0  # every coordinate at the row's element of E
+        with pytest.raises(RankDeficientError, match="upper triangular"):
+            _trace_data(install(values))
+
+    @pytest.mark.parametrize("change", ["drop", "repeat"])
+    def test_wrong_row_count_raises(self, tampered, change):
+        bundle, _, install = tampered
+        values = bundle[:-1] if change == "drop" else np.concatenate([bundle, bundle[-1:]])
+        with pytest.raises(RankDeficientError, match="bundle does not span for this space"):
+            _trace_data(install(values))
+
     def test_duplicated_witness_raises(self, tampered):
         bundle, cols, install = tampered
-        want = _trace_data(install(bundle))
-        # the certificate orders the rows itself: a swapped pair is sorted back
+        # the pivot elements follow the row order, so a swapped pair breaks the block
         order = list(range(len(cols)))
         order[3], order[-1] = order[-1], order[3]
-        assert _trace_data(install(bundle[order])) == want
+        with pytest.raises(RankDeficientError, match="upper triangular"):
+            _trace_data(install(bundle[order]))
         # a witness in place of another shares its pivot
         values = bundle.copy()
         values[-1] = values[3]

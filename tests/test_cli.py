@@ -704,6 +704,15 @@ class TestDumpSpline:
         assert r.returncode == 0
         assert r.stdout == (GOLDEN / "dump_spline_n3_h.txt").read_text()
 
+    @pytest.mark.parametrize("act,rank", [("1,2", 2), ("-1,-2,-3,-4", 4)])
+    def test_act_window_of_another_rank(self, act, rank):
+        r = run_cli("dump-spline", "--n", "3", "--family", "t", "--index", "1", f"--act={act}")
+        assert r.returncode == 1 and not r.stdout
+        assert r.stderr == (
+            f"invalid parameters: rank mismatch: window {act} has rank {rank},"
+            " the splines need rank 3\n"
+        )
+
     def test_missing_parameters(self):
         assert run_cli("dump-spline", "--n", "2", "--family", "f").returncode == 1
         assert run_cli("dump-spline", "--n", "2", "--family", "y").returncode == 1

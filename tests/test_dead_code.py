@@ -1,8 +1,12 @@
 """Every function and class in the package is used by the package, or kept on
 purpose with a stated reason, and every import of a module is read in it;
-every reference in tests/reference.py is read by a test."""
+every reference in tests/reference.py is read by a test; every code name the
+docs write in backticks names something that exists."""
 
 import ast
+import importlib
+import re
+from functools import lru_cache
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -126,3 +130,82 @@ def unused_imports() -> set[str]:
 
 def test_every_import_is_read():
     assert unused_imports() == set()
+
+
+# maths notation the docs write in backticks, not code names
+NOTATION = {"D_H", "h_n", "rho_w", "t_n", "OPENBLAS_NUM_THREADS"}
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def doc_code_names() -> dict[str, set[str]]:
+    """Each code name written in backticks in README.md or in a docstring of
+    the package, with the files it is written in: a dotted name, or an
+    identifier that contains an underscore."""
+    texts = [("README.md", (TESTS.parent / "README.md").read_text())]
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                texts.append((path.name, ast.get_docstring(node) or ""))
+    out: dict[str, set[str]] = {}
+    for where, text in texts:
+        for token in re.findall(r"`([^`\n]+)`", text):
+            if DOTTED.fullmatch(token) and ("." in token or "_" in token):
+                out.setdefault(token, set()).add(where)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _namespaces() -> tuple[dict, set[str], set[str]]:
+    """The modules and classes of the package by name, the names set as
+    `self.` attributes in the package, and the names tests/reference.py
+    defines."""
+    spaces = {}
+    for path in SRC.glob("*.py"):
+        module = importlib.import_module(
+            "bcsplines" if path.stem == "__init__" else f"bcsplines.{path.stem}"
+        )
+        spaces[path.stem] = module
+        spaces.update(
+            (k, v)
+            for k, v in vars(module).items()
+            if isinstance(v, type) and v.__module__.startswith("bcsplines")
+        )
+    instance = {
+        node.attr
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+    reference = ast.parse((TESTS / "reference.py").read_text()).body
+    defined = _stores(reference) | {
+        n.name for n in reference if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+    }
+    return spaces, instance, defined
+
+
+def exists(name: str) -> bool:
+    """An undotted name is an attribute of a module or class of the package,
+    a `self.` attribute, or a definition in tests/reference.py; a dotted one
+    resolves part by part from a module or class of the package, its last
+    part possibly a `self.` attribute of a class."""
+    spaces, instance, defined = _namespaces()
+    first, *rest = name.split(".")
+    if not rest:
+        return name in instance | defined or any(hasattr(obj, name) for obj in spaces.values())
+    obj = spaces.get(first)
+    for part in rest[:-1]:
+        obj = getattr(obj, part, None)
+    return hasattr(obj, rest[-1]) or (isinstance(obj, type) and rest[-1] in instance)
+
+
+def test_doc_code_names_exist():
+    names = doc_code_names()
+    assert {name: names[name] for name in names.keys() - NOTATION if not exists(name)} == {}
+
+
+def test_a_stale_doc_name_is_caught():
+    assert exists("splines.witness_pivots") and exists("triangular_pivots")
+    assert exists("GroupTable.windows_array") and exists("__init__")
+    assert not exists("splines.triangular_pivots")
+    assert not exists("no_such_name") and not exists("GroupTable.no_such_name")

@@ -11,6 +11,7 @@ from bcsplines.hessenberg import (
     _inversion_counts,
     _root_negativity,
     classify,
+    determining_elements,
     dim_degree_one,
     enumerate_hessenberg,
     from_tset,
@@ -260,6 +261,19 @@ class TestHInversions:
                 got = {i for i in range(1, 4) if neg[simple_root(i, lt, 3)][k]}
                 assert got == descent_set(w)
                 assert counts[k] == len(got)
+
+    @pytest.mark.parametrize("lt", [B, C])
+    def test_determining_elements(self, lt):
+        # E: at most one H-inversion, by (length, table index), from the identity
+        table = group_table(3)
+        for H in enumerate_hessenberg(lt, 3):
+            counts = _inversion_counts(H).tolist()
+            e = determining_elements(H)
+            want = sorted((int(table.lengths[k]), k) for k, c in enumerate(counts) if c <= 1)
+            assert e.tolist() == [k for _, k in want]
+            assert e[0] == table.index_of(SignedPerm.identity(3))
+            assert len(e) == dim_degree_one(H) - 3 + 1
+            assert not e.flags.writeable
 
     @pytest.mark.parametrize("lt", [B, C])
     def test_root_and_reflection_formulations_agree(self, lt):

@@ -46,7 +46,6 @@ from bcsplines.splines import (
     right_basis,
     t_family,
     t_spline,
-    triangular_pivots,
     unbalanced_sets,
     witness_basis,
     y_family,
@@ -63,6 +62,7 @@ from reference import (
     length,
     spline_space_basis,
     telescoping_identity,
+    triangular_pivots,
     y_f_g_identity,
 )
 
