@@ -6,8 +6,9 @@ acts on polynomials by permuting and signing the variables, so the image
 is one signed gather of rho's coefficients at the rows w^{-1} v
 (`dot_action`; the traces gather only the pivot coordinates).  Quotienting
 the degree-one spline space by the span of the constant family t_1..t_n
-(left) or of the window family r_1..r_n (right) yields two W_n-modules;
-their characters are computed two ways:
+(left) or of the window family r_1..r_n (right) yields two W_n-modules.
+One check per rank on those two families certifies that the dot action
+keeps the edge labels and both spans.  The characters are computed two ways:
 
   * computed_char: exact traces of the dot action on a certified basis,
     one trace per conjugacy class representative;
@@ -42,7 +43,6 @@ import numpy as np
 
 from .group import SignedPerm, compose, conjugacy_classes, group_table, invert, unbalanced_sets
 from .hessenberg import HessenbergSpace, classify, on_divergent_branch
-from .roots import LieType, label_matrix, positive_roots
 
 
 def _signed_columns(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,22 +239,21 @@ def published_formula_char(tset, n: int, side: str) -> CharacterExpression:
 
 
 @lru_cache(maxsize=None)
-def _labels_equivariant(lie_type: LieType, n: int) -> bool:
-    """At every simple reflection g, g applied to the label at g^{-1}v is
-    proportional to the label at v, for every root and vertex v: the dot
-    action preserves the edge ideals.
-
-    Testing the generators suffices.  If g and h pass, then for every v,
-    g h label((gh)^{-1} v) = g (h label(h^{-1} u)) with u = g^{-1} v, which
-    is g applied to a nonzero multiple of label(u), hence a nonzero multiple
-    of label(v): g acts invertibly and labels are nonzero.  So the elements
-    that pass are closed under products, and s_1, ..., s_n generate W_n.
+def _simples_fix_r_and_permute_t(n: int) -> bool:
+    """Under the dot action every simple s fixes r_1..r_n and sends t_k to
+    t_{s(k)}; as the dot action is an action, every w does the same.  So w
+    fixes each label sum_k alpha_k r_k (`splines.label_matrix`) of either
+    type, and maps edge conditions to edge conditions, and the spans of
+    t_1..t_n and r_1..r_n carry chi and the n-fold trivial character.
     """
-    from .splines import _rows_proportional
+    from .splines import r_family, t_family
 
-    labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
-    for i in range(1, n + 1):
-        if not _rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
+    idx = range(1, n + 1)
+    r = r_family(idx, n)
+    r_t = np.concatenate([r, t_family(idx, n)])
+    for i in idx:
+        s = SignedPerm.simple(i, n)
+        if not np.array_equal(dot_action(s, r_t), np.concatenate([r, t_family(s.window, n)])):
             return False
     return True
 
@@ -270,8 +269,8 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     triangular with a nonzero diagonal (an exact integer test, so the
     elements are independent), and every element meets the edge conditions
     (one `edges_ok` call for the whole basis).  The dot action is defined on
-    the space: its labels are pairwise independent and equivariant in the
-    space's type.
+    the space: its labels are pairwise independent and equivariant
+    (`splines.labels_pairwise_independent`, `_simples_fix_r_and_permute_t`).
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
     and pv holds the images of the basis at the pivot coordinates (the
@@ -292,7 +291,7 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
         raise AssertionError("bundle element violates an edge condition")
     if not labels_pairwise_independent(space.lie_type, n):
         raise AssertionError("edge labels are not pairwise independent")
-    if not _labels_equivariant(space.lie_type, n):
+    if not _simples_fix_r_and_permute_t(n):
         raise AssertionError("dot action does not preserve the edge ideals")
     inv = inverse_mod_p(bundle[:, elems, coords], p)
     reps, table = _class_windows(n), group_table(n)
@@ -313,7 +312,8 @@ def computed_char(space: HessenbergSpace, side: str) -> np.ndarray:
 
     The span of t_1..t_n carries the defining character and the span of
     r_1..r_n the n-fold trivial character, so the quotient characters are
-    trace - chi and trace - n respectively.
+    trace - chi and trace - n respectively, as `_trace_data` certifies
+    (`_simples_fix_r_and_permute_t`).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

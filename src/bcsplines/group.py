@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -309,25 +309,19 @@ class GroupTable:
         self.windows_array: np.ndarray = arr
         self._codes = codes
         self.size = len(arr)
-        self._lengths = None
-        self._descents = None
 
-    @property
+    @cached_property
     def lengths(self) -> np.ndarray:
-        if self._lengths is None:
-            arr = _window_lengths(self.windows_array)
-            arr.setflags(write=False)
-            self._lengths = arr
-        return self._lengths
+        arr = _window_lengths(self.windows_array)
+        arr.setflags(write=False)
+        return arr
 
-    @property
+    @cached_property
     def descents(self) -> np.ndarray:
         """Descent sets as bitmasks: bit i-1 of descents[k] is set iff i is a descent."""
-        if self._descents is None:
-            arr = _window_descents(self.windows_array)
-            arr.setflags(write=False)
-            self._descents = arr
-        return self._descents
+        arr = _window_descents(self.windows_array)
+        arr.setflags(write=False)
+        return arr
 
     def indices_of(self, windows) -> np.ndarray:
         """Table indices of stacked windows, shape (N, n) -> (N,).

@@ -13,6 +13,8 @@ comparison in those coordinates.  Positive roots correspond to the
 transpositions of W_n:
 
     e_i - e_j <-> (i, j)     e_i + e_j <-> (i, -j)     e_i, 2e_i <-> (i, -i).
+
+Per-root arithmetic on tuples, with no numpy; labels are `splines.label_matrix`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import LieType
-from .group import SignedPerm, group_table
+from .group import SignedPerm
 
 EVector = tuple[int, ...]
 
@@ -121,24 +121,6 @@ def act(w: SignedPerm, root_or_vec) -> EVector:
             img = w(i)
             out[abs(img) - 1] += c if img > 0 else -c
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def label_matrix(n: int, root: Root) -> np.ndarray:
-    """act(w, root) for every w of the group table, stacked as an int8 matrix.
-
-    Its entries lie in [-2, 2], so a product of two labels is exact in int8.
-    """
-    table = group_table(n)
-    win = table.windows_array
-    rows = np.arange(table.size)
-    out = np.zeros((table.size, n), dtype=np.int8)
-    for pos, c in enumerate(root.evector()):
-        if c:
-            col = win[:, pos]
-            out[rows, np.abs(col) - 1] += c * np.sign(col)
-    out.setflags(write=False)
-    return out
 
 
 def is_positive(vec: EVector) -> bool:

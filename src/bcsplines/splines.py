@@ -32,6 +32,8 @@ documented build order, sliced, concatenated and added from family stacks
 layout: `edges_ok`, `bundle_rank`, `witness_pivots` and the traces.  A
 spline of H is determined by its values at E, the elements with at most one
 H-inversion (`hessenberg.determining_elements`), so the certificates read E.
+The edge label w(alpha) is a spline too: the window family weighted by the
+root, sum_k alpha_k r_k(w) (`label_matrix`).
 Everything here is integer or modular; the exact references the tests
 compare against (the kernel basis from the edge conditions, expansion in a
 basis, the per-spline predicate, the family relations) are in
@@ -55,7 +57,7 @@ from .hessenberg import (
     t_set,
 )
 from .linalg import RankDeficientError, pivots
-from .roots import Root, label_matrix, positive_roots, root_to_reflection
+from .roots import Root, positive_roots, root_to_reflection
 
 
 def _peak(num: np.ndarray) -> int:
@@ -83,6 +85,22 @@ def dump(values: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # Edge labels and the spline predicate
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def label_matrix(n: int, root: Root) -> np.ndarray:
+    """The edge label w(alpha) at every element w of the group table: the
+    window family weighted by the root, sum_k alpha_k r_k(w), as one read-only
+    int8 matrix (N, n).
+
+    Its entries lie in [-2, 2], since sum_k |alpha_k| <= 2, so a product of
+    two labels is exact in int8.  Only the r_k with alpha_k != 0 are built.
+    """
+    alpha = np.array(root.evector())
+    ks = np.flatnonzero(alpha)
+    out = _combine([alpha[ks]], r_family(ks + 1, n))[0]
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -145,7 +163,6 @@ def edges_ok(values: np.ndarray, roots) -> np.ndarray:
     return ok
 
 
-@lru_cache(maxsize=None)
 def labels_pairwise_independent(lie_type, n: int) -> bool:
     """No two distinct positive roots have proportional labels at any w.
 
@@ -153,12 +170,13 @@ def labels_pairwise_independent(lie_type, n: int) -> bool:
     more H-inversions vanish, which in turn bounds the dimension of the
     degree-one spline space by n plus the number of elements with exactly
     one H-inversion.
+
+    The label at w is psi(w) alpha, psi(w) the invertible matrix with columns
+    r_1(w)..r_n(w) (`label_matrix`), so this is a test on the n^2 roots.
     """
-    labs = [label_matrix(n, root) for root in positive_roots(lie_type, n)]
-    # label rows are nonzero, as `_rows_proportional` needs
-    return not any(
-        _rows_proportional(np.stack(labs[k + 1 :]), lab).any() for k, lab in enumerate(labs[:-1])
-    )
+    vecs = np.array([root.evector() for root in positive_roots(lie_type, n)])
+    # root vectors are nonzero, as `_rows_proportional` needs
+    return not any(_rows_proportional(vecs[k + 1 :], vec).any() for k, vec in enumerate(vecs[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +430,8 @@ def bundle_rank(bundle: np.ndarray, space: HessenbergSpace) -> int:
     is injective, so the rank is exact: a nonzero spline is nonzero at a
     shortest element w of its support, where its value is a multiple of the
     label of every H-inversion of w (that edge leads to a shorter element),
-    and pairwise-independent labels (`labels_pairwise_independent`) allow
-    one at most.
+    and the labels of two distinct roots at w are independent, as the roots
+    are (`labels_pairwise_independent`), so w has one H-inversion at most.
     """
     cols = determining_elements(space)
     return len(pivots(bundle[:, cols].reshape(len(bundle), -1), dim_degree_one(space))[0])

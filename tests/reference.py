@@ -46,6 +46,18 @@ it and whether it is independent of the package's batch code:
   monomial-basis route and a brute-force tableau count.
 - `partitions`: all partitions of k, for the reference `h_to_s` and the
   Kostka and P -> H tests.
+- `scatter_label_matrix`: the edge label w(alpha) at every element, one
+  scatter of the windows per coordinate of alpha; the tests check the
+  package's `splines.label_matrix`, the window family weighted by the root,
+  against it.  Independent: it never reads a family writer.
+- `scan_labels_pairwise_independent` and `scan_labels_equivariant`: the two
+  label checks over every element of the group, once per type:
+  proportionality of every pair of labels at every w, and of the label
+  at v with the image under each simple g of the label at g^{-1} v.  The
+  tests check that the package's checks, on the n^2 root vectors and on
+  the r and t family stacks once per rank, give the same verdicts.  Not
+  independent in their labels: they read `splines.label_matrix`, which the
+  tests pin to `scatter_label_matrix`.
 """
 
 from __future__ import annotations
@@ -67,15 +79,18 @@ from bcsplines.group import (
     group_table,
     unbalanced_sets,
 )
+from bcsplines.characters import dot_action
 from bcsplines.hessenberg import HessenbergSpace, dim_degree_one
 from bcsplines.linalg import RankDeficientError, pivots
-from bcsplines.roots import label_matrix
+from bcsplines.roots import LieType, Root, positive_roots
 from bcsplines.splines import (
     _edge_checks,
     _peak,
+    _rows_proportional,
     edges_ok,
     f_family,
     g_spline,
+    label_matrix,
     reflection_perm,
     y_spline,
 )
@@ -393,3 +408,55 @@ def h_to_s(f: BCSymFunc) -> BCSymFunc:
                 key = (gamma, nu)
                 out[key] = out.get(key, Fraction(0)) + c * k1 * k2
     return BCSymFunc(f.degree, "S", out)
+
+
+def scatter_label_matrix(n: int, root: Root) -> np.ndarray:
+    """act(w, root) for every w of the group table, stacked as an int8 matrix.
+
+    Its entries lie in [-2, 2], so a product of two labels is exact in int8.
+    """
+    table = group_table(n)
+    win = table.windows_array
+    rows = np.arange(table.size)
+    out = np.zeros((table.size, n), dtype=np.int8)
+    for pos, c in enumerate(root.evector()):
+        if c:
+            col = win[:, pos]
+            out[rows, np.abs(col) - 1] += c * np.sign(col)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def scan_labels_pairwise_independent(lie_type, n: int) -> bool:
+    """No two distinct positive roots have proportional labels at any w.
+
+    This is what makes a value at a support-minimal element with two or
+    more H-inversions vanish, which in turn bounds the dimension of the
+    degree-one spline space by n plus the number of elements with exactly
+    one H-inversion.
+    """
+    labs = [label_matrix(n, root) for root in positive_roots(lie_type, n)]
+    # label rows are nonzero, as `_rows_proportional` needs
+    return not any(
+        _rows_proportional(np.stack(labs[k + 1 :]), lab).any() for k, lab in enumerate(labs[:-1])
+    )
+
+
+@lru_cache(maxsize=None)
+def scan_labels_equivariant(lie_type: LieType, n: int) -> bool:
+    """At every simple reflection g, g applied to the label at g^{-1}v is
+    proportional to the label at v, for every root and vertex v: the dot
+    action preserves the edge ideals.
+
+    Testing the generators suffices.  If g and h pass, then for every v,
+    g h label((gh)^{-1} v) = g (h label(h^{-1} u)) with u = g^{-1} v, which
+    is g applied to a nonzero multiple of label(u), hence a nonzero multiple
+    of label(v): g acts invertibly and labels are nonzero.  So the elements
+    that pass are closed under products, and s_1, ..., s_n generate W_n.
+    """
+    labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
+    for i in range(1, n + 1):
+        if not _rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
+            return False
+    return True

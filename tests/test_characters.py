@@ -28,7 +28,7 @@ from bcsplines.hessenberg import (
     t_set,
 )
 from bcsplines.linalg import RankDeficientError
-from bcsplines.roots import LieType, label_matrix, positive_roots
+from bcsplines.roots import LieType
 from bcsplines.splines import (
     bundle_rank,
     f_family,
@@ -49,7 +49,14 @@ from bcsplines.splines import (
     y_spline,
 )
 
-from reference import expand, is_spline, named_char_value, spline_space_basis, triangular_pivots
+from reference import (
+    expand,
+    is_spline,
+    named_char_value,
+    scan_labels_equivariant,
+    spline_space_basis,
+    triangular_pivots,
+)
 
 B, C = LieType.B, LieType.C
 
@@ -731,28 +738,61 @@ class TestWitnessCertificate:
 
 
 class TestLabelEquivariance:
-    """`_labels_equivariant` tests the simple reflections only; a label
-    broken at one vertex for one root still makes it fail."""
+    """`_simples_fix_r_and_permute_t` tests the simple reflections on the r
+    and t stacks once per rank.  It agrees with the whole-group check of the
+    labels in each type, and a stack or an action broken in one place makes
+    it fail."""
+
+    @pytest.fixture
+    def fresh(self):
+        # the check and the labels are cached; a mutation must not leak
+        def clear():
+            characters._simples_fix_r_and_permute_t.cache_clear()
+            splines.label_matrix.cache_clear()
+
+        clear()
+        yield
+        clear()
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_the_whole_group_check(self, lt, n):
+        assert characters._simples_fix_r_and_permute_t(n)
+        assert scan_labels_equivariant(lt, n)
 
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("vertex", [0, 17, 47])
-    def test_label_broken_at_one_vertex(self, monkeypatch, lt, vertex):
-        roots = positive_roots(lt, 3)
-        target, other = roots[4], roots[0]  # images of distinct roots are independent
+    def test_r_broken_at_one_vertex(self, monkeypatch, fresh, lt, vertex):
+        real = splines.r_family
 
-        def broken(n, root):
-            out = label_matrix(n, root)
-            if root == target:
-                out = out.copy()
-                out[vertex] = label_matrix(n, other)[vertex]
+        def broken(indices, n):
+            out = real(indices, n)
+            out[0, vertex] *= -1
             return out
 
-        monkeypatch.setattr(characters, "label_matrix", broken)
-        characters._labels_equivariant.cache_clear()
-        try:
-            assert not characters._labels_equivariant(lt, 3)
-        finally:
-            characters._labels_equivariant.cache_clear()
+        monkeypatch.setattr(splines, "r_family", broken)
+        assert not characters._simples_fix_r_and_permute_t(3)
+        # the labels built from that stack fail the whole-group check too
+        assert not scan_labels_equivariant.__wrapped__(lt, 3)
+
+    def test_s_n_without_its_sign(self, monkeypatch, fresh):
+        # acting by |w| makes s_n the identity, which fixes every r_k: only
+        # the t stack sees the lost sign
+        real, n = characters.dot_action, 3
+
+        def unsigned(w, values):
+            return real(SignedPerm(tuple(map(abs, w.window))), values)
+
+        r = r_family(range(1, n + 1), n)
+        assert np.array_equal(unsigned(SignedPerm.simple(n, n), r), r)
+        monkeypatch.setattr(characters, "dot_action", unsigned)
+        assert not characters._simples_fix_r_and_permute_t(n)
+
+    def test_t_sent_to_unsigned_index(self, monkeypatch, fresh):
+        # claiming s . t_k = t_{|s(k)|} must fail at s_n
+        real = splines.t_family
+        monkeypatch.setattr(splines, "t_family", lambda ks, n: real(np.abs(ks), n))
+        assert not characters._simples_fix_r_and_permute_t(3)
 
 
 class TestRankFiveBranch:

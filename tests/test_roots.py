@@ -10,7 +10,6 @@ from bcsplines.roots import (
     Root,
     act,
     is_positive,
-    label_matrix,
     parse_root,
     poset_leq,
     positive_roots,
@@ -19,6 +18,7 @@ from bcsplines.roots import (
     simple_root,
     simple_roots,
 )
+from bcsplines.splines import label_matrix
 
 from reference import length
 
@@ -210,8 +210,8 @@ class TestInt8Labels:
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_label_checks_hold(self, lt, n):
-        from bcsplines.characters import _labels_equivariant
+        from bcsplines.characters import _simples_fix_r_and_permute_t
         from bcsplines.splines import labels_pairwise_independent
 
-        assert labels_pairwise_independent.__wrapped__(lt, n)
-        assert _labels_equivariant.__wrapped__(lt, n)
+        assert labels_pairwise_independent(lt, n)
+        assert _simples_fix_r_and_permute_t.__wrapped__(n)

@@ -20,7 +20,7 @@ from bcsplines.hessenberg import (
 from bcsplines.linalg import RankDeficientError, pivots
 from bcsplines.roots import (
     LieType,
-    label_matrix,
+    Root,
     positive_roots,
     root_to_reflection,
     simple_root,
@@ -36,6 +36,7 @@ from bcsplines.splines import (
     g_spline,
     generating_set,
     h_spline,
+    label_matrix,
     labels_pairwise_independent,
     left_basis,
     permutohedral_basis,
@@ -60,6 +61,8 @@ from reference import (
     expand,
     is_spline,
     length,
+    scan_labels_pairwise_independent,
+    scatter_label_matrix,
     spline_space_basis,
     telescoping_identity,
     triangular_pivots,
@@ -180,9 +183,27 @@ class TestLabels:
                 assert outer_rows_proportional(case_poly[None], labels[idx][None]).all()
 
     @pytest.mark.parametrize("lt", [B, C])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_labels_equal_the_scatter(self, lt, n):
+        for root in positive_roots(lt, n):
+            labels = label_matrix(n, root)
+            assert labels.dtype == np.int8 and not labels.flags.writeable
+            assert np.array_equal(labels, scatter_label_matrix(n, root)), root
+
+    @pytest.mark.parametrize("lt", [B, C])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_labels_pairwise_independent(self, lt, n):
         assert labels_pairwise_independent(lt, n)
+        assert scan_labels_pairwise_independent(lt, n)
+
+    @pytest.mark.parametrize("lt", [B, C])
+    def test_a_proportional_pair_of_roots_is_caught(self, monkeypatch, lt):
+        # labels at w are psi(w) alpha with psi(w) invertible, so a pair of
+        # proportional roots gives proportional labels at every w
+        roots = positive_roots(lt, 3)
+        pair = roots + (Root(tuple(-c for c in roots[4].coords), lt),)
+        monkeypatch.setattr(bcsplines.splines, "positive_roots", lambda lie_type, n: pair)
+        assert not labels_pairwise_independent(lt, 3)
 
 
 class TestSplinePredicate:
