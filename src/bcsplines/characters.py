@@ -4,11 +4,12 @@ The dot action on splines and the degree-one characters.
 The group acts on a spline by (w . rho)(v) = w(rho(w^{-1} v)), where w
 acts on polynomials by permuting and signing the variables, so the image
 is one signed gather of rho's coefficients at the rows w^{-1} v
-(`dot_action`; the traces gather only the pivot coordinates).  Quotienting
-the degree-one spline space by the span of the constant family t_1..t_n
-(left) or of the window family r_1..r_n (right) yields two W_n-modules.
-One check per rank on those two families certifies that the dot action
-keeps the edge labels and both spans.  The characters are computed two ways:
+(`dot_action`); pulled back (`splines.pull_back`), as the traces read it,
+it is a translation of rows.  Quotienting the degree-one spline space by
+the span of the constant family t_1..t_n (left) or of the window family
+r_1..r_n (right) yields two W_n-modules.  One check per rank on those two
+families certifies the labels, their roots and both spans.  The
+characters are computed two ways:
 
   * computed_char: exact traces of the dot action on a certified basis,
     one trace per conjugacy class representative;
@@ -41,17 +42,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import SignedPerm, compose, conjugacy_classes, group_table, invert, unbalanced_sets
+from .group import (
+    SignedPerm, compose, conjugacy_classes, group_table, invert, signed_columns, unbalanced_sets
+)
 from .hessenberg import HessenbergSpace, classify, on_divergent_branch
-
-
-def _signed_columns(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(col, sign) with (w p)[r] = sign[r] * p[col[r]] for a coefficient row p,
-    for each window w of the stack (..., n): w sends x_i to sign(w(i)) x_{|w(i)|},
-    so col[r] is the i with |w(i)| = r + 1.  The signs are int8, so they keep
-    a signed integer dtype when multiplied."""
-    col = np.argsort(np.abs(windows), axis=-1)
-    return col, np.sign(np.take_along_axis(windows, col, axis=-1)).astype(np.int8)
 
 
 def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
@@ -64,7 +58,7 @@ def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
     if values.dtype.kind == "i" and (values == np.iinfo(values.dtype).min).any():
         raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
     src = group_table(w.n).left_mult_indices(w.inverse())
-    col, sign = _signed_columns(np.array(w.window))
+    col, sign = signed_columns(np.array(w.window))
     return values[..., src[:, None], col] * sign
 
 
@@ -240,51 +234,54 @@ def published_formula_char(tset, n: int, side: str) -> CharacterExpression:
 
 @lru_cache(maxsize=None)
 def _simples_fix_r_and_permute_t(n: int) -> bool:
-    """Under the dot action every simple s fixes r_1..r_n and sends t_k to
-    t_{s(k)}; as the dot action is an action, every w does the same.  So w
-    fixes each label sum_k alpha_k r_k (`splines.label_matrix`) of either
-    type, and maps edge conditions to edge conditions, and the spans of
-    t_1..t_n and r_1..r_n carry chi and the n-fold trivial character.
-    """
-    from .splines import r_family, t_family
+    """`splines.pull_back` sends r_1..r_n to t_1..t_n, so every label
+    sum_k alpha_k r_k to its root; and under the dot action every simple s
+    fixes r_1..r_n and sends t_k to t_{s(k)}, so every w does the same and
+    fixes each label of either type, maps edge conditions to edge
+    conditions, and the spans of t_1..t_n and r_1..r_n carry chi and the
+    n-fold trivial character."""
+    from .splines import pull_back, r_family, t_family
 
     idx = range(1, n + 1)
-    r = r_family(idx, n)
-    r_t = np.concatenate([r, t_family(idx, n)])
+    r, t = r_family(idx, n), t_family(idx, n)
+    r_t = np.concatenate([r, t])
     for i in idx:
         s = SignedPerm.simple(i, n)
         if not np.array_equal(dot_action(s, r_t), np.concatenate([r, t_family(s.window, n)])):
             return False
-    return True
+    return np.array_equal(pull_back(r), t)
 
 
 @lru_cache(maxsize=None)
 def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
-    """Build, certify and trace the witness basis of the space; keep only the
-    per-class traces on the full degree-one space.
+    """Build, certify and trace the witness basis of the space, pulled back
+    (`splines.pull_back`); keep only the per-class traces on the full
+    degree-one space.
 
     The certificate: `splines.witness_pivots` reads the pivots off E, the
     elements with at most one H-inversion, checks that the count equals
     their number (the scan dimension) and that the pivot block is upper
     triangular with a nonzero diagonal (an exact integer test, so the
-    elements are independent), and every element meets the edge conditions
-    (one `edges_ok` call for the whole basis).  The dot action is defined on
-    the space: its labels are pairwise independent and equivariant
+    elements are independent; a pull-back keeps each witness zero where it
+    was), and every element meets the edge conditions (one `edges_ok` call
+    for the whole basis).  The dot action is defined on the space: its
+    labels are pairwise independent, equivariant and pull back to the roots
     (`splines.labels_pairwise_independent`, `_simples_fix_r_and_permute_t`).
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
-    and pv holds the images of the basis at the pivot coordinates (the
-    signed gather of `dot_action`, at those coordinates only, from sources
-    g^{-1} v found for the m pivot elements v alone), both with the rows in
-    bundle order, the build order of `witness_basis`.
+    and pv holds the images of the basis at the pivot coordinates, each the
+    row at g^{-1} v (found for the m pivot elements v alone), both with the
+    rows in bundle order, the build order of `witness_basis`.
     On a W_n-stable space of dimension m a trace is an integer of absolute
     value at most m < p/2, so its symmetric residue is exact.
     """
     from .linalg import PRIMES, inverse_mod_p, symmetric_lift, trace_product_mod_p
-    from .splines import edges_ok, labels_pairwise_independent, witness_basis, witness_pivots
+    from .splines import (
+        edges_ok, labels_pairwise_independent, pull_back, witness_basis, witness_pivots
+    )
 
     n = space.n
-    bundle = witness_basis(space)  # (m, N, n)
+    bundle = pull_back(witness_basis(space))  # (m, N, n)
     m, p = len(bundle), PRIMES[0]
     elems, coords = witness_pivots(bundle, space)
     if not edges_ok(bundle, space.roots).all():
@@ -299,9 +296,8 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     inverses = np.repeat(invert(reps), m, axis=0)
     pivots = np.tile(table.windows_array[elems], (len(reps), 1))
     sources = table.indices_of(compose(inverses, pivots)).reshape(len(reps), m)
-    col, sign = _signed_columns(reps)
     # (m, classes, m): the dot images of the basis at the pivot coordinates
-    pv = bundle[:, sources, col[:, coords]] * sign[:, coords]
+    pv = bundle[:, sources, coords]
     traces = trace_product_mod_p(pv.transpose(1, 0, 2), inv, p)
     return tuple(symmetric_lift(int(t), p, m) for t in traces)
 

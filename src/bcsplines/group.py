@@ -17,9 +17,10 @@ Whole-group work runs on `GroupTable.windows_array`, the read-only int8
 order_key as a digit in base 2n gives every window a code; the codes
 increase strictly along the table, so `GroupTable.indices_of` maps stacked
 windows to table indices by binary search and raises on anything that is
-not a window.  `compose` and `invert` multiply and invert stacked windows,
-and the table's `lengths` and `descents` (bitmasks) are int8 too, each
-computed by one vectorised formula.  Comparisons, gathers and signs of
+not a window.  `compose`, `invert` and `signed_columns` multiply, invert
+and apply (to coefficient rows) stacked windows, and the table's `lengths`
+and `descents` (bitmasks) are int8 too, each computed by one vectorised
+formula.  Comparisons, gathers and signs of
 window entries stay in int8; arithmetic whose result can leave int8
 (codes, bit masks of entries) widens first.
 Conjugacy classes come from the window array too: one pass follows the
@@ -265,6 +266,15 @@ def invert(a) -> np.ndarray:
     pos = np.arange(1, a.shape[-1] + 1, dtype=a.dtype)
     np.put_along_axis(out, np.abs(a) - 1, np.sign(a) * pos, axis=-1)
     return out
+
+
+def signed_columns(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(col, sign) with (w p)[r] = sign[r] * p[col[r]] for a coefficient row p,
+    for each window w of the stack (..., n): w sends x_i to sign(w(i)) x_{|w(i)|},
+    so col[r] is the i with |w(i)| = r + 1.  The signs are int8, so they keep
+    a signed integer dtype when multiplied."""
+    col = np.argsort(np.abs(windows), axis=-1)
+    return col, np.sign(np.take_along_axis(windows, col, axis=-1)).astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,16 @@ over those of size n.
 
 Each family has one writer over `GroupTable.windows_array` (`t_family` ...
 `phi_family`) that returns the int8 values (M, N, n) of the members the
-caller names, in that order; `t_spline` ... `h_spline` check their input
-and return one member (N, n).  A bundle (a generating set, a basis) is one
-read-only int8 array (m, N, n), row j the values of the j-th spline in the
-documented build order, sliced, concatenated and added from family stacks
-(`_combine`, the one checked sum).  Every certificate reads that
-layout: `edges_ok`, `bundle_rank`, `witness_pivots` and the traces.  A
+caller names, in that order; the seven `t_spline` ... `phi_spline` check
+their input and return one member (N, n).  A bundle (a generating set, a
+basis) is one read-only int8 array (m, N, n), row j the values of the j-th
+spline in the documented build order, sliced, concatenated and added from
+family stacks (`_combine`, the one checked sum).  Every certificate reads
+that layout: `edges_ok`, `bundle_rank`, `witness_pivots` and the traces.  A
 spline of H is determined by its values at E, the elements with at most one
 H-inversion (`hessenberg.determining_elements`), so the certificates read E.
-The edge label w(alpha) is a spline too: the window family weighted by the
-root, sum_k alpha_k r_k(w) (`label_matrix`).
+`pull_back` moves each value back by its own element, to w^{-1} rho(w), a
+frame where each edge label w(alpha) is the root alpha that `edges_ok` reads.
 Everything here is integer or modular; the exact references the tests
 compare against (the kernel basis from the edge conditions, expansion in a
 basis, the per-spline predicate, the family relations) are in
@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import group_table, unbalanced_sets
+from .group import group_table, invert, signed_columns, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
     classify,
@@ -83,24 +83,20 @@ def dump(values: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Edge labels and the spline predicate
+# The spline predicate, in each element's own frame
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def label_matrix(n: int, root: Root) -> np.ndarray:
-    """The edge label w(alpha) at every element w of the group table: the
-    window family weighted by the root, sum_k alpha_k r_k(w), as one read-only
-    int8 matrix (N, n).
-
-    Its entries lie in [-2, 2], since sum_k |alpha_k| <= 2, so a product of
-    two labels is exact in int8.  Only the r_k with alpha_k != 0 are built.
-    """
-    alpha = np.array(root.evector())
-    ks = np.flatnonzero(alpha)
-    out = _combine([alpha[ks]], r_family(ks + 1, n))[0]
-    out.setflags(write=False)
-    return out
+def pull_back(values: np.ndarray) -> np.ndarray:
+    """Row w of the stack (..., N, n) moved back by its own element, to
+    w^{-1} rho(w): one signed gather by the inverse windows.  In this frame
+    every edge label is its root and the dot action translates rows.
+    Negating the dtype's minimum wraps, so an entry there raises OverflowError."""
+    if values.dtype.kind == "i" and values.min(initial=0) == np.iinfo(values.dtype).min:
+        raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
+    col, sign = signed_columns(invert(group_table(values.shape[-1]).windows_array))
+    out = values[..., np.arange(len(col))[:, None], col]
+    return np.multiply(out, sign, out=out)
 
 
 @lru_cache(maxsize=None)
@@ -112,28 +108,24 @@ def reflection_perm(n: int, root: Root) -> np.ndarray:
     return perm
 
 
-def _rows_proportional(d: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Rowwise test that d is a scalar multiple of lab (lab rows nonzero).
-
-    With p a coordinate where the label row is nonzero, d is a multiple of
-    it exactly when d_k lab_p = d_p lab_k for every k.  The last axis holds
-    the coordinates, and lab broadcasts against d over the others.  The
+def _rows_proportional(d: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Rowwise (last axis) test that d is a multiple of the nonzero vector
+    vec: d_k vec_p = d_p vec_k for every k, at a p where vec is nonzero.  The
     products must fit the dtype: callers bound them, or pass Python integers
-    (object arrays).
-    """
-    piv = np.argmax(lab != 0, axis=-1)[..., None]
-    lab_p = np.take_along_axis(lab, piv, axis=-1)
-    d_p = np.take_along_axis(d, np.broadcast_to(piv, d.shape[:-1] + (1,)), axis=-1)
-    return np.all(d * lab_p == d_p * lab, axis=-1)
+    (object arrays)."""
+    p = np.flatnonzero(vec)[0]
+    return np.all(d * vec[p] == d[..., p : p + 1] * vec, axis=-1)
 
 
 def _edge_checks(values: np.ndarray, roots):
     """For each root in sorted order: the root, the rows lo with lo < lo
     s_alpha in table order (each edge once), and an (m, len(lo)) bool array,
     true where the edge from lo meets its condition, for the stacked values
-    (m, N, n).
+    (m, N, n) pulled back (`pull_back`).  There the condition reads
+    pulled(w) - s_alpha pulled(w s_alpha) in Q alpha, and s_alpha moves a
+    vector by a multiple of alpha, so each difference is tested against alpha.
 
-    Edge differences are at most 2 * peak and labels at most 2 in absolute
+    Differences are at most 2 * peak and root entries at most 2 in absolute
     value, so the test runs in the narrowest integer type that holds
     4 * peak, and on Python integers where that could leave int64; it never
     wraps.
@@ -148,13 +140,14 @@ def _edge_checks(values: np.ndarray, roots):
     for root in sorted(roots):
         perm = reflection_perm(n, root)
         lo = np.flatnonzero(np.arange(perm.size) < perm)
-        lab = label_matrix(n, root)[lo].astype(dtype, copy=False)
-        yield root, lo, _rows_proportional(values[:, lo] - values[:, perm[lo]], lab)
+        alpha = np.array(root.evector(), dtype=dtype)
+        yield root, lo, _rows_proportional(values[:, lo] - values[:, perm[lo]], alpha)
 
 
 def edges_ok(values: np.ndarray, roots) -> np.ndarray:
-    """One bool per spline of the stacked values (m, N, n): the edge
-    condition of every given root (say the roots of H) holds."""
+    """One bool per spline of the stacked values (m, N, n), pulled back
+    (`pull_back`): the edge condition of every given root (say the roots of
+    H) holds."""
     ok = np.ones(len(values), dtype=bool)
     for _, _, rows_ok in _edge_checks(values, roots):
         ok &= rows_ok.all(axis=1)
@@ -171,8 +164,8 @@ def labels_pairwise_independent(lie_type, n: int) -> bool:
     degree-one spline space by n plus the number of elements with exactly
     one H-inversion.
 
-    The label at w is psi(w) alpha, psi(w) the invertible matrix with columns
-    r_1(w)..r_n(w) (`label_matrix`), so this is a test on the n^2 roots.
+    The label at w is w(alpha), and w acts invertibly, so this is a test on
+    the n^2 roots: the labels `pull_back` gives at every w.
     """
     vecs = np.array([root.evector() for root in positive_roots(lie_type, n)])
     # root vectors are nonzero, as `_rows_proportional` needs

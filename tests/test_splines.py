@@ -21,6 +21,7 @@ from bcsplines.linalg import RankDeficientError, pivots
 from bcsplines.roots import (
     LieType,
     Root,
+    act,
     positive_roots,
     root_to_reflection,
     simple_root,
@@ -36,12 +37,12 @@ from bcsplines.splines import (
     g_spline,
     generating_set,
     h_spline,
-    label_matrix,
     labels_pairwise_independent,
     left_basis,
     permutohedral_basis,
     phi_family,
     phi_spline,
+    pull_back,
     r_family,
     r_spline,
     right_basis,
@@ -61,6 +62,7 @@ from reference import (
     expand,
     is_spline,
     length,
+    rows_proportional,
     scan_labels_pairwise_independent,
     scatter_label_matrix,
     spline_space_basis,
@@ -164,7 +166,7 @@ class TestLabels:
         }
         table = group_table(2)
         for (window, i), coeffs in expected.items():
-            lab = label_matrix(2, simple_root(i, B, 2))[table.index_of(SignedPerm(window))]
+            lab = scatter_label_matrix(2, simple_root(i, B, 2))[table.index_of(SignedPerm(window))]
             assert lab.tolist() == list(coeffs)
 
     @pytest.mark.parametrize("lt", [B, C])
@@ -176,7 +178,7 @@ class TestLabels:
             pair = [k for k in range(1, n + 1) if t(k) != k]
             p = pair[0]
             q = t(p)
-            labels = label_matrix(n, root)
+            labels = scatter_label_matrix(n, root)
             for idx, w in enumerate(elements(group_table(n))):
                 case_poly = var(w(p), n) - var(w(q), n)
                 assert labels[idx].any()
@@ -185,10 +187,12 @@ class TestLabels:
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_labels_equal_the_scatter(self, lt, n):
+        # the edge test reads each label as its root, in the frame of
+        # `pull_back`; the scatter labels, moved there, are that root
         for root in positive_roots(lt, n):
-            labels = label_matrix(n, root)
-            assert labels.dtype == np.int8 and not labels.flags.writeable
-            assert np.array_equal(labels, scatter_label_matrix(n, root)), root
+            pulled = pull_back(scatter_label_matrix(n, root))
+            assert pulled.dtype == np.int8
+            assert (pulled == root.evector()).all(), root
 
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -204,6 +208,32 @@ class TestLabels:
         pair = roots + (Root(tuple(-c for c in roots[4].coords), lt),)
         monkeypatch.setattr(bcsplines.splines, "positive_roots", lambda lie_type, n: pair)
         assert not labels_pairwise_independent(lt, 3)
+
+
+class TestPullBack:
+    """`pull_back` moves the value at w back by w: w^{-1} rho(w)."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_row_is_the_inverse_applied(self, n):
+        table = group_table(n)
+        ks = [k for k in range(-n, n + 1) if k]
+        stack = np.concatenate([t_family(ks, n), g_family(ks, n), f_family(1, [(1,)], n)])
+        stack[::2] *= 2
+        pulled = pull_back(stack)
+        assert pulled.dtype == np.int8 and pulled.shape == stack.shape
+        for idx, w in enumerate(elements(table)):
+            for got, rho in zip(pulled[:, idx].tolist(), stack[:, idx].tolist()):
+                assert tuple(got) == act(w.inverse(), tuple(rho))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_dtype_minimum_raises(self, dtype):
+        # the value at every element is negated by some w^{-1}, and -min wraps
+        rho = np.zeros((1, 8, 2), dtype=dtype)
+        rho[0, 3, 1] = np.iinfo(dtype).min
+        with pytest.raises(OverflowError):
+            pull_back(rho)
+        rho[0, 3, 1] += 1
+        assert np.abs(pull_back(rho)).max() == np.iinfo(dtype).max
 
 
 class TestSplinePredicate:
@@ -254,7 +284,7 @@ def reference_is_spline(rho, space):
     table = group_table(space.n)
     for root in sorted(space.roots):
         d = rho - rho[reflection_perm(space.n, root)]
-        ok = outer_rows_proportional(d, label_matrix(space.n, root))
+        ok = outer_rows_proportional(d, scatter_label_matrix(space.n, root))
         if not ok.all():
             return SignedPerm(table.windows_array[int(np.flatnonzero(~ok)[0])].tolist()), root
     return None
@@ -272,24 +302,49 @@ def cell_id(space):
     return f"{space.lie_type.name}{space.n}-{{{','.join(f't{i}' for i in sorted(t_set(space)))}}}"
 
 
+def random_labels(rng, rows, n):
+    """Label rows of one and of two nonzeros, alternately, entries in ±1, ±2."""
+    lab = np.zeros((rows, n), dtype=np.int64)
+    for r in range(rows):
+        k = 1 + r % 2
+        lab[r, rng.choice(n, size=k, replace=False)] = rng.choice([-2, -1, 1, 2], size=k)
+    return lab
+
+
+def differences_near(rng, lab):
+    """Three stacks of differences against the label rows: random, then with
+    multiples of the label mixed in, some with one nonzero."""
+    d = rng.integers(-2, 3, size=(3,) + lab.shape)
+    d[:, ::5] = 0
+    d[1, 1::3] = 3 * lab[1::3]
+    d[2, 2::3] = -lab[2::3]
+    d[2, ::4, 0] = 0  # one-nonzero differences against either kind of label
+    return d
+
+
 class TestBatchedEdgeTest:
     @pytest.mark.parametrize("seed", range(6))
     def test_pivot_form_equals_outer_product(self, seed):
+        # one vector against every row, as the edge test passes a root
         rng = np.random.default_rng(seed)
-        rows, n = 400, 4
-        lab = np.zeros((rows, n), dtype=np.int64)
-        for r in range(rows):  # labels of one and of two nonzeros
-            k = 1 + r % 2
-            lab[r, rng.choice(n, size=k, replace=False)] = rng.choice([-2, -1, 1, 2], size=k)
-        d = rng.integers(-2, 3, size=(3, rows, n))
-        d[:, ::5] = 0
-        d[1, 1::3] = 3 * lab[1::3]
-        d[2, 2::3] = -lab[2::3]
-        d[2, ::4, 0] = 0  # one-nonzero differences against either kind of label
+        for vec in random_labels(rng, 2, 4):
+            lab = np.tile(vec, (400, 1))
+            d = differences_near(rng, lab)
+            want = np.stack([outer_rows_proportional(x, lab) for x in d])
+            assert want.any() and not want.all()
+            assert np.array_equal(_rows_proportional(d, vec), want)
+            assert np.array_equal(_rows_proportional(d[1], vec), want[1])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_per_row_reference_equals_outer_product(self, seed):
+        # the reference with a label per row, which the label scans use
+        rng = np.random.default_rng(seed)
+        lab = random_labels(rng, 400, 4)
+        d = differences_near(rng, lab)
         want = np.stack([outer_rows_proportional(x, lab) for x in d])
         assert want.any() and not want.all()
-        assert np.array_equal(_rows_proportional(d, lab), want)
-        assert np.array_equal(_rows_proportional(d[1], lab), want[1])
+        assert np.array_equal(rows_proportional(d, lab), want)
+        assert np.array_equal(rows_proportional(d[1], lab), want[1])
 
     @pytest.mark.parametrize("space", REALIZABLE_CELLS, ids=cell_id)
     def test_batch_equals_reference_per_spline(self, space):
@@ -304,14 +359,14 @@ class TestBatchedEdgeTest:
         splines.append(num)
         refs = [reference_is_spline(s, space) for s in splines]
         assert refs[-1] is not None and all(r is None for r in refs[: len(bundle)])
-        got = edges_ok(stacked(splines), space.roots)
+        got = edges_ok(pull_back(stacked(splines)), space.roots)
         assert got.tolist() == [r is None for r in refs]
         for s, ref in zip(splines, refs):
             assert is_spline(s, space, witness=True) == (ref is None, ref)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank mismatch"):
-            edges_ok(stacked([t_spline(1, 3)]), delta_space(B, 2).roots)
+            edges_ok(pull_back(stacked([t_spline(1, 3)])), delta_space(B, 2).roots)
 
 
 class TestEdgeTestOverflow:
@@ -330,7 +385,8 @@ class TestEdgeTestOverflow:
     def test_wrapped_difference_is_not_a_multiple(self, big):
         # the edge (s2, s2 s1) carries the label s2(e1 - e2) = e1 + e2 and the
         # difference (big + 1, -big - 1), which wraps to a multiple of (1, 1)
-        # in int64 (big = 2^63 - 1) or int8 (big = 127)
+        # in int64 (big = 2^63 - 1) or int8 (big = 127); pulled back, the
+        # difference (big + 1, big + 1) wraps to a multiple of the root e1 - e2
         e, s1, s2 = SignedPerm.identity(2), SignedPerm.simple(1, 2), SignedPerm.simple(2, 2)
         rho = self._two_valued(2, (e, s2), (big, -big), (-1, 1))
         space = delta_space(B, 2)
@@ -338,25 +394,26 @@ class TestEdgeTestOverflow:
             assert reference_is_spline(rho, space) is None  # the wrapped verdict
         ok, (w, root) = is_spline(rho, space, witness=True)
         assert not ok and root == simple_root(1, B, 2) and w in (s2, s2 * s1)
-        assert edges_ok(np.stack([rho]), space.roots).tolist() == [False]
+        assert edges_ok(pull_back(np.stack([rho])), space.roots).tolist() == [False]
 
     @pytest.mark.parametrize("half", [2**62, 2**6])
     def test_wrapped_product_is_not_a_multiple(self, half):
         # the edge (s1, s1 s2) carries the label s1(2 e2) = 2 e1 and the
         # difference (0, 2 half); the pivot product 2 * 2 half wraps to 0 in
-        # int64 (half = 2^62) or int8 (half = 64)
+        # int64 (half = 2^62) or int8 (half = 64), and so does the product
+        # 2 half * 2 of the pulled-back difference (2 half, 0) and the root 2 e2
         e, s1, s2 = SignedPerm.identity(2), SignedPerm.simple(1, 2), SignedPerm.simple(2, 2)
         rho = self._two_valued(2, (e, s1), (0, half), (0, -half))
         space = delta_space(C, 2)
         ok, (w, root) = is_spline(rho, space, witness=True)
         assert not ok and root == simple_root(2, C, 2) and w in (s1, s1 * s2)
-        assert edges_ok(np.stack([rho]), space.roots).tolist() == [False]
+        assert edges_ok(pull_back(np.stack([rho])), space.roots).tolist() == [False]
 
     @pytest.mark.parametrize("big", [2**63 - 1, 2**7 - 1, 2**5])
     def test_large_values_that_are_a_spline(self, big):
         rho = (big - 1) * i64(t_spline(1, 2)) + r_spline(1, 2)
         assert is_spline(rho, full_space(C, 2))
-        assert edges_ok(np.stack([rho, -rho]), full_space(B, 2).roots).all()
+        assert edges_ok(pull_back(np.stack([rho, -rho])), full_space(B, 2).roots).all()
 
 
 class TestFamilyValues:
@@ -686,7 +743,7 @@ class TestBundles:
                 space = from_tset(ts, n, lt)
                 bundle = generating_set(space)
                 assert bundle_rank(bundle, space) == dim_degree_one(space)
-                assert edges_ok(bundle, space.roots).all()
+                assert edges_ok(pull_back(bundle), space.roots).all()
 
     def test_generating_set_spans_at_rank_five_branch(self):
         space = from_tset(frozenset({5}), 5, C)
@@ -709,8 +766,8 @@ class TestBundles:
                 dim = dim_degree_one(space)
                 assert len(lb) == len(rb) == dim
                 # same span: every element is a spline, and the union has the rank of each
-                assert edges_ok(lb, space.roots).all() and edges_ok(rb, space.roots).all()
                 union = np.concatenate([lb, rb])
+                assert edges_ok(pull_back(union), space.roots).all()
                 ranks = [bundle_rank(b, space) for b in (union, lb, rb)]
                 assert ranks == [dim] * 3
 
@@ -732,7 +789,7 @@ class TestBundles:
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3])
     def test_permutohedral_members_are_splines_on_the_simples(self, lt, n):
-        assert edges_ok(permutohedral_basis(n), delta_space(lt, n).roots).all()
+        assert edges_ok(pull_back(permutohedral_basis(n)), delta_space(lt, n).roots).all()
 
     def test_permutohedral_size_rank_four(self):
         assert len(permutohedral_basis(4)) == 80
@@ -937,7 +994,7 @@ class TestSupportMinimalWitnesses:
                     assert is_spline(rho, space)
                     assert shortest_support(rho) == {w}
                     idx = group_table(n).index_of(w)
-                    lab = label_matrix(n, alpha)[idx]
+                    lab = scatter_label_matrix(n, alpha)[idx]
                     assert outer_rows_proportional(rho[idx][None], lab[None]).all()
                     assert descent_set(w) == {i}
 
