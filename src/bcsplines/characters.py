@@ -2,13 +2,13 @@
 The dot action on splines and the degree-one characters.
 
 The group acts on a spline by (w . rho)(v) = w(rho(w^{-1} v)), where w
-acts on polynomials by permuting and signing the variables, so the image
-is one signed gather of rho's coefficients at the rows w^{-1} v
-(`dot_action`); pulled back (`splines.pull_back`), as the traces read it,
-it is a translation of rows.  Quotienting the degree-one spline space by
-the span of the constant family t_1..t_n (left) or of the window family
-r_1..r_n (right) yields two W_n-modules.  One check per rank on those two
-families certifies the labels, their roots and both spans.  The
+acts on polynomials by permuting and signing the variables.  Splines are
+stored pulled back (see `splines`), rho~(v) = v^{-1} rho(v), and there the
+image is rho~(w^{-1} v): one gather of rows, with no sign (`dot_action`).
+Quotienting the degree-one spline space by the span of the constant
+family t_1..t_n (left) or of the window family r_1..r_n (right) yields
+two W_n-modules.  One check per rank on those two families certifies the
+labels, their roots and both spans.  The
 characters are computed two ways:
 
   * computed_char: exact traces of the dot action on a certified basis,
@@ -42,24 +42,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import (
-    SignedPerm, compose, conjugacy_classes, group_table, invert, signed_columns, unbalanced_sets
-)
+from .group import SignedPerm, compose, conjugacy_classes, group_table, invert, unbalanced_sets
 from .hessenberg import HessenbergSpace, classify, on_divergent_branch
 
 
 def dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
-    """(w . rho)(v) = w(rho(w^{-1} v)) for each spline of the stack (..., N, n):
-    one signed gather.  Negating the dtype's minimum wraps, so an entry there
-    raises OverflowError."""
+    """(w . rho)(v) = w(rho(w^{-1} v)) for each spline of the stored stack
+    (..., N, n): rho~(w^{-1} v) at row v, one gather of rows."""
     if w.n != values.shape[-1]:
         window, n = ",".join(map(str, w.window)), values.shape[-1]
         raise ValueError(f"rank mismatch: window {window} has rank {w.n}, the splines need rank {n}")
-    if values.dtype.kind == "i" and (values == np.iinfo(values.dtype).min).any():
-        raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
-    src = group_table(w.n).left_mult_indices(w.inverse())
-    col, sign = signed_columns(np.array(w.window))
-    return values[..., src[:, None], col] * sign
+    return values[..., group_table(w.n).left_mult_indices(w.inverse()), :]
 
 
 # ---------------------------------------------------------------------------
@@ -234,39 +227,38 @@ def published_formula_char(tset, n: int, side: str) -> CharacterExpression:
 
 @lru_cache(maxsize=None)
 def _simples_fix_r_and_permute_t(n: int) -> bool:
-    """`splines.pull_back` sends r_1..r_n to t_1..t_n, so every label
-    sum_k alpha_k r_k to its root; and under the dot action every simple s
-    fixes r_1..r_n and sends t_k to t_{s(k)}, so every w does the same and
-    fixes each label of either type, maps edge conditions to edge
-    conditions, and the spans of t_1..t_n and r_1..r_n carry chi and the
-    n-fold trivial character."""
-    from .splines import pull_back, r_family, t_family
+    """r_1..r_n store x_1..x_n at every element, so every label
+    sum_k alpha_k r_k is stored as its root; and under the dot action every
+    simple s sends t_k to t_{s(k)} (and fixes r_1..r_n, which are constant),
+    so every w does the same and fixes each label of either type, maps edge
+    conditions to edge conditions, and the spans of t_1..t_n and r_1..r_n
+    carry chi and the n-fold trivial character."""
+    from .splines import r_family, t_family
 
     idx = range(1, n + 1)
-    r, t = r_family(idx, n), t_family(idx, n)
-    r_t = np.concatenate([r, t])
+    t = t_family(idx, n)
     for i in idx:
         s = SignedPerm.simple(i, n)
-        if not np.array_equal(dot_action(s, r_t), np.concatenate([r, t_family(s.window, n)])):
+        if not np.array_equal(dot_action(s, t), t_family(s.window, n)):
             return False
-    return np.array_equal(pull_back(r), t)
+    return np.array_equal(r_family(idx, n), np.broadcast_to(np.eye(n)[:, None], t.shape))
 
 
 @lru_cache(maxsize=None)
 def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
-    """Build, certify and trace the witness basis of the space, pulled back
-    (`splines.pull_back`); keep only the per-class traces on the full
+    """Build, certify and trace the witness basis of the space, stored
+    pulled back (see `splines`); keep only the per-class traces on the full
     degree-one space.
 
     The certificate: `splines.witness_pivots` reads the pivots off E, the
     elements with at most one H-inversion, checks that the count equals
     their number (the scan dimension) and that the pivot block is upper
     triangular with a nonzero diagonal (an exact integer test, so the
-    elements are independent; a pull-back keeps each witness zero where it
-    was), and every element meets the edge conditions (one `edges_ok` call
-    for the whole basis).  The dot action is defined on the space: its
-    labels are pairwise independent, equivariant and pull back to the roots
-    (`splines.labels_pairwise_independent`, `_simples_fix_r_and_permute_t`).
+    elements are independent), and every element meets the edge conditions
+    (one `edges_ok` call for the whole basis).  The dot action is defined
+    on the space: its labels are pairwise independent, equivariant and
+    stored as the roots (`splines.labels_pairwise_independent`,
+    `_simples_fix_r_and_permute_t`).
 
     Each trace is tr(pv P^{-1}) modulo PRIMES[0], where P is the pivot block
     and pv holds the images of the basis at the pivot coordinates, each the
@@ -276,12 +268,10 @@ def _trace_data(space: HessenbergSpace) -> tuple[int, ...]:
     value at most m < p/2, so its symmetric residue is exact.
     """
     from .linalg import PRIMES, inverse_mod_p, symmetric_lift, trace_product_mod_p
-    from .splines import (
-        edges_ok, labels_pairwise_independent, pull_back, witness_basis, witness_pivots
-    )
+    from .splines import edges_ok, labels_pairwise_independent, witness_basis, witness_pivots
 
     n = space.n
-    bundle = pull_back(witness_basis(space))  # (m, N, n)
+    bundle = witness_basis(space)  # (m, N, n)
     m, p = len(bundle), PRIMES[0]
     elems, coords = witness_pivots(bundle, space)
     if not edges_ok(bundle, space.roots).all():

@@ -338,17 +338,17 @@ def _suite_descents(n: int, lie_type: LieType, level: str):
 def _suite_families(n: int, lie_type: LieType):
     from .group import unbalanced_sets
     from .hessenberg import classify, enumerate_hessenberg, on_divergent_branch, t_set
-    from .splines import edges_ok, f_family, g_family, h_family, phi_family, pull_back, y_family
+    from .splines import edges_ok, f_family, g_family, h_family, phi_family, y_family
 
-    families = {  # each pulled back as it is built, for `edges_ok`
-        ("g",): pull_back(g_family(range(1, n + 1), n)),
-        ("h",): pull_back(h_family(n)),
-        ("phi",): pull_back(phi_family(unbalanced_sets(n, n), n)),
+    families = {
+        ("g",): g_family(range(1, n + 1), n),
+        ("h",): h_family(n),
+        ("phi",): phi_family(unbalanced_sets(n, n), n),
     }
     for i in range(1, n + 1):
-        families["f", i] = pull_back(f_family(i, unbalanced_sets(i, n), n))
+        families["f", i] = f_family(i, unbalanced_sets(i, n), n)
         if i < n:
-            families["y", i] = pull_back(y_family(i, [k for k in range(-n, n + 1) if k], n))
+            families["y", i] = y_family(i, [k for k in range(-n, n + 1) if k], n)
 
     # the families and the roots recur across spaces: check each pair once
     @functools.cache

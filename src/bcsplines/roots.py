@@ -14,7 +14,7 @@ transpositions of W_n:
 
     e_i - e_j <-> (i, j)     e_i + e_j <-> (i, -j)     e_i, 2e_i <-> (i, -i).
 
-Per-root arithmetic on tuples, with no numpy; labels are roots (`splines.pull_back`).
+Per-root arithmetic on tuples, with no numpy; stored labels are roots (see `splines`).
 """
 
 from __future__ import annotations

@@ -9,18 +9,26 @@ built here has integer coefficients, so a spline is an integer array
 group table; the identification x_{-i} = -x_i is applied when polynomials
 are built, never stored.
 
-The named families:
+Every spline is stored pulled back: row w holds rho~(w) = w^{-1} rho(w),
+the value moved back by its own element.  In this frame the edge label
+w(alpha) is the root alpha, and the dot action is a translation of rows.
+`push_forward` returns to the paper's frame, rho(w) = w rho~(w), and only
+`dump` reads it, to print.
 
-    t_i(w) = x_i                      r_i(w) = x_{w(i)}
+The named families, stored (~) and in the paper's frame:
 
-    f_i^A(w) = x_{w(i)} - x_{w(i+1)}  on the coset w([i]) = A  (x_{w(n)} if i = n)
-    y_{i,k}(w) = x_k - x_{w(i+1)}     when w^{-1}(k) in [i]
-    g_k(w) = x_k                      when w^{-1}(k) < 0
-    h(w) = x_{w(n)}                   when |Neg(w)| is odd
-    phi^B(w) = x_{w(n-1)} + x_b       when w([n-1]) ⊂ B, b the rest of B
+    t_k~(w) = x_{w^{-1}(k)}      t_k(w) = x_k
+    r_i~(w) = x_i                r_i(w) = x_{w(i)}
+    f_i^A~(w) = x_i - x_{i+1}    f_i^A(w) = x_{w(i)} - x_{w(i+1)}  on the coset w([i]) = A
+    y_{i,k}~(w) = x_p - x_{i+1}  y_{i,k}(w) = x_k - x_{w(i+1)}     when p = w^{-1}(k) in [i]
+    g_k~(w) = x_{w^{-1}(k)}      g_k(w) = x_k                      when w^{-1}(k) < 0
+    h~(w) = x_n                  h(w) = x_{w(n)}                   when |Neg(w)| is odd
+    phi^B~(w) = x_{n-1} ± x_n    phi^B(w) = x_{w(n-1)} + x_b       when w([n-1]) ⊂ B
 
-with A ranging over unbalanced subsets (no pair {a, -a}) of size i and B
-over those of size n.
+with A ranging over unbalanced subsets (no pair {a, -a}) of size i, B over
+those of size n and b = ±w(n) the entry of B outside w([n-1]); f_n^A reads
+x_n and x_{w(n)}.  Stored, r, f and h are constant on their support, and
+y, g and phi take one value per scatter pass (`_scatter`).
 
 Each family has one writer over `GroupTable.windows_array` (`t_family` ...
 `phi_family`) that returns the int8 values (M, N, n) of the members the
@@ -32,8 +40,6 @@ family stacks (`_combine`, the one checked sum).  Every certificate reads
 that layout: `edges_ok`, `bundle_rank`, `witness_pivots` and the traces.  A
 spline of H is determined by its values at E, the elements with at most one
 H-inversion (`hessenberg.determining_elements`), so the certificates read E.
-`pull_back` moves each value back by its own element, to w^{-1} rho(w), a
-frame where each edge label w(alpha) is the root alpha that `edges_ok` reads.
 Everything here is integer or modular; the exact references the tests
 compare against (the kernel basis from the edge conditions, expansion in a
 basis, the per-spline predicate, the family relations) are in
@@ -46,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .group import group_table, invert, signed_columns, unbalanced_sets
+from .group import group_table, signed_columns, unbalanced_sets
 from .hessenberg import (
     HessenbergSpace,
     classify,
@@ -65,11 +71,25 @@ def _peak(num: np.ndarray) -> int:
     return max(int(num.max(initial=0)), -int(num.min(initial=0)))
 
 
+def push_forward(values: np.ndarray) -> np.ndarray:
+    """Row w of the stored stack (..., N, n) moved forward by its own
+    element, to rho(w) = w rho~(w) in the paper's frame: one signed gather
+    by the windows.  Negating the dtype's minimum wraps, so an entry there
+    raises OverflowError."""
+    if values.dtype.kind == "i" and values.min(initial=0) == np.iinfo(values.dtype).min:
+        raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
+    col, sign = signed_columns(group_table(values.shape[-1]).windows_array)
+    out = values[..., np.arange(len(col))[:, None], col]
+    return np.multiply(out, sign, out=out)
+
+
 def dump(values: np.ndarray) -> str:
-    """One line per group element of the values (N, n): "window TAB polynomial",
-    the polynomial written like "2*x1 - 1*x3" ("0" when it vanishes)."""
+    """One line per group element of the stored values (N, n), pushed
+    forward: "window TAB polynomial", the polynomial written like
+    "2*x1 - 1*x3" ("0" when it vanishes)."""
     lines = []
-    for win, row in zip(group_table(values.shape[-1]).windows_array.tolist(), values.tolist()):
+    table = group_table(values.shape[-1])
+    for win, row in zip(table.windows_array.tolist(), push_forward(values).tolist()):
         terms = []
         for i, c in enumerate(row, start=1):
             if not c:
@@ -87,18 +107,6 @@ def dump(values: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
-def pull_back(values: np.ndarray) -> np.ndarray:
-    """Row w of the stack (..., N, n) moved back by its own element, to
-    w^{-1} rho(w): one signed gather by the inverse windows.  In this frame
-    every edge label is its root and the dot action translates rows.
-    Negating the dtype's minimum wraps, so an entry there raises OverflowError."""
-    if values.dtype.kind == "i" and values.min(initial=0) == np.iinfo(values.dtype).min:
-        raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
-    col, sign = signed_columns(invert(group_table(values.shape[-1]).windows_array))
-    out = values[..., np.arange(len(col))[:, None], col]
-    return np.multiply(out, sign, out=out)
-
-
 @lru_cache(maxsize=None)
 def reflection_perm(n: int, root: Root) -> np.ndarray:
     """Index permutation w -> w * s_alpha over the group table."""
@@ -108,22 +116,27 @@ def reflection_perm(n: int, root: Root) -> np.ndarray:
     return perm
 
 
-def _rows_proportional(d: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Rowwise (last axis) test that d is a multiple of the nonzero vector
-    vec: d_k vec_p = d_p vec_k for every k, at a p where vec is nonzero.  The
-    products must fit the dtype: callers bound them, or pass Python integers
-    (object arrays)."""
-    p = np.flatnonzero(vec)[0]
-    return np.all(d * vec[p] == d[..., p : p + 1] * vec, axis=-1)
+def _multiples(d: np.ndarray, vec) -> np.ndarray:
+    """Rowwise (last axis) test that d is a multiple of the root vector vec,
+    whose support is one or two coordinates: d vanishes off it and, on a
+    support {i, j}, vec_j d_i = vec_i d_j.  One coordinate at a time, so the
+    test copies no (..., n) block.  The products must fit the dtype: callers
+    bound them, or pass Python integers (object arrays)."""
+    supp = np.flatnonzero(vec)
+    i, j = supp[0], supp[-1]
+    ok = d[..., i] * vec[j] == d[..., j] * vec[i]
+    for k in set(range(len(vec))) - {i, j}:
+        ok &= d[..., k] == 0
+    return ok
 
 
 def _edge_checks(values: np.ndarray, roots):
     """For each root in sorted order: the root, the rows lo with lo < lo
     s_alpha in table order (each edge once), and an (m, len(lo)) bool array,
-    true where the edge from lo meets its condition, for the stacked values
-    (m, N, n) pulled back (`pull_back`).  There the condition reads
-    pulled(w) - s_alpha pulled(w s_alpha) in Q alpha, and s_alpha moves a
-    vector by a multiple of alpha, so each difference is tested against alpha.
+    true where the edge from lo meets its condition, for the stored values
+    (m, N, n).  The condition reads rho~(w) - s_alpha rho~(w s_alpha) in
+    Q alpha, and s_alpha moves a vector by a multiple of alpha, so each
+    difference is tested against alpha on its support (`_multiples`).
 
     Differences are at most 2 * peak and root entries at most 2 in absolute
     value, so the test runs in the narrowest integer type that holds
@@ -140,14 +153,14 @@ def _edge_checks(values: np.ndarray, roots):
     for root in sorted(roots):
         perm = reflection_perm(n, root)
         lo = np.flatnonzero(np.arange(perm.size) < perm)
-        alpha = np.array(root.evector(), dtype=dtype)
-        yield root, lo, _rows_proportional(values[:, lo] - values[:, perm[lo]], alpha)
+        d = np.take(values, lo, axis=1)
+        d -= np.take(values, perm[lo], axis=1)
+        yield root, lo, _multiples(d, root.evector())
 
 
 def edges_ok(values: np.ndarray, roots) -> np.ndarray:
-    """One bool per spline of the stacked values (m, N, n), pulled back
-    (`pull_back`): the edge condition of every given root (say the roots of
-    H) holds."""
+    """One bool per spline of the stored values (m, N, n): the edge
+    condition of every given root (say the roots of H) holds."""
     ok = np.ones(len(values), dtype=bool)
     for _, _, rows_ok in _edge_checks(values, roots):
         ok &= rows_ok.all(axis=1)
@@ -165,11 +178,10 @@ def labels_pairwise_independent(lie_type, n: int) -> bool:
     one H-inversion.
 
     The label at w is w(alpha), and w acts invertibly, so this is a test on
-    the n^2 roots: the labels `pull_back` gives at every w.
+    the n^2 roots: the stored labels at every w.
     """
     vecs = np.array([root.evector() for root in positive_roots(lie_type, n)])
-    # root vectors are nonzero, as `_rows_proportional` needs
-    return not any(_rows_proportional(vecs[k + 1 :], vec).any() for k, vec in enumerate(vecs[:-1]))
+    return not any(_multiples(vecs[k + 1 :], vec).any() for k, vec in enumerate(vecs[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -198,64 +210,62 @@ def _hits(members, entries: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _scatter(members, n: int, passes) -> np.ndarray:
-    """The int8 values (M, N, n) of the members, unbalanced sets of one size.
-    Each pass is one scatter: the set (N, s) each element writes into, then
-    arrays over the elements of the signed indices e of its terms x_e."""
+    """The int8 stored values (M, N, n) of the members, unbalanced sets of
+    one size.  Each pass is one scatter: the set (N, s) each element writes
+    into, then the signed indices e of its terms x_e, the same at every
+    element."""
     out = np.zeros((len(members), group_table(n).size, n), dtype=np.int8)
     for keys, *terms in passes:
         member, rows = _hits(members, keys, n)
         for e in terms:
-            out[member, rows, np.abs(e[rows]) - 1] = np.sign(e[rows])
+            out[member, rows, abs(e) - 1] = 1 if e > 0 else -1
     return out
 
 
 def t_family(ks, n: int) -> np.ndarray:
-    """t_k(w) = x_k for the members k (value indices, possibly negative)."""
-    ks = np.asarray(ks, dtype=np.int64)
-    out = np.zeros((len(ks), group_table(n).size, n), dtype=np.int8)
-    out[np.arange(len(ks)), :, np.abs(ks) - 1] = np.sign(ks)[:, None]
-    return out
+    """t_k for the members k (value indices, possibly negative): x_k, stored
+    x_{w^{-1}(k)}, which is ±x_i at the i with w(i) = ±k."""
+    ks = np.asarray(ks, dtype=np.int8)[:, None, None]
+    win = group_table(n).windows_array
+    return (np.abs(win) == np.abs(ks)) * np.sign(win) * np.sign(ks)
 
 
 def r_family(indices, n: int) -> np.ndarray:
-    """r_i(w) = x_{w(i)} for the members i."""
-    win = group_table(n).windows_array[:, np.asarray(indices, dtype=np.int64) - 1].T
-    out = np.zeros(win.shape + (n,), dtype=np.int8)
-    member, rows = np.indices(win.shape)
-    out[member, rows, np.abs(win) - 1] = np.sign(win)
-    return out
+    """r_i for the members i: x_{w(i)}, stored x_i at every element."""
+    rows = np.eye(n, dtype=np.int8)[np.asarray(indices, dtype=np.int64) - 1]
+    return np.repeat(rows[:, None], group_table(n).size, axis=1)
 
 
 def f_family(i: int, sets, n: int) -> np.ndarray:
     """f_i^A for the members A: x_{w(i)} - x_{w(i+1)} (x_{w(n)} if i = n)
-    where w([i]) = A.  One scatter: every element writes the member of its
-    set w([i]), so no element lies in the support of two members."""
+    where w([i]) = A, stored x_i - x_{i+1} (x_n).  One scatter: every element
+    writes the member of its set w([i]), so no element lies in the support
+    of two members."""
     win = group_table(n).windows_array
-    terms = (win[:, i - 1], -win[:, i]) if i < n else (win[:, n - 1],)
-    return _scatter(sets, n, [(win[:, :i], *terms)])
+    return _scatter(sets, n, [(win[:, :i], i, -(i + 1)) if i < n else (win[:, :i], n)])
 
 
 def y_family(i: int, ks, n: int) -> np.ndarray:
     """y_{i,k} for the members k: x_k - x_{w(i+1)} where w^{-1}(k) lies in
-    [i].  One scatter per window position p <= i, into the member w(p)."""
+    [i].  One scatter per window position p <= i, into the member w(p),
+    which stores x_p - x_{i+1}."""
     win = group_table(n).windows_array
-    passes = [(win[:, p : p + 1], win[:, p], -win[:, i]) for p in range(i)]
+    passes = [(win[:, p - 1 : p], p, -(i + 1)) for p in range(1, i + 1)]
     return _scatter([(k,) for k in ks], n, passes)
 
 
 def g_family(ks, n: int) -> np.ndarray:
     """g_k for the members k: x_k where w^{-1}(k) < 0.  One scatter per
-    window position p, into the member -w(p)."""
+    window position p, into the member -w(p), which stores -x_p."""
     win = group_table(n).windows_array
-    return _scatter([(-k,) for k in ks], n, [(win[:, p : p + 1], -win[:, p]) for p in range(n)])
+    return _scatter([(-k,) for k in ks], n, [(win[:, p - 1 : p], -p) for p in range(1, n + 1)])
 
 
 def h_family(n: int) -> np.ndarray:
-    """The one member h: x_{w(n)} where |Neg(w)| is odd."""
+    """The one member h: x_{w(n)}, stored x_n, where |Neg(w)| is odd."""
     win = group_table(n).windows_array
-    rows = np.flatnonzero((win < 0).sum(axis=1) % 2 == 1)
     out = np.zeros((1, len(win), n), dtype=np.int8)
-    out[0, rows, np.abs(win[rows, -1]) - 1] = np.sign(win[rows, -1])
+    out[0, (win < 0).sum(axis=1) % 2 == 1, n - 1] = 1
     return out
 
 
@@ -263,11 +273,10 @@ def phi_family(sets, n: int) -> np.ndarray:
     """phi^B = 2 f_n^B + (sum of f_{n-1}^A over the (n-1)-subsets A of B)
     for the members B, unbalanced n-sets: x_{w(n-1)} + x_b where w([n-1])
     lies in B and b is the entry of B outside it.  B is w([n-1]) with
-    b = w(n) or with b = -w(n): one scatter for each."""
+    b = ±w(n), stored x_{n-1} ± x_n: one scatter for each sign."""
     win = group_table(n).windows_array
-    last = win[:, n - 1]
-    passes = [(np.column_stack([win[:, : n - 1], b]), win[:, n - 2], b) for b in (last, -last)]
-    return _scatter(sets, n, passes)
+    heads = [(np.column_stack([win[:, : n - 1], e * win[:, n - 1]]), e) for e in (1, -1)]
+    return _scatter(sets, n, [(keys, n - 1, e * n) for keys, e in heads])
 
 
 def t_spline(k: int, n: int) -> np.ndarray:

@@ -22,11 +22,19 @@ it and whether it is independent of the package's batch code:
   pivot block, by forward substitution over `Fraction`, proved by a full
   residual check; the tests compare the modular traces against it.
   Independent of the modular trace.
-- `is_spline`: the edge conditions of one spline, with the first failing
-  (element, root) as a witness.  Not independent: it reads the package's
-  `splines._edge_checks` on the values pulled back (`splines.pull_back`);
-  the tests check it against `reference_is_spline`, a loop over elements and
-  roots in the unmoved frame.
+- `is_spline`: the edge conditions of one spline in the paper's frame,
+  with the first failing (element, root) as a witness.  Not independent: it
+  reads the package's `splines._edge_checks` on the values pulled back
+  (`pull_back`); the tests check it against `reference_is_spline`, a loop
+  over elements and roots in the paper's frame.
+- `pull_back`: row w of a stack in the paper's frame moved back by its own
+  element, to w^{-1} rho(w), the frame the package stores; hand-built
+  arrays in the paper's frame reach `splines.edges_ok` through it.  The
+  tests check it element by element, and that `splines.push_forward`
+  undoes it.
+- `paper_dot_action`: the dot action on a stack in the paper's frame, one
+  signed gather; the label scan reads it.  Independent of the package's
+  row translation on stored splines.
 - `length` and `descent_set`: Coxeter length and descent set of one
   `SignedPerm`.  Not independent: they call the package's whole-table
   kernels on a single window; the tests check them against `bfs_lengths`
@@ -49,20 +57,20 @@ it and whether it is independent of the package's batch code:
   Kostka and P -> H tests.
 - `scatter_label_matrix`: the edge label w(alpha) at every element, one
   scatter of the windows per coordinate of alpha; the tests check that
-  `splines.pull_back` sends it to the root at every element, and the
-  spline tests read labels from it.  Independent: it never reads a family
-  writer.
+  `pull_back` sends it to the root at every element, and the spline tests
+  read labels from it.  Independent: it never reads a family writer.
 - `rows_proportional`: the pivot-form proportionality test with a label
-  row for each row (the package's `splines._rows_proportional` takes one
-  vector); the label scans and the closure test read it, and the tests
-  check it against an outer-product test.
+  row for each row (the package's `splines._multiples` tests one root
+  vector on its support); the label scans and the closure test read it,
+  and the tests check it against an outer-product test.
 - `scan_labels_pairwise_independent` and `scan_labels_equivariant`: the two
   label checks over every element of the group, once per type:
   proportionality of every pair of labels at every w, and of the label
   at v with the image under each simple g of the label at g^{-1} v.  The
   tests check that the package's checks, on the n^2 root vectors and on
   the r and t family stacks once per rank, give the same verdicts.
-  Independent in their labels: they read `scatter_label_matrix`.
+  Independent in their labels and action: they read `scatter_label_matrix`
+  and `paper_dot_action`.
 """
 
 from __future__ import annotations
@@ -82,9 +90,10 @@ from bcsplines.group import (
     conjugacy_classes,
     cycle_type_str,
     group_table,
+    invert,
+    signed_columns,
     unbalanced_sets,
 )
-from bcsplines.characters import dot_action
 from bcsplines.hessenberg import HessenbergSpace, dim_degree_one
 from bcsplines.linalg import RankDeficientError, pivots
 from bcsplines.roots import LieType, Root, positive_roots
@@ -94,7 +103,6 @@ from bcsplines.splines import (
     edges_ok,
     f_family,
     g_spline,
-    pull_back,
     reflection_perm,
     y_spline,
 )
@@ -168,8 +176,30 @@ def sparse_kernel_basis(rows: list[dict[int, int]], ncols: int) -> list[dict[int
     return basis
 
 
+def pull_back(values: np.ndarray) -> np.ndarray:
+    """Row w of the stack (..., N, n) moved back by its own element, to
+    w^{-1} rho(w): one signed gather by the inverse windows.  In this frame
+    every edge label is its root and the dot action translates rows.
+    Negating the dtype's minimum wraps, so an entry there raises OverflowError."""
+    if values.dtype.kind == "i" and values.min(initial=0) == np.iinfo(values.dtype).min:
+        raise OverflowError(f"negating {np.iinfo(values.dtype).min} does not fit {values.dtype}")
+    col, sign = signed_columns(invert(group_table(values.shape[-1]).windows_array))
+    out = values[..., np.arange(len(col))[:, None], col]
+    return np.multiply(out, sign, out=out)
+
+
+def paper_dot_action(w: SignedPerm, values: np.ndarray) -> np.ndarray:
+    """(w . rho)(v) = w(rho(w^{-1} v)) for each spline of the stack (..., N, n)
+    in the paper's frame: one signed gather of the coefficients at the rows
+    w^{-1} v."""
+    src = group_table(w.n).left_mult_indices(w.inverse())
+    col, sign = signed_columns(np.array(w.window))
+    return values[..., src[:, None], col] * sign
+
+
 def is_spline(values: np.ndarray, space: HessenbergSpace, witness: bool = False):
-    """Check the edge conditions of the spline values (N, n) for every root of H.
+    """Check the edge conditions of the spline values (N, n), in the paper's
+    frame, for every root of H.
 
     With witness=True returns (ok, offending (element, root) or None): the
     first failing root in sorted order and its first failing element in
@@ -475,6 +505,6 @@ def scan_labels_equivariant(lie_type: LieType, n: int) -> bool:
     """
     labs = np.stack([scatter_label_matrix(n, root) for root in positive_roots(lie_type, n)])
     for i in range(1, n + 1):
-        if not rows_proportional(dot_action(SignedPerm.simple(i, n), labs), labs).all():
+        if not rows_proportional(paper_dot_action(SignedPerm.simple(i, n), labs), labs).all():
             return False
     return True

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bcsplines import characters, group, splines
+from bcsplines import characters, splines
 from bcsplines.characters import (
     CharacterExpression,
     computed_char,
@@ -40,6 +40,7 @@ from bcsplines.splines import (
     left_basis,
     permutohedral_basis,
     phi_family,
+    push_forward,
     r_family,
     r_spline,
     t_family,
@@ -55,6 +56,7 @@ from reference import (
     expand,
     is_spline,
     named_char_value,
+    pull_back,
     rows_proportional,
     scan_labels_equivariant,
     scatter_label_matrix,
@@ -130,7 +132,8 @@ class TestDotAction:
                 (-1, -2): (1, -1),
             },
         )
-        assert np.array_equal(dot_action(w, fig_spline()), expected)
+        # both hand-built in the paper's frame
+        assert np.array_equal(push_forward(dot_action(w, pull_back(fig_spline()))), expected)
 
     def test_identity_acts_trivially(self):
         rho = fig_spline()
@@ -157,10 +160,10 @@ class TestDotAction:
             pb = (
                 permutohedral_basis(n)
                 if not t_set(space)
-                else spline_space_basis(space)
+                else pull_back(spline_space_basis(space))
             )
             for w in elements(table):
-                imgs = dot_action(w, pb)
+                imgs = push_forward(dot_action(w, pb))  # in the labels' frame
                 for root in space.roots:
                     perm = reflection_perm(n, root)
                     lab = scatter_label_matrix(n, root)
@@ -177,7 +180,7 @@ class TestDotAction:
         for _ in range(60):
             rho = rng.choice(lb)
             w = rng.choice(els)
-            assert is_spline(dot_action(w, rho), space)
+            assert is_spline(push_forward(dot_action(w, rho)), space)
 
 
 def reference_dot_action(w, rho) -> list:
@@ -195,25 +198,18 @@ def reference_dot_action(w, rho) -> list:
 
 
 class TestDotActionRange:
-    """w permutes and negates coordinates, which is exact in any integer dtype
-    except at its minimum, the one value whose negation wraps."""
-
-    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
-    def test_dtype_minimum_raises(self, dtype):
-        # the exact image is -min = max + 1 at every element, past the dtype
-        rho = np.zeros((8, 2), dtype=dtype)
-        rho[:, 0] = np.iinfo(dtype).min
-        with pytest.raises(OverflowError):
-            dot_action(SignedPerm([-1, 2]), rho)
-        with pytest.raises(OverflowError):
-            dot_action(SignedPerm.identity(2), rho[None])
+    """On stored splines w translates rows, which is exact in any dtype;
+    pushed forward, each image is w's image of the paper's values, element
+    by element (`reference_dot_action`)."""
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     def test_one_above_the_minimum_is_exact(self, dtype):
         rho = np.zeros((8, 2), dtype=dtype)
         rho[:, 0] = np.iinfo(dtype).min + 1
-        out = dot_action(SignedPerm([-1, 2]), rho)
-        assert out.dtype == dtype and (out[:, 0] == np.iinfo(dtype).max).all()
+        w = SignedPerm([-1, 2])
+        out = dot_action(w, rho)
+        assert out.dtype == dtype and (out[:, 0] == np.iinfo(dtype).min + 1).all()
+        assert push_forward(out).tolist() == reference_dot_action(w, push_forward(rho))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_family_values_pass_through(self, n):
@@ -229,12 +225,12 @@ class TestDotActionRange:
             out = dot_action(w, stack)
             assert out.dtype == np.int8 and out.shape == stack.shape
             for rho, image in zip(stack, out):
-                assert image.tolist() == reference_dot_action(w, rho)
+                assert push_forward(image).tolist() == reference_dot_action(w, push_forward(rho))
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     def test_gather_equals_matmul_on_every_element(self, dtype):
-        # the signed gather against the matrix of w on coefficient rows:
-        # column i of that matrix is sign(w(i)) e_{|w(i)|}
+        # pushed forward, the image against the matrix of w on coefficient
+        # rows: column i of that matrix is sign(w(i)) e_{|w(i)|}
         n = 3
         table = group_table(n)
         ks = [k for k in range(-n, n + 1) if k]
@@ -249,7 +245,8 @@ class TestDotActionRange:
             src = table.left_mult_indices(w.inverse())
             out = dot_action(w, stack)
             assert out.dtype == dtype
-            assert np.array_equal(out, stack[:, src, :].astype(np.int64) @ mat.T)
+            paper = push_forward(stack)[:, src, :].astype(np.int64) @ mat.T
+            assert np.array_equal(push_forward(out), paper)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank mismatch"):
@@ -649,7 +646,8 @@ class TestModularTraces:
 
 def full_table_traces(space) -> tuple[int, ...]:
     """The modular traces with each class's sources g^{-1} v read from the
-    whole `left_mult_indices` table and then gathered at the pivots."""
+    whole `left_mult_indices` table and then gathered at the pivots; the
+    stored basis is translated, with no sign."""
     from bcsplines.linalg import PRIMES, inverse_mod_p, symmetric_lift, trace_product_mod_p
 
     n, p = space.n, PRIMES[0]
@@ -659,8 +657,7 @@ def full_table_traces(space) -> tuple[int, ...]:
     out = []
     for cl in conjugacy_classes(n):
         src = group_table(n).left_mult_indices(cl.rep.inverse())
-        col, sign = group.signed_columns(np.array(cl.rep.window))
-        images = bundle[:, src[piv_rows], col[piv_slots]] * sign[piv_slots]  # (m, m)
+        images = bundle[:, src[piv_rows], piv_slots]  # (m, m)
         out.append(symmetric_lift(int(trace_product_mod_p(images, inv, p)), p, len(bundle)))
     return tuple(out)
 
@@ -772,10 +769,11 @@ class TestWitnessCertificate:
 
 
 class TestLabelEquivariance:
-    """`_simples_fix_r_and_permute_t` tests `splines.pull_back` and the simple
-    reflections on the r and t stacks once per rank.  It agrees with the
-    whole-group check of the labels in each type, and a stack, a pull-back or
-    an action broken in one place makes it fail."""
+    """`_simples_fix_r_and_permute_t` tests that the r stack stores
+    x_1..x_n, and the simple reflections on the t stack, once per rank.  It
+    agrees with the whole-group check of the labels in each type, and a
+    stack, a pulled-back value or an action broken in one place makes it
+    fail."""
 
     @pytest.fixture
     def fresh(self):
@@ -809,19 +807,20 @@ class TestLabelEquivariance:
     @pytest.mark.parametrize("fault", ["column", "sign"])
     @pytest.mark.parametrize("vertex", [0, 17, 47])
     def test_pull_back_wrong_at_one_element(self, monkeypatch, fresh, fault, vertex):
-        # a pull-back that reads one coordinate from the wrong column, or
-        # with the wrong sign, at one element; the dot action is untouched
-        real = splines.signed_columns
+        # a t stack whose pulled-back value at one element reads one
+        # coordinate from the wrong column, or with the wrong sign; the dot
+        # action is untouched
+        real = splines.t_family
 
-        def broken(windows):
-            col, sign = real(windows)
+        def broken(ks, n):
+            out = real(ks, n)
             if fault == "column":
-                col[vertex, 0] = col[vertex, 1]
+                out[:, vertex, 0] = out[:, vertex, 1]
             else:
-                sign[vertex, 0] *= -1
-            return col, sign
+                out[:, vertex, 0] *= -1
+            return out
 
-        monkeypatch.setattr(splines, "signed_columns", broken)
+        monkeypatch.setattr(splines, "t_family", broken)
         assert not characters._simples_fix_r_and_permute_t(3)
 
     def test_s_n_without_its_sign(self, monkeypatch, fresh):

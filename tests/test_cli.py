@@ -106,6 +106,24 @@ def _module_level_imports(module: str) -> set[str]:
     return out
 
 
+def _readers(name: str) -> set[str]:
+    """module.function for each function of the package that reads `name`
+    in its body (nested functions included): as a name, an attribute or an
+    imported name."""
+    out = set()
+    for path in sorted((SRC / "bcsplines").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                names = (getattr(node, "id", None), getattr(node, "attr", None))
+                if isinstance(node, ast.alias):
+                    names = (node.name, node.asname)
+                if name in names:
+                    out.add(f"{path.stem}.{func.name}")
+    return out
+
+
 def _main_in_fresh_interpreter(argv: list[str], stream: str):
     """Exit code of main(argv) in a fresh interpreter (argparse's by
     SystemExit), what it wrote to the stream ("stdout" or "stderr"), and the
@@ -176,6 +194,13 @@ class TestImports:
         assert all(_loads_numpy(m) for m in ARITHMETIC)  # the check can fail
         front = _module_level_imports("bcsplines") | _module_level_imports("bcsplines.cli")
         assert {m for m in front if _loads_numpy(m)} == set()
+
+    def test_one_frame_conversion(self):
+        # splines are stored pulled back, and every certificate and trace
+        # reads them so: only `push_forward` applies a window to coefficient
+        # rows, and only `dump` pushes a spline forward, to print it
+        assert _readers("signed_columns") == {"splines.push_forward"}
+        assert _readers("push_forward") == {"splines.dump"}
 
     def test_formula_char_loads_no_trace_modules(self):
         # the closed forms need neither the spline families nor the modular solver

@@ -36,13 +36,14 @@ from bcsplines.splines import (
     g_family,
     g_spline,
     generating_set,
+    h_family,
     h_spline,
     labels_pairwise_independent,
     left_basis,
     permutohedral_basis,
     phi_family,
     phi_spline,
-    pull_back,
+    push_forward,
     r_family,
     r_spline,
     right_basis,
@@ -53,7 +54,7 @@ from bcsplines.splines import (
     y_family,
     y_spline,
     _combine,
-    _rows_proportional,
+    _multiples,
     reflection_perm,
 )
 
@@ -62,6 +63,7 @@ from reference import (
     expand,
     is_spline,
     length,
+    pull_back,
     rows_proportional,
     scan_labels_pairwise_independent,
     scatter_label_matrix,
@@ -124,8 +126,9 @@ def fig_spline() -> np.ndarray:
 
 
 def value(rho, w) -> list[int]:
-    """rho(w) as its coefficients of x_1..x_n."""
-    return rho[group_table(w.n).index_of(w)].tolist()
+    """rho(w) in the paper's frame, pushed forward from the stored values,
+    as its coefficients of x_1..x_n."""
+    return push_forward(rho)[group_table(w.n).index_of(w)].tolist()
 
 
 def var(k, n) -> np.ndarray:
@@ -236,6 +239,103 @@ class TestPullBack:
         assert np.abs(pull_back(rho)).max() == np.iinfo(dtype).max
 
 
+class TestPushForward:
+    """`push_forward` moves the stored value at w forward by w, to
+    rho(w) = w rho~(w), and undoes `pull_back`."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_row_is_the_element_applied(self, n):
+        table = group_table(n)
+        ks = [k for k in range(-n, n + 1) if k]
+        stack = np.concatenate([t_family(ks, n), g_family(ks, n), f_family(1, [(1,)], n)])
+        stack[::2] *= 2
+        pushed = push_forward(stack)
+        assert pushed.dtype == np.int8 and pushed.shape == stack.shape
+        assert np.array_equal(pull_back(pushed), stack)
+        assert np.array_equal(push_forward(pull_back(stack)), stack)
+        for idx, w in enumerate(elements(table)):
+            for got, rho in zip(pushed[:, idx].tolist(), stack[:, idx].tolist()):
+                assert tuple(got) == act(w, tuple(rho))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_dtype_minimum_raises(self, dtype):
+        # the value at every element is negated by some w, and -min wraps
+        rho = np.zeros((1, 8, 2), dtype=dtype)
+        rho[0, 3, 1] = np.iinfo(dtype).min
+        with pytest.raises(OverflowError):
+            push_forward(rho)
+        rho[0, 3, 1] += 1
+        assert np.abs(push_forward(rho)).max() == np.iinfo(dtype).max
+
+
+def paper_value(family: str, member, w: SignedPerm) -> list[int]:
+    """The paper's formula for one family member at w (the `splines`
+    docstring), by `SignedPerm` arithmetic; zero off its support."""
+    n, inv, zero = w.n, w.inverse(), [0] * w.n
+    if family == "t":
+        val = var(member, n)
+    elif family == "r":
+        val = var(w(member), n)
+    elif family == "f":
+        i, a = member
+        if {w(k) for k in range(1, i + 1)} != set(a):
+            return zero
+        val = var(w(i), n) - (var(w(i + 1), n) if i < n else 0)
+    elif family == "y":
+        i, k = member
+        if not 1 <= inv(k) <= i:
+            return zero
+        val = var(k, n) - var(w(i + 1), n)
+    elif family == "g":
+        if inv(member) > 0:
+            return zero
+        val = var(member, n)
+    elif family == "h":
+        if sum(x < 0 for x in w.window) % 2 == 0:
+            return zero
+        val = var(w(n), n)
+    else:
+        head = {w(k) for k in range(1, n)}
+        if not head <= set(member):
+            return zero
+        (b,) = set(member) - head
+        val = var(w(n - 1), n) + var(b, n)
+    return val.tolist()
+
+
+class TestFrameContract:
+    """Every writer stores its members pulled back: pushed forward, each is
+    the paper's formula at every element."""
+
+    @staticmethod
+    def members(family, n):
+        ks = [k for k in range(-n, n + 1) if k]
+        if family == "t":
+            return ks, t_family(ks, n)
+        if family == "r":
+            return list(range(1, n + 1)), r_family(range(1, n + 1), n)
+        if family == "f":
+            sets = [(i, a) for i in range(1, n + 1) for a in unbalanced_sets(i, n)]
+            return sets, np.concatenate([f_family(i, [a], n) for i, a in sets])
+        if family == "y":
+            pairs = [(i, k) for i in range(1, n) for k in ks]
+            return pairs, np.concatenate([y_family(i, ks, n) for i in range(1, n)])
+        if family == "g":
+            return ks, g_family(ks, n)
+        if family == "h":
+            return [None], h_family(n)
+        return unbalanced_sets(n, n), phi_family(unbalanced_sets(n, n), n)
+
+    @pytest.mark.parametrize("family", ["t", "r", "f", "y", "g", "h", "phi"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pushed_forward_is_the_papers_formula(self, family, n):
+        members, stored = self.members(family, n)
+        paper = push_forward(stored).tolist()
+        for idx, w in enumerate(elements(group_table(n))):
+            for member, rho in zip(members, paper):
+                assert rho[idx] == paper_value(family, member, w), (member, w)
+
+
 class TestSplinePredicate:
     def test_rank_two_example_spline(self):
         assert is_spline(fig_spline(), delta_space(B, 2))
@@ -245,8 +345,8 @@ class TestSplinePredicate:
         for lt in (B, C):
             space = full_space(lt, 3)
             for i in (1, 2, 3):
-                assert is_spline(t_spline(i, 3), space)
-                assert is_spline(r_spline(i, 3), space)
+                assert is_spline(push_forward(t_spline(i, 3)), space)
+                assert is_spline(push_forward(r_spline(i, 3)), space)
 
     def test_perturbation_breaks_an_edge(self):
         values = dict(FIG_SPLINE_VALUES)
@@ -325,15 +425,16 @@ def differences_near(rng, lab):
 class TestBatchedEdgeTest:
     @pytest.mark.parametrize("seed", range(6))
     def test_pivot_form_equals_outer_product(self, seed):
-        # one vector against every row, as the edge test passes a root
+        # one vector of one or two nonzeros against every row, as the edge
+        # test passes a root, tested on its support
         rng = np.random.default_rng(seed)
         for vec in random_labels(rng, 2, 4):
             lab = np.tile(vec, (400, 1))
             d = differences_near(rng, lab)
             want = np.stack([outer_rows_proportional(x, lab) for x in d])
             assert want.any() and not want.all()
-            assert np.array_equal(_rows_proportional(d, vec), want)
-            assert np.array_equal(_rows_proportional(d[1], vec), want[1])
+            assert np.array_equal(_multiples(d, vec), want)
+            assert np.array_equal(_multiples(d[1], vec), want[1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_row_reference_equals_outer_product(self, seed):
@@ -357,16 +458,17 @@ class TestBatchedEdgeTest:
         num = i64(splines[-1])
         num[-1, 0] += 1  # one vertex off the family
         splines.append(num)
-        refs = [reference_is_spline(s, space) for s in splines]
+        paper = [push_forward(s) for s in splines]
+        refs = [reference_is_spline(s, space) for s in paper]
         assert refs[-1] is not None and all(r is None for r in refs[: len(bundle)])
-        got = edges_ok(pull_back(stacked(splines)), space.roots)
+        got = edges_ok(stacked(splines), space.roots)
         assert got.tolist() == [r is None for r in refs]
-        for s, ref in zip(splines, refs):
+        for s, ref in zip(paper, refs):
             assert is_spline(s, space, witness=True) == (ref is None, ref)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(ValueError, match="rank mismatch"):
-            edges_ok(pull_back(stacked([t_spline(1, 3)])), delta_space(B, 2).roots)
+            edges_ok(stacked([t_spline(1, 3)]), delta_space(B, 2).roots)
 
 
 class TestEdgeTestOverflow:
@@ -412,8 +514,37 @@ class TestEdgeTestOverflow:
     @pytest.mark.parametrize("big", [2**63 - 1, 2**7 - 1, 2**5])
     def test_large_values_that_are_a_spline(self, big):
         rho = (big - 1) * i64(t_spline(1, 2)) + r_spline(1, 2)
-        assert is_spline(rho, full_space(C, 2))
-        assert edges_ok(pull_back(np.stack([rho, -rho])), full_space(B, 2).roots).all()
+        assert is_spline(push_forward(rho), full_space(C, 2))
+        assert edges_ok(np.stack([rho, -rho]), full_space(B, 2).roots).all()
+
+
+class TestEdgeOnTheRootSupport:
+    """An edge holds exactly when the stored difference at its ends is a
+    multiple of the root: zero off the root's support and, on a two-entry
+    support, in the root's ratio.  Values past int64 run on Python integers
+    with the same verdicts."""
+
+    @pytest.mark.parametrize("scale", [1, 2**61])
+    @pytest.mark.parametrize(
+        "lt, i, diff, ok",
+        [
+            (B, 1, (2, -2, 0), True),  # 2 (e1 - e2)
+            (B, 1, (1, -1, 1), False),  # one off-support coordinate differs
+            (B, 1, (1, 1, 0), False),  # the ratio on the support is wrong
+            (B, 2, (0, 3, -3), True),
+            (B, 2, (0, 3, -2), False),
+            (B, 3, (0, 0, -3), True),  # a one-entry support
+            (B, 3, (1, 0, -3), False),
+            (C, 3, (0, 0, 1), True),  # half of 2 e3
+            (C, 3, (0, 1, 1), False),
+        ],
+    )
+    def test_one_edge(self, lt, i, diff, ok, scale):
+        # the identity's value against zero elsewhere: the edge (e, s_i)
+        # carries the whole difference, every other edge none
+        values = np.zeros((1, group_table(3).size, 3), dtype=np.int64)
+        values[0, group_table(3).index_of(SignedPerm.identity(3))] = np.multiply(diff, scale)
+        assert edges_ok(values, (simple_root(i, lt, 3),)).tolist() == [ok]
 
 
 class TestFamilyValues:
@@ -565,20 +696,20 @@ class TestFamilyMembership:
     def test_hypotheses_imply_membership(self, lt, n):
         from bcsplines.hessenberg import classify
 
-        fams = {
+        fams = {  # pushed forward, for the paper-frame `is_spline`
             "f": {
-                (i, a): f_spline(i, a, n)
+                (i, a): push_forward(f_spline(i, a, n))
                 for i in range(1, n + 1)
                 for a in unbalanced_sets(i, n)
             },
             "y": {
-                (i, k): y_spline(i, k, n)
+                (i, k): push_forward(y_spline(i, k, n))
                 for i in range(1, n)
                 for k in range(-n, n + 1)
                 if k
             },
-            "g": {i: g_spline(i, n) for i in range(1, n + 1)},
-            "h": h_spline(n),
+            "g": {i: push_forward(g_spline(i, n)) for i in range(1, n + 1)},
+            "h": push_forward(h_spline(n)),
         }
         for space in enumerate_hessenberg(lt, n):
             ts = t_set(space)
@@ -673,7 +804,7 @@ class TestPhiFamily:
             if on_divergent_branch(ts, n):
                 space = from_tset(ts, n, C)
                 for b in unbalanced_sets(n, n):
-                    assert is_spline(phi_spline(b, n), space)
+                    assert is_spline(push_forward(phi_spline(b, n)), space)
 
     def test_rejects_balanced_sets(self):
         with pytest.raises(ValueError):
@@ -743,7 +874,7 @@ class TestBundles:
                 space = from_tset(ts, n, lt)
                 bundle = generating_set(space)
                 assert bundle_rank(bundle, space) == dim_degree_one(space)
-                assert edges_ok(pull_back(bundle), space.roots).all()
+                assert edges_ok(bundle, space.roots).all()
 
     def test_generating_set_spans_at_rank_five_branch(self):
         space = from_tset(frozenset({5}), 5, C)
@@ -767,7 +898,7 @@ class TestBundles:
                 assert len(lb) == len(rb) == dim
                 # same span: every element is a spline, and the union has the rank of each
                 union = np.concatenate([lb, rb])
-                assert edges_ok(pull_back(union), space.roots).all()
+                assert edges_ok(union, space.roots).all()
                 ranks = [bundle_rank(b, space) for b in (union, lb, rb)]
                 assert ranks == [dim] * 3
 
@@ -784,12 +915,12 @@ class TestBundles:
         assert len(pb) == dim_degree_one(delta_space(B, n))
         assert bundle_rank(pb, delta_space(B, n)) == len(pb)
         for s in splines_of(pb):
-            assert is_spline(s, delta_space(B, n))
+            assert is_spline(push_forward(s), delta_space(B, n))
 
     @pytest.mark.parametrize("lt", [B, C])
     @pytest.mark.parametrize("n", [2, 3])
     def test_permutohedral_members_are_splines_on_the_simples(self, lt, n):
-        assert edges_ok(pull_back(permutohedral_basis(n)), delta_space(lt, n).roots).all()
+        assert edges_ok(permutohedral_basis(n), delta_space(lt, n).roots).all()
 
     def test_permutohedral_size_rank_four(self):
         assert len(permutohedral_basis(4)) == 80
@@ -899,13 +1030,14 @@ class TestExpand:
             expand(bad.reshape(target.shape), pb)
 
     def test_fig_spline_expansion(self):
-        pb = permutohedral_basis(2)
+        # the hand-built spline is in the paper's frame: so is the basis here
+        pb = push_forward(permutohedral_basis(2))
         sigma = fig_spline()
         (coeffs,) = expand(stacked([sigma]), pb)
         # build order: f_1^A for A = {-2}, {-1}, {1}, {2}, then f_2^B for
         # B = {-2,-1}, {-2,1}, {-1,2}, {1,2}
-        assert np.array_equal(pb[3], f_spline(1, (2,), 2))
-        assert np.array_equal(pb[4], f_spline(2, (-2, -1), 2))
+        assert np.array_equal(pb[3], push_forward(f_spline(1, (2,), 2)))
+        assert np.array_equal(pb[4], push_forward(f_spline(2, (-2, -1), 2)))
         assert {j: c for j, c in enumerate(coeffs) if c} == {3: -1, 4: -1}
         assert all(c.denominator == 1 for c in coeffs)
         combo = (c.numerator * s for c, s in zip(coeffs, splines_of(pb)))
@@ -990,7 +1122,7 @@ class TestSupportMinimalWitnesses:
             for i in range(1, n + 1):
                 alpha = simple_root(i, lt, n)
                 for w in h_descent_formula(ts, n, i):
-                    rho = witness_spline(cases[w], n)
+                    rho = push_forward(witness_spline(cases[w], n))
                     assert is_spline(rho, space)
                     assert shortest_support(rho) == {w}
                     idx = group_table(n).index_of(w)
